@@ -25,12 +25,19 @@ use crate::steal::{run_grab, try_steal_once};
 use crate::task::{Task, TaskBody, ST_DONE, ST_OWNER};
 use crossbeam_utils::Backoff;
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Internal, lifetime-free execution context of one worker running one task.
 pub struct RawCtx {
-    pub(crate) rt: Arc<RtInner>,
+    /// The runtime, *borrowed*: a copy of the creator's `Arc` handle whose
+    /// reference count was never taken and is never released (see
+    /// [`RawCtx::with_detached`]). A count taken per context would be
+    /// atomic read-modify-writes on the one refcount line all workers
+    /// share, paid on every `Ctx::join` (`DESIGN.md` §6, "What a join may
+    /// touch").
+    pub(crate) rt: ManuallyDrop<Arc<RtInner>>,
     pub(crate) widx: usize,
     /// Child frame, created lazily on the first spawn.
     frame: Option<Arc<Frame>>,
@@ -42,20 +49,39 @@ pub struct RawCtx {
     /// Running on a track thread (offload/io engine, `DESIGN.md` §10)
     /// rather than a pool worker. A detached context must never borrow a
     /// worker's thief identity: its syncs spin-wait instead of stealing
-    /// and its fork-joins run sequentially inline — children it spawns
-    /// are still stealable by real workers through the frame.
+    /// and its fork-joins and loops run sequentially inline — children it
+    /// spawns are still stealable by real workers through the frame.
     pub(crate) detached: bool,
 }
 
 impl RawCtx {
-    pub(crate) fn new(rt: Arc<RtInner>, widx: usize) -> RawCtx {
+    /// A context on worker `widx` of `rt`; detached when built on a track
+    /// thread.
+    pub(crate) fn new(rt: &Arc<RtInner>, widx: usize) -> RawCtx {
+        RawCtx::with_detached(rt, widx, crate::telemetry::on_track_thread())
+    }
+
+    /// [`RawCtx::new`] for a caller that knows whether it runs detached.
+    pub(crate) fn with_detached(rt: &Arc<RtInner>, widx: usize, detached: bool) -> RawCtx {
+        // SAFETY: the bitwise copy is a second handle on `rt`'s allocation
+        // that takes no reference count, and `ManuallyDrop` guarantees it
+        // never releases one. It stays valid while some owning `Arc`
+        // outlives this context, which holds for every creator: a
+        // `RawCtx` is only ever built on the stack of a call that borrows
+        // `rt` and handed down as `&mut`, never stored or sent, and the
+        // thread building it holds an owning `Arc<RtInner>` for the whole
+        // call — the worker thread (`worker_main`), the track thread
+        // (`offload_main` / `io_main`), or the `Runtime` handle behind
+        // `scope` / `submit`. Nested contexts borrow from their parent's
+        // copy, which is valid for the same reason.
+        let rt = ManuallyDrop::new(unsafe { std::ptr::read(rt) });
         RawCtx {
             rt,
             widx,
             frame: None,
             cur: None,
             cancel: None,
-            detached: crate::telemetry::on_track_thread(),
+            detached,
         }
     }
 
@@ -157,7 +183,7 @@ impl RawCtx {
         let Some(frame) = self.frame.as_ref().map(Arc::clone) else {
             return;
         };
-        let rt = Arc::clone(&self.rt);
+        let rt: &Arc<RtInner> = &self.rt;
         let widx = self.widx;
         // Task lookups are batched: once sync starts the owner pushes no
         // more children into this frame (task bodies run on fresh frames),
@@ -186,7 +212,7 @@ impl RawCtx {
                 if t.try_claim(ST_OWNER) {
                     frame.advance_cursor();
                     WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
-                    execute_claimed(&rt, widx, &frame, i, Arc::clone(&t));
+                    execute_claimed(rt, widx, &frame, i, Arc::clone(&t));
                     // Track-routed tasks (`DESIGN.md` §10) come back from
                     // execute_claimed dispatched but not done — their body
                     // runs when the engine's completion drains. The owner
@@ -200,7 +226,7 @@ impl RawCtx {
                         if self.detached {
                             wait_detached(|| t.is_done());
                         } else {
-                            help_until(&rt, widx, Some(&frame), || t.is_done());
+                            help_until(rt, widx, Some(&frame), || t.is_done());
                         }
                     }
                 } else if t.state() == ST_DONE {
@@ -210,7 +236,7 @@ impl RawCtx {
                     if self.detached {
                         wait_detached(|| t.is_done());
                     } else {
-                        help_until(&rt, widx, Some(&frame), || t.is_done());
+                        help_until(rt, widx, Some(&frame), || t.is_done());
                     }
                     frame.advance_cursor();
                 }
@@ -221,7 +247,7 @@ impl RawCtx {
                 wait_detached(|| frame.pending() == 0);
             } else {
                 // All claimed, some still running on thieves.
-                help_until(&rt, widx, Some(&frame), || frame.pending() == 0);
+                help_until(rt, widx, Some(&frame), || frame.pending() == 0);
             }
         }
         if let Some(p) = frame.take_panic() {
@@ -361,7 +387,7 @@ pub(crate) fn run_claimed_body(
         return;
     }
     let body = task.take_body();
-    let mut raw = RawCtx::new(Arc::clone(rt), widx);
+    let mut raw = RawCtx::new(rt, widx);
     raw.cancel = task.attrs.cancel.clone();
     raw.cur = Some(Arc::clone(&task));
     // Traced task span (`DESIGN.md` §9): B/E pair around the body plus
@@ -678,16 +704,14 @@ impl<'scope> Ctx<'scope> {
             // the real owner may be pushing concurrently — so the pair
             // runs sequentially inline, `fb` in a fresh scope like the
             // stolen path would give it.
-            let (rt, widx) = {
-                let raw = self.raw();
-                (Arc::clone(&raw.rt), raw.widx)
-            };
             if !attrs.is_default() {
-                WorkerStats::bump(&rt.workers[widx].stats.tasks_with_attrs, 1);
+                let raw = self.raw();
+                WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_with_attrs, 1);
             }
             let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
             let rb = catch_unwind(AssertUnwindSafe(|| {
-                let mut sub = RawCtx::new(Arc::clone(&rt), widx);
+                let raw = self.raw();
+                let mut sub = RawCtx::with_detached(&raw.rt, raw.widx, true);
                 sub.run_scoped(fb)
             }));
             match (ra, rb) {
@@ -712,8 +736,15 @@ impl<'scope> Ctx<'scope> {
         {
             let job = unsafe { &*(data as *const StackJob<F, R>) };
             let f = unsafe { (*job.f.get()).take().expect("fast job run twice") };
-            let mut raw = RawCtx::new(Arc::clone(rt), widx);
+            // Only pool workers push or steal fast jobs, so no thread-local
+            // lookup: a detached context runs its joins (above) and loops
+            // (`foreach_run`) inline, and its syncs never steal.
+            let mut raw = RawCtx::with_detached(rt, widx, false);
             let run = catch_unwind(AssertUnwindSafe(|| {
+                debug_assert!(
+                    !crate::telemetry::on_track_thread(),
+                    "a track thread ran a fork-join job"
+                );
                 #[cfg(feature = "fault-injection")]
                 crate::fault::on_task_execute(rt);
                 f(&mut raw)
@@ -734,13 +765,6 @@ impl<'scope> Ctx<'scope> {
             }
         }
 
-        let (rt, widx) = {
-            let raw = self.raw();
-            (Arc::clone(&raw.rt), raw.widx)
-        };
-        if !attrs.is_default() {
-            WorkerStats::bump(&rt.workers[widx].stats.tasks_with_attrs, 1);
-        }
         // Wrap `fb` into a lifetime-free signature ('scope is in scope here;
         // the record never outlives this call, see the safety note above).
         let fb_raw = move |raw: &mut RawCtx| -> RB {
@@ -767,39 +791,43 @@ impl<'scope> Ctx<'scope> {
             }
         }
         let jref = jref_of(&job);
-        let pushed = rt
-            .queue
-            .push(
-                widx,
-                crate::queue::WorkItem::fast_banded(jref, attrs.band()),
-            )
-            .is_ok();
-        if pushed {
-            WorkerStats::bump(&rt.workers[widx].stats.tasks_spawned, 1);
-            if rt.num_workers() > 1 {
-                rt.signal_work();
+        let widx = self.raw().widx;
+        let pushed = {
+            let rt = &self.raw().rt;
+            let stats = &rt.workers[widx].stats;
+            if !attrs.is_default() {
+                WorkerStats::bump(&stats.tasks_with_attrs, 1);
             }
-        }
+            let pushed = rt.push_join(widx, jref, attrs.band());
+            if pushed {
+                WorkerStats::bump_owned(&stats.tasks_spawned, 1);
+                if rt.num_workers() > 1 {
+                    rt.signal_work();
+                }
+            }
+            pushed
+        };
         // Continuation; even if it panics the job must retire first (it
         // points into this stack frame).
         let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
+        let rt: &Arc<RtInner> = &self.raw().rt;
         if pushed {
-            if let Some(mine) = rt.queue.take(widx, jref.data) {
-                WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
-                match mine.into_grab() {
-                    crate::steal::Grab::Fast(job) => unsafe { job.execute(&rt, widx) },
-                    _ => unreachable!("take returned a non-fork-join item"),
-                }
+            if let Some(mine) = rt.take_join(widx, jref.data) {
+                WorkerStats::bump_owned(&rt.workers[widx].stats.tasks_executed_own, 1);
+                // SAFETY: `take_join` returned our own job, so no thief ran
+                // it, and `job` lives on this frame until we return.
+                unsafe { mine.execute(rt, widx) };
             } else {
                 // Taken by another worker (or consumed while helping): work
                 // as a thief until it completes.
-                help_until(&rt, widx, None, || {
+                help_until(rt, widx, None, || {
                     job.state.load(std::sync::atomic::Ordering::Acquire) != J_PENDING
                 });
             }
         } else {
             // Queue refused the job (lane full): undeferred execution.
-            unsafe { jref.execute(&rt, widx) };
+            // SAFETY: never queued, so never run; `job` is still alive.
+            unsafe { jref.execute(rt, widx) };
         }
         let ra = match ra {
             Ok(v) => v,
@@ -828,8 +856,8 @@ impl<'scope> Ctx<'scope> {
         F: FnOnce(&mut Ctx<'nested>) -> R + Send,
         R: Send,
     {
-        let raw = self.raw_mut();
-        let mut sub = RawCtx::new(Arc::clone(&raw.rt), raw.widx);
+        let raw = self.raw();
+        let mut sub = RawCtx::with_detached(&raw.rt, raw.widx, raw.detached);
         sub.run_scoped(f)
     }
 

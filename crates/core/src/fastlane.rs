@@ -15,6 +15,7 @@
 //! [`Ctx::join`]: crate::ctx::Ctx::join
 
 use crate::runtime::RtInner;
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
@@ -31,6 +32,7 @@ unsafe impl Send for FastJob {}
 impl FastJob {
     /// # Safety
     /// The job record must still be alive and not yet executed.
+    #[inline]
     pub(crate) unsafe fn execute(self, rt: &Arc<RtInner>, widx: usize) {
         unsafe { (self.exec)(self.data, rt, widx) }
     }
@@ -40,10 +42,15 @@ const CAP: usize = 1 << 13;
 
 /// Fixed-capacity T.H.E. deque of [`FastJob`]s. `push` returns `false`
 /// when full (the caller runs the job inline).
+///
+/// `head` (written by thieves), `tail` (written by the owner) and `lock`
+/// (taken by thieves, and by the owner only when it races one for the
+/// last job) sit on separate cache lines, so a thief's writes never
+/// invalidate the line the owner's push/pop writes, nor the reverse.
 pub(crate) struct FastLane {
-    head: AtomicIsize,
-    tail: AtomicIsize,
-    lock: Mutex<()>,
+    head: CachePadded<AtomicIsize>,
+    tail: CachePadded<AtomicIsize>,
+    lock: CachePadded<Mutex<()>>,
     slots: Box<[std::cell::Cell<Option<FastJob>>]>,
 }
 
@@ -55,9 +62,9 @@ unsafe impl Send for FastLane {}
 impl FastLane {
     pub(crate) fn new() -> FastLane {
         FastLane {
-            head: AtomicIsize::new(0),
-            tail: AtomicIsize::new(0),
-            lock: Mutex::new(()),
+            head: CachePadded::new(AtomicIsize::new(0)),
+            tail: CachePadded::new(AtomicIsize::new(0)),
+            lock: CachePadded::new(Mutex::new(())),
             slots: (0..CAP).map(|_| std::cell::Cell::new(None)).collect(),
         }
     }

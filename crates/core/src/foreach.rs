@@ -202,7 +202,11 @@ fn process(rt: &Arc<RtInner>, widx: usize, ctl: &Arc<LoopCtl>, cell: Arc<Interva
     rt.workers[widx].deregister_adaptive(&ad);
 }
 
-/// Run a foreach to completion on worker `widx` of `rt`.
+/// Run a foreach to completion on worker `widx` of `rt`. A `detached`
+/// caller (a track thread borrowing index `widx`) runs the whole range
+/// inline: publishing a loop and helping until it drains would make it a
+/// thief on worker `widx`'s behalf, and a fork-join job it stole would run
+/// on that worker's lane beside the worker itself.
 ///
 /// # Safety contract (internal)
 /// `body` is lifetime-erased; soundness comes from this function not
@@ -210,6 +214,7 @@ fn process(rt: &Arc<RtInner>, widx: usize, ctl: &Arc<LoopCtl>, cell: Arc<Interva
 pub(crate) fn foreach_run(
     rt: &Arc<RtInner>,
     widx: usize,
+    detached: bool,
     range: Range<usize>,
     grain: Option<usize>,
     attrs: TaskAttrs,
@@ -223,7 +228,7 @@ pub(crate) fn foreach_run(
     let grain = grain
         .unwrap_or_else(|| (n / (rt.tun.grain_factor * p)).max(1))
         .max(1);
-    if p == 1 || n <= grain {
+    if p == 1 || n <= grain || detached {
         body(range, widx);
         return;
     }
@@ -318,16 +323,13 @@ impl<'scope> Ctx<'scope> {
         mut attrs: TaskAttrs,
         body: &(dyn Fn(Range<usize>, usize) + Sync),
     ) {
-        let (rt, widx) = {
-            let raw: &RawCtx = self.as_raw();
-            // Cancellation is inherited scope-wide: a loop inside a
-            // cancellable cone is cancellable with it.
-            if attrs.cancel.is_none() {
-                attrs.cancel = raw.cancel.clone();
-            }
-            (Arc::clone(&raw.rt), raw.widx)
-        };
-        foreach_run(&rt, widx, range, grain, attrs, body);
+        let raw: &RawCtx = self.as_raw();
+        // Cancellation is inherited scope-wide: a loop inside a
+        // cancellable cone is cancellable with it.
+        if attrs.cancel.is_none() {
+            attrs.cancel = raw.cancel.clone();
+        }
+        foreach_run(&raw.rt, raw.widx, raw.detached, range, grain, attrs, body);
     }
 
     /// Parallel reduction: fold every index into per-worker accumulators,

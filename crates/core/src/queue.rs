@@ -39,6 +39,7 @@ use crate::fastlane::{FastJob, FastLane};
 use crate::frame::Frame;
 use crate::steal::Grab;
 use crate::task::Task;
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -296,14 +297,64 @@ impl BandedLane {
 /// behaviour. High/low bands ride per-worker side deques consulted before/
 /// after the fast lane.
 pub struct DistributedLanes {
-    lanes: Box<[BandedLane]>,
+    /// Padded so that no two workers' lanes share a cache line: the
+    /// owner's fast-path writes stay on lines no other owner writes.
+    lanes: Box<[CachePadded<BandedLane>]>,
 }
 
 impl DistributedLanes {
     /// One lane per worker.
     pub fn new(workers: usize) -> DistributedLanes {
         DistributedLanes {
-            lanes: (0..workers).map(|_| BandedLane::new()).collect(),
+            lanes: (0..workers)
+                .map(|_| CachePadded::new(BandedLane::new()))
+                .collect(),
+        }
+    }
+
+    /// [`TaskQueue::push`] of a fork-join job at `band`, without the
+    /// `WorkItem` round trip: `Ctx::join` calls it directly when these are
+    /// the runtime's lanes, and the default band folds to the T.H.E. push.
+    /// `false` when the default lane is full.
+    #[inline]
+    pub(crate) fn push_job(&self, worker: usize, job: FastJob, band: usize) -> bool {
+        let lane = &self.lanes[worker];
+        match lane.side(band) {
+            Some(side) => {
+                lane.side_pushed();
+                side.push_back(job);
+                true
+            }
+            None => lane.normal.push(job),
+        }
+    }
+
+    /// [`TaskQueue::take`] of the fork-join job `token`, with its band.
+    #[inline]
+    pub(crate) fn take_job(&self, worker: usize, token: *mut ()) -> Option<(FastJob, u8)> {
+        let lane = &self.lanes[worker];
+        // Side bands: token scan (joins in these bands nest too, but a
+        // foreign-band job must never disturb the default lane's tail).
+        // Skipped entirely — one relaxed load — when no side job exists.
+        if lane.has_side_jobs() {
+            for (band, side) in [(0u8, &lane.high), (2u8, &lane.low)] {
+                if let Some(job) = side.take(token) {
+                    lane.side_popped();
+                    return Some((job, band));
+                }
+            }
+        }
+        // Default band: joins nest properly, so if the job is still queued
+        // it is the tail.
+        match lane.normal.pop() {
+            Some(job) if std::ptr::eq(job.data, token) => Some((job, NORMAL_BAND)),
+            Some(job) => {
+                // Not ours (a foreign push slipped in): put it back.
+                debug_assert!(false, "fast-lane LIFO discipline violated");
+                let _ = lane.normal.push(job);
+                None
+            }
+            None => None,
         }
     }
 }
@@ -321,20 +372,10 @@ impl TaskQueue for DistributedLanes {
         let band = item.band();
         match item.grab {
             Grab::Fast(job) => {
-                let lane = &self.lanes[worker];
-                match lane.side(band) {
-                    Some(side) => {
-                        lane.side_pushed();
-                        side.push_back(job);
-                        Ok(())
-                    }
-                    None => {
-                        if lane.normal.push(job) {
-                            Ok(())
-                        } else {
-                            Err(WorkItem::fast_banded(job, band as u8))
-                        }
-                    }
+                if self.push_job(worker, job, band) {
+                    Ok(())
+                } else {
+                    Err(WorkItem::fast_banded(job, band as u8))
                 }
             }
             // Data-flow tasks stay in their frames under this policy; loop
@@ -396,30 +437,8 @@ impl TaskQueue for DistributedLanes {
     }
 
     fn take(&self, worker: usize, token: *mut ()) -> Option<WorkItem> {
-        let lane = &self.lanes[worker];
-        // Side bands: token scan (joins in these bands nest too, but a
-        // foreign-band job must never disturb the default lane's tail).
-        // Skipped entirely — one relaxed load — when no side job exists.
-        if lane.has_side_jobs() {
-            for (band, side) in [(0u8, &lane.high), (2u8, &lane.low)] {
-                if let Some(job) = side.take(token) {
-                    lane.side_popped();
-                    return Some(WorkItem::fast_banded(job, band));
-                }
-            }
-        }
-        // Default band: joins nest properly, so if the job is still queued
-        // it is the tail.
-        match lane.normal.pop() {
-            Some(job) if std::ptr::eq(job.data, token) => Some(WorkItem::fast(job)),
-            Some(job) => {
-                // Not ours (a foreign push slipped in): put it back.
-                debug_assert!(false, "fast-lane LIFO discipline violated");
-                let _ = lane.normal.push(job);
-                None
-            }
-            None => None,
-        }
+        self.take_job(worker, token)
+            .map(|(job, band)| WorkItem::fast_banded(job, band))
     }
 
     fn is_empty_hint(&self, worker: usize) -> bool {

@@ -24,14 +24,16 @@
 use crate::access::Access;
 use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs, NORMAL_BAND};
 use crate::ctx::{Ctx, RawCtx};
+use crate::fastlane::FastJob;
 use crate::frame::PromotionPolicy;
 use crate::handle::{Partitioned, Shared};
 use crate::inject::{
     make_job, InjectLaneStats, InjectLanes, InjectPolicy, JoinHandle, JoinState, SubmitError,
 };
 use crate::policy::{AggregatedStealing, PerThiefStealing, RenamePolicy, StealPolicy};
-use crate::queue::{DistributedLanes, TaskQueue};
+use crate::queue::{DistributedLanes, TaskQueue, WorkItem};
 use crate::stats::{self, StatsSnapshot};
+use crate::steal::Grab;
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
 use crate::track::{OffloadTunables, Tracks};
@@ -431,9 +433,13 @@ impl Builder {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let queue = self
-            .queue
-            .unwrap_or_else(|| Arc::new(DistributedLanes::new(nworkers)));
+        let (queue, builtin_lanes): (Arc<dyn TaskQueue>, _) = match self.queue {
+            Some(q) => (q, None),
+            None => {
+                let lanes = Arc::new(DistributedLanes::new(nworkers));
+                (Arc::clone(&lanes) as Arc<dyn TaskQueue>, Some(lanes))
+            }
+        };
         let steal_pol: Arc<dyn StealPolicy> = match self.steal {
             Some(p) => p,
             None if tun.aggregation => Arc::new(AggregatedStealing),
@@ -471,6 +477,7 @@ impl Builder {
             shutdown: AtomicBool::new(false),
             tun,
             queue,
+            builtin_lanes,
             steal_pol,
             topo,
             threads: Mutex::new(Vec::new()),
@@ -514,6 +521,10 @@ pub(crate) struct RtInner {
     pub(crate) tun: Tunables,
     /// Queue layer: where ready work lives.
     pub(crate) queue: Arc<dyn TaskQueue>,
+    /// `queue` itself when it is the built-in [`DistributedLanes`] (no
+    /// queue was given to the builder), so `Ctx::join` can push and take
+    /// its job through inlined calls instead of the trait object.
+    builtin_lanes: Option<Arc<DistributedLanes>>,
     /// Steal layer: the thief-side protocol.
     pub(crate) steal_pol: Arc<dyn StealPolicy>,
     /// Machine topology consulted by topology-aware steal policies.
@@ -553,6 +564,38 @@ impl RtInner {
     #[inline]
     pub(crate) fn num_workers(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Push `Ctx::join`'s stack job on worker `widx`'s queue; `false` when
+    /// the queue refused it. With the built-in lanes this inlines into the
+    /// join, where the default band folds to the T.H.E. push; the virtual
+    /// call and the `WorkItem` round trip it avoids were a large share of
+    /// a join's cost (`DESIGN.md` §6, "What a join may touch").
+    #[inline]
+    pub(crate) fn push_join(&self, widx: usize, job: FastJob, band: u8) -> bool {
+        match &self.builtin_lanes {
+            Some(lanes) => lanes.push_job(widx, job, band as usize),
+            None => self
+                .queue
+                .push(widx, WorkItem::fast_banded(job, band))
+                .is_ok(),
+        }
+    }
+
+    /// Take `Ctx::join`'s stack job `token` back if no thief took it (see
+    /// [`RtInner::push_join`]).
+    #[inline]
+    pub(crate) fn take_join(&self, widx: usize, token: *mut ()) -> Option<FastJob> {
+        match &self.builtin_lanes {
+            Some(lanes) => lanes.take_job(widx, token).map(|(job, _)| job),
+            None => self
+                .queue
+                .take(widx, token)
+                .map(|item| match item.into_grab() {
+                    Grab::Fast(job) => job,
+                    _ => unreachable!("take returned a non-fork-join item"),
+                }),
+        }
     }
 
     /// Wake parked workers because new work appeared.
@@ -715,7 +758,7 @@ impl Runtime {
                 crate::stats::WorkerStats::bump(&self.inner.workers[widx].stats.tasks_cancelled, 1);
                 state.complete(Err(Box::new(SubmitError::Cancelled)));
             } else {
-                let mut raw = RawCtx::new(Arc::clone(&self.inner), widx);
+                let mut raw = RawCtx::new(&self.inner, widx);
                 raw.cancel = Some(token.clone());
                 state.complete(raw.run_scoped_catch(f));
             }
@@ -753,7 +796,7 @@ impl Runtime {
     {
         if let Some(widx) = current_worker_of(&self.inner) {
             // Already on a worker of this pool: run inline with a fresh frame.
-            let mut raw = RawCtx::new(Arc::clone(&self.inner), widx);
+            let mut raw = RawCtx::new(&self.inner, widx);
             return raw.run_scoped(f);
         }
         let state = Arc::new(JoinState::<R>::new());
@@ -895,7 +938,9 @@ impl Runtime {
     }
 
     /// Reset all statistics counters (per-worker, injection-layer, and
-    /// the telemetry rings/histograms/session).
+    /// the telemetry rings/histograms/session). Exact only while the pool
+    /// is quiescent: a join running concurrently may restore its worker's
+    /// pre-reset `tasks_spawned` / `tasks_executed_own`.
     pub fn reset_stats(&self) {
         stats::reset_all(
             self.inner

@@ -165,6 +165,29 @@ impl WorkerStats {
     pub(crate) fn bump(counter: &CachePadded<AtomicU64>, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
+
+    /// [`WorkerStats::bump`] for a counter of the calling worker's own
+    /// stats on the fork-join fast path: a relaxed load plus store, no
+    /// locked read-modify-write. Only for `Ctx::join`'s two counters
+    /// (`tasks_spawned`, `tasks_executed_own`); every other site keeps
+    /// `fetch_add`, because io threads and track engines share one
+    /// `WorkerStats`. The price is that these two counters are exact only
+    /// while nothing else writes them, and two writers can:
+    ///
+    /// * an io thread borrows worker index `k % n`, and its detached
+    ///   data-flow spawns and syncs `bump` the same two counters — every
+    ///   such increment that lands between the owner's load and store is
+    ///   lost, so both undercount while the io track runs beside joins;
+    /// * [`Runtime::reset_stats`](crate::runtime::Runtime::reset_stats) stores 0
+    ///   from another thread, and an owner that loaded before the reset
+    ///   stores its old count plus one after it, undoing the reset for
+    ///   this counter. Resets are exact only at quiescence.
+    ///
+    /// Either way only statistics go wrong, never scheduling.
+    #[inline]
+    pub(crate) fn bump_owned(counter: &CachePadded<AtomicU64>, n: u64) {
+        counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
 }
 
 /// Aggregate the counters of all workers into one snapshot.

@@ -142,6 +142,44 @@ fn join_computes_fib() {
     assert_eq!(v, 6765);
 }
 
+/// Contexts borrow the runtime (`DESIGN.md` §6, "What a join may touch"):
+/// no level of a join tree takes a reference on the runtime's `Arc`, so
+/// the count read in every leaf equals the count read at scope entry.
+#[test]
+fn join_tree_takes_no_runtime_reference() {
+    let rt = rt(1);
+    fn refs(ctx: &Ctx<'_>) -> usize {
+        Arc::strong_count(&*ctx.as_raw().rt)
+    }
+    fn fib(ctx: &mut Ctx<'_>, n: u64, entry: usize, leaves: &AtomicUsize) -> u64 {
+        if n < 2 {
+            assert_eq!(
+                refs(ctx),
+                entry,
+                "a join-tree leaf holds runtime references"
+            );
+            leaves.fetch_add(1, Ordering::Relaxed);
+            return n;
+        }
+        let (a, b) = ctx.join(
+            |c| fib(c, n - 1, entry, leaves),
+            |c| fib(c, n - 2, entry, leaves),
+        );
+        a + b
+    }
+    let leaves = AtomicUsize::new(0);
+    let v = rt.scope(|ctx| {
+        let entry = refs(ctx);
+        fib(ctx, 12, entry, &leaves)
+    });
+    assert_eq!(v, 144);
+    assert_eq!(
+        leaves.load(Ordering::Relaxed),
+        233,
+        "every leaf was checked"
+    );
+}
+
 #[test]
 fn join_borrows_locals() {
     let rt = rt(2);

@@ -26,7 +26,7 @@
 //! Track threads are not workers: they own no T.H.E. deque, no steal
 //! `Request` node and no worker telemetry ring. Code that executes on
 //! them runs under a *detached* [`RawCtx`] (syncs spin-wait instead of
-//! stealing, fork-joins run inline) and emits to the track's own
+//! stealing, fork-joins and loops run inline) and emits to the track's own
 //! telemetry lane via the thread-local registered in
 //! [`crate::telemetry::set_track_lane`].
 
@@ -420,14 +420,14 @@ impl OffloadEngine {
         // bare: it must never unwind. `run_claimed_body` catches
         // internally; the prefailed arm only drops the unused body.
         let run = Box::new(move |raw: &mut RawCtx| {
-            let rt = Arc::clone(&raw.rt);
+            let rt: &Arc<RtInner> = &raw.rt;
             let widx = raw.widx;
             if prefailed {
                 let _ = catch_unwind(AssertUnwindSafe(|| drop(task.take_body())));
                 WorkerStats::bump(&rt.workers[widx].stats.tasks_poisoned, 1);
-                complete_and_publish(&rt, widx, &frame, idx, &task);
+                complete_and_publish(rt, widx, &frame, idx, &task);
             } else {
-                run_claimed_body(&rt, widx, &frame, idx, Arc::clone(&task));
+                run_claimed_body(rt, widx, &frame, idx, Arc::clone(&task));
             }
             let eng = &rt.tracks.offload;
             WorkerStats::bump(&eng.stats.offload_completions, 1);
@@ -646,12 +646,16 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
                 k as u32,
             );
         }
+        // Counted before the body runs: the body completes its task or
+        // handle, and whoever observes that completion must also see the
+        // count.
+        WorkerStats::bump(&eng.stats.tasks_io, 1);
         match w {
             IoWork::Task(t) => {
                 run_claimed_body(&rt, widx, &t.frame, t.idx, t.task);
             }
             IoWork::Job(job) => {
-                let mut raw = RawCtx::new(Arc::clone(&rt), widx);
+                let mut raw = RawCtx::new(&rt, widx);
                 if tracing {
                     let band = job.band.min(PRIORITY_BANDS as u8 - 1);
                     let t0 = telemetry::tick();
@@ -677,7 +681,6 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
                 k as u32,
             );
         }
-        WorkerStats::bump(&eng.stats.tasks_io, 1);
         let mut st = eng.state.lock();
         st.retired += 1;
         drop(st);

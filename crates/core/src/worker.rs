@@ -237,7 +237,7 @@ pub(crate) fn try_drain_inject(rt: &Arc<RtInner>, idx: usize) -> bool {
         WorkerStats::bump(&my.stats.inject_remote_lane, 1);
     }
     my.reset_fail_streak();
-    let mut raw = RawCtx::new(Arc::clone(rt), idx);
+    let mut raw = RawCtx::new(rt, idx);
     if rt.telemetry.enabled() {
         // Traced job span (`DESIGN.md` §9): drain instant + B/E pair, the
         // submit→start delta (stamped at submission) into the band's

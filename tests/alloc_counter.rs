@@ -13,12 +13,23 @@
 //! frame-owned arenas instead of allocating per task.
 //!
 //! Kept in a dedicated integration-test binary: the counter is
-//! process-global, and a second test running concurrently would pollute
-//! the deltas.
+//! process-global, and a test running concurrently would pollute the
+//! deltas. libtest runs the tests of one binary on parallel threads, so
+//! each test holds [`SERIAL`] from start to finish — runtime drop (and its
+//! worker threads' exit) included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use xkaapi::core::{Ctx, Runtime};
+
+/// Serialises the tests of this binary (see the module doc).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Take [`SERIAL`]; a sibling test's failure must not cascade as poison.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Counts every allocation in the process (all threads — workers too,
 /// which is the point: a steal that allocates is still fast-path cost).
@@ -65,6 +76,7 @@ fn fib_joins(n: u64) -> u64 {
 
 #[test]
 fn warm_fib_frame_spawns_without_allocating() {
+    let _serial = serial();
     let rt = Runtime::new(1);
     let n = 16u64;
     let joins = fib_joins(n);
@@ -90,6 +102,7 @@ fn warm_fib_frame_spawns_without_allocating() {
 
 #[test]
 fn warm_dataflow_spawn_pays_only_the_residual_constant() {
+    let _serial = serial();
     let rt = Runtime::new(1);
     let tasks = 1_000u64;
     let run = |rt: &Runtime| {

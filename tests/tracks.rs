@@ -12,18 +12,23 @@
 //! * **io isolation** — `.wait_external()` work blocked on an external
 //!   event holds an io thread, never a CPU worker: a full CPU scope
 //!   completes while the blockers sit parked, and the `tasks_io` counter
-//!   proves where they ran;
+//!   proves where they ran; and io work never steals from the pool: a
+//!   loop inside it runs inline beside a join-heavy CPU scope;
 //! * **lifecycle across the boundary** — a panic in an offloaded body
 //!   poisons its dataflow cone exactly like a CPU panic, and a cancelled
 //!   token skips offloaded bodies without losing the scope.
 //!
 //! [`Track`]: xkaapi::core::Track
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::{self, ThreadId};
+use std::time::Duration;
 use xkaapi::core::{
-    AggregatedStealing, CancelToken, PerThiefStealing, Runtime, Shared, StealPolicy, TaskQueue,
-    Track,
+    AggregatedStealing, CancelToken, Ctx, PerThiefStealing, Runtime, Shared, StealPolicy,
+    TaskQueue, Track,
 };
 use xkaapi::omp::OmpCentralQueue;
 
@@ -214,6 +219,69 @@ fn io_track_never_occupies_a_cpu_worker() {
     });
     assert_eq!(*h.get(), 15);
     assert_eq!(rt.stats().tasks_io, workers as u64 + 1);
+}
+
+/// Io work never acts as a pool thief. A loop inside a `wait_external` job
+/// runs inline on its io thread — publishing it and helping until it
+/// drained would make the io thread steal on a worker's behalf — while a
+/// join-heavy CPU scope keeps both workers busy: no loop chunk leaves the
+/// io thread, and no fork-join branch of the scope lands on it.
+#[test]
+fn io_loop_runs_inline_beside_cpu_joins() {
+    const ROUNDS: u64 = 200;
+    const N: usize = 4096;
+    let rt = Runtime::builder().workers(2).io_threads(1).build();
+    let io_thread: Arc<OnceLock<ThreadId>> = Arc::new(OnceLock::new());
+    let cpu_busy = Arc::new(AtomicBool::new(false));
+    let loops = {
+        let (io_thread, cpu_busy) = (Arc::clone(&io_thread), Arc::clone(&cpu_busy));
+        rt.task()
+            .wait_external()
+            .submit(move |ctx| {
+                let me = thread::current().id();
+                io_thread.set(me).unwrap();
+                while !cpu_busy.load(Ordering::Acquire) {
+                    thread::yield_now();
+                }
+                let (foreign, sum) = (AtomicUsize::new(0), AtomicU64::new(0));
+                for _ in 0..ROUNDS {
+                    ctx.foreach_chunks(0..N, Some(64), &|r: Range<usize>| {
+                        if thread::current().id() != me {
+                            foreign.fetch_add(1, Ordering::Relaxed);
+                            // Hold the io thread in its help loop, where it
+                            // would meet the scope's root jobs and branches.
+                            thread::sleep(Duration::from_micros(200));
+                        }
+                        sum.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
+                    });
+                }
+                (foreign.into_inner(), sum.into_inner())
+            })
+            .expect("io admission is unbounded")
+    };
+    fn fib(ctx: &mut Ctx<'_>, n: u64, io: &OnceLock<ThreadId>, on_io: &AtomicUsize) -> u64 {
+        if n < 2 {
+            if io.get() == Some(&thread::current().id()) {
+                on_io.fetch_add(1, Ordering::Relaxed);
+            }
+            return n;
+        }
+        let (a, b) = ctx.join(|c| fib(c, n - 1, io, on_io), |c| fib(c, n - 2, io, on_io));
+        a + b
+    }
+    let on_io = AtomicUsize::new(0);
+    cpu_busy.store(true, Ordering::Release);
+    while !loops.is_done() {
+        assert_eq!(rt.scope(|ctx| fib(ctx, 18, &io_thread, &on_io)), 2584);
+    }
+    let (foreign, sum) = loops.wait();
+    assert_eq!(sum, ROUNDS * (N as u64 * (N as u64 - 1) / 2));
+    assert_eq!(foreign, 0, "an io loop's chunks ran on a CPU worker");
+    assert_eq!(
+        on_io.into_inner(),
+        0,
+        "a fork-join branch ran on the io thread"
+    );
 }
 
 /// A panic in an offloaded body re-raises at the scope and poisons its
