@@ -9,7 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod policy;
 
 pub use policy::{SchedPolicy, VictimPolicy};
@@ -30,8 +29,7 @@ pub fn busy_work(tag: u64, iters: u64) -> u64 {
     std::hint::black_box(acc)
 }
 
-/// Steal-heavy mixed workload shared by the steal-locality surfaces
-/// (`ablation`'s victim sweep and `smoke`'s locality counters): 16×25
+/// Steal-heavy mixed workload of `ablation`'s victim sweep: 16×25
 /// exclusive data-flow chains with busy links (data-flow steals) plus an
 /// adaptive reduction whose on-demand splits hand slices to requesting
 /// thieves (adaptive steals). Returns a schedule-independent checksum.

@@ -26,8 +26,8 @@
 //! Tracing is compiled in unconditionally but gated by one relaxed-load
 //! [`AtomicBool`]: a disabled instrumentation point is a single load and a
 //! predictable branch — no tick is taken, no event is built. The
-//! `tests/alloc_counter.rs` zero-alloc gate and the `smoke --check` perf
-//! gate both run with tracing compiled-but-off to keep that claim honest.
+//! `tests/alloc_counter.rs` zero-alloc gate and xkbench's untraced runs
+//! both measure tracing compiled-but-off to keep that claim honest.
 //!
 //! Timestamps are raw TSC-style ticks (`rdtsc` on x86_64, `cntvct_el0` on
 //! aarch64, a monotonic-clock fallback elsewhere), calibrated against

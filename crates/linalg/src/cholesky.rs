@@ -280,7 +280,7 @@ pub fn cholesky_xkaapi(rt: &Runtime, a: TiledMatrix) -> Result<TiledMatrix, NotP
 /// high priority, small same-band chains fuse. Each
 /// [`RecordedCholesky::replay`] then factorizes whatever data currently
 /// sits in the recorded matrix with **zero** per-iteration data-flow
-/// binding — the amortization the BENCH_PR7 ablation measures.
+/// binding — the amortization xkbench's `replay_fine` workload measures.
 pub struct RecordedCholesky {
     dag: RecordedDag,
     part: Partitioned<TiledMatrix>,

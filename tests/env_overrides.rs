@@ -235,30 +235,4 @@ fn env_vars_override_defaults_but_not_explicit_settings() {
     std::env::remove_var("XKAAPI_PIN");
     std::env::remove_var("XKAAPI_OFFLOAD_LATENCY_US");
     std::env::remove_var("XKAAPI_IO_THREADS");
-
-    // XKAAPI_BENCH_TOLERANCE tunes the `smoke -- --check` regression gate
-    // the same way: env overrides the default, junk falls back (the gate
-    // must never be silently disabled by a typo). Same single-test binary
-    // for the same reason — the variable is process-global.
-    use xkaapi_bench::check::{tolerance_from_env, DEFAULT_TOLERANCE, TOLERANCE_ENV};
-    assert_eq!(
-        tolerance_from_env(),
-        DEFAULT_TOLERANCE,
-        "unset {TOLERANCE_ENV} must yield the default gate tolerance"
-    );
-    std::env::set_var(TOLERANCE_ENV, "0.25");
-    assert_eq!(tolerance_from_env(), 0.25, "{TOLERANCE_ENV} must override");
-    std::env::set_var(TOLERANCE_ENV, "not-a-number");
-    assert_eq!(
-        tolerance_from_env(),
-        DEFAULT_TOLERANCE,
-        "junk {TOLERANCE_ENV} must fall back to the default"
-    );
-    std::env::set_var(TOLERANCE_ENV, "-0.5");
-    assert_eq!(
-        tolerance_from_env(),
-        DEFAULT_TOLERANCE,
-        "a negative tolerance would fail every run; fall back instead"
-    );
-    std::env::remove_var(TOLERANCE_ENV);
 }

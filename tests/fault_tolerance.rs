@@ -97,6 +97,82 @@ fn task_panic_survives_every_policy() {
     }
 }
 
+/// A submit flood where every 100th job panics, then a cancel wave and a
+/// deadline shed on the same pool. Each payload re-raises at exactly its
+/// own handle (never a neighbour's), every other handle returns its own
+/// value, no handle of the wave is lost, every zero deadline is shed, and
+/// the workers still run a fork-join tree afterwards.
+#[test]
+fn panic_storm_cancel_wave_and_shed_leave_the_pool_serving() {
+    let rt = Runtime::new(4);
+    let jobs = 2_000u64;
+    let handles: Vec<_> = (0..jobs)
+        .map(|i| {
+            rt.submit(move |_ctx| {
+                if i % 100 == 7 {
+                    panic!("planned panic in job {i}");
+                }
+                i * 3
+            })
+            .unwrap()
+        })
+        .collect();
+    let mut caught = 0u64;
+    for (i, h) in (0..jobs).zip(handles) {
+        match catch_unwind(AssertUnwindSafe(|| h.wait())) {
+            Ok(v) => assert_eq!(v, i * 3, "job {i} returned a neighbour's value"),
+            Err(p) => {
+                let msg = p.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert_eq!(msg, format!("planned panic in job {i}"), "wrong join");
+                caught += 1;
+            }
+        }
+    }
+    assert_eq!(caught, jobs / 100, "every planned panic re-raised once");
+
+    // Cancel wave: one shared token over a second flood, cancelled while
+    // it drains. Every handle resolves, either run or cancelled.
+    let tok = CancelToken::new();
+    let wave: Vec<_> = (0..jobs)
+        .map(|i| rt.task().cancel_token(&tok).submit(move |_ctx| i).unwrap())
+        .collect();
+    tok.cancel();
+    let (mut ran, mut cancelled) = (0u64, 0u64);
+    for (i, h) in (0..jobs).zip(wave) {
+        match h.join() {
+            Ok(v) => {
+                assert_eq!(v, i);
+                ran += 1;
+            }
+            Err(SubmitError::Cancelled) => cancelled += 1,
+            Err(e) => panic!("unexpected lifecycle exit: {e}"),
+        }
+    }
+    assert_eq!(ran + cancelled, jobs, "no handle lost in the wave");
+
+    // Deadline shed: already-expired admissions are refused, not run.
+    let shed = (0..200u64)
+        .filter(|&i| {
+            rt.task()
+                .deadline(Duration::ZERO)
+                .submit(move |_ctx| i)
+                .err()
+                == Some(SubmitError::Expired)
+        })
+        .count();
+    assert_eq!(shed, 200, "zero deadlines shed at admission");
+
+    fn fib(c: &mut xkaapi::core::Ctx<'_>, n: u64) -> u64 {
+        if n < 2 {
+            n
+        } else {
+            let (a, b) = c.join(|c| fib(c, n - 1), |c| fib(c, n - 2));
+            a + b
+        }
+    }
+    assert_eq!(rt.scope(|c| fib(c, 10)), 55, "pool alive after the storm");
+}
+
 /// Poisoning follows the dataflow cone exactly: in a chain a → b → c where
 /// a panics, b and c complete as failed without running, while an
 /// independent task still executes. Single worker keeps the counts exact.

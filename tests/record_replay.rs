@@ -182,7 +182,7 @@ fn recorded_cholesky_matches_online_on_every_scheduler_policy() {
     cholesky_seq(&mut reference).unwrap();
     for policy in SchedPolicy::ALL {
         let rt = policy.build_runtime(4);
-        let rec = RecordedCholesky::record(&rt, orig.clone_matrix());
+        let mut rec = RecordedCholesky::record(&rt, orig.clone_matrix());
         rec.replay(&rt).unwrap();
         assert_eq!(
             rec.result().max_abs_diff_lower(&reference),
@@ -190,6 +190,20 @@ fn recorded_cholesky_matches_online_on_every_scheduler_policy() {
             "recorded Cholesky diverged under {}",
             policy.label()
         );
+        // Reload-and-replay: still bit-identical, and no replay binds a
+        // single task into the data-flow engine.
+        rt.reset_stats();
+        for _ in 0..3 {
+            rec.load(&orig);
+            rec.replay(&rt).unwrap();
+            assert_eq!(
+                rec.result().max_abs_diff_lower(&reference),
+                0.0,
+                "reloaded replay diverged under {}",
+                policy.label()
+            );
+        }
+        assert_eq!(rt.stats().dataflow_pushes, 0, "under {}", policy.label());
     }
 }
 

@@ -212,6 +212,7 @@ fn disabled_tracing_changes_nothing_observable() {
     let m = rt_off.metrics();
     assert_eq!(m.get("trace_events_recorded"), Some(0));
     assert_eq!(m.get("trace_events_dropped"), Some(0));
+    assert!(rt_on.metrics().get("trace_events_recorded") > Some(0));
     assert_eq!(rt_off.take_trace().total_events(), 0);
     assert!(rt_on.take_trace().total_events() > 0);
     // The latency quantiles of an untraced run are all zero.

@@ -5,7 +5,8 @@
 //!   offload track changes *where* bodies run and *when* successors are
 //!   released (completion drain, not body return), but never the result:
 //!   checksums match the CPU track across all four queue×steal policy
-//!   combinations;
+//!   combinations, each handle is uploaded once, and the traced run
+//!   records events;
 //! * **completion feeds readiness** — on one worker, a successor of an
 //!   offloaded task only runs after the engine's completion drains back
 //!   through the inject lanes;
@@ -98,6 +99,7 @@ fn offload_checksum_equivalence_across_policies() {
             "[{name}] the CPU run must not touch the engine"
         );
         let rt_off = build_rt(combo, 4);
+        rt_off.set_tracing(true);
         let off = wavefront(&rt_off, n, Track::Offload);
         assert_eq!(cpu, off, "[{name}] offload changed the wavefront result");
         let s = rt_off.stats();
@@ -105,11 +107,17 @@ fn offload_checksum_equivalence_across_policies() {
         assert_eq!(s.tasks_offloaded, tasks, "[{name}] every task routed");
         assert_eq!(s.offload_completions, tasks, "[{name}] every task drained");
         assert!(s.offload_batches > 0, "[{name}] launches were batched");
+        // Each tile is one handle: uploaded on first use, resident for
+        // every later reader; each write commits back once.
         assert!(
-            s.offload_h2d > 0 && s.offload_d2h == tasks,
+            s.offload_h2d == tasks && s.offload_d2h == tasks,
             "[{name}] transfers synthesized (h2d {}, d2h {})",
             s.offload_h2d,
             s.offload_d2h
+        );
+        assert!(
+            rt_off.take_trace().total_events() > 0,
+            "[{name}] traced offload run recorded no events"
         );
     }
 }

@@ -8,9 +8,9 @@
 //!    [`HierarchicalVictim`] stays on the thief's node below the
 //!    escalation threshold and goes machine-wide (flagged `escalated`)
 //!    above it; [`LocalityFirst`] concentrates picks on the nearest ring.
-//! 2. **End-to-end**: a runtime built with a hierarchical policy on a
-//!    modelled 2-node topology lands a strictly larger share of same-node
-//!    steals than the uniform baseline, observed through the
+//! 2. **End-to-end**: a runtime built with a never-escalating
+//!    hierarchical policy on a modelled 2-node topology lands every steal
+//!    on the thief's own node, observed through the exact
 //!    `steals_local_node` / `steals_remote_node` counters.
 
 use xkaapi::core::{
@@ -175,57 +175,37 @@ fn chain_workload(rt: &Runtime) -> u64 {
     chain_sum.wrapping_add(loop_sum)
 }
 
+/// The steal path classifies a steal by the node of the victim the request
+/// was posted to, and that victim comes only from `choose_victim`. A
+/// hierarchical policy that never escalates therefore never lands a remote
+/// steal, whatever the interleaving: the count is exact, not sampled.
 #[test]
-fn hierarchical_lands_more_same_node_steals_than_uniform() {
+fn hierarchical_without_escalation_never_steals_off_node() {
     let workers = 8;
-    let build = |pol: std::sync::Arc<dyn StealPolicy>| {
-        Runtime::builder()
-            .workers(workers)
-            .steal_policy(pol)
-            .topology(Topology::two_level(workers, 4))
-            .build()
-    };
-    let rt_uni = build(std::sync::Arc::new(UniformVictim));
-    let rt_hier = build(std::sync::Arc::new(HierarchicalVictim::default()));
+    let rt = Runtime::builder()
+        .workers(workers)
+        .steal_policy(std::sync::Arc::new(HierarchicalVictim {
+            escalate_after: u32::MAX,
+            ..HierarchicalVictim::default()
+        }))
+        .topology(Topology::two_level(workers, 4))
+        .build();
+    let expect = chain_workload(&Runtime::new(1));
 
-    let expect = chain_workload(&rt_uni);
-    rt_uni.reset_stats();
-    rt_hier.reset_stats();
-
-    // Accumulate steals until both policies have a solid sample (stats
-    // accumulate across rounds; results asserted every round). With ~µs
-    // busy links plus adaptive splits, a few hundred classified steals
-    // arrive well within the round budget.
+    // Loop until at least one steal is classified (results checked every
+    // round); a handful of rounds suffices even on one timesliced core.
     for _ in 0..400 {
-        assert_eq!(chain_workload(&rt_uni), expect);
-        assert_eq!(chain_workload(&rt_hier), expect);
-        let (u, h) = (rt_uni.stats(), rt_hier.stats());
-        if u.steals_local_node + u.steals_remote_node >= 200
-            && h.steals_local_node + h.steals_remote_node >= 200
-        {
+        assert_eq!(chain_workload(&rt), expect);
+        if rt.stats().steals_local_node > 0 {
             break;
         }
     }
 
-    let (u, h) = (rt_uni.stats(), rt_hier.stats());
-    assert!(
-        u.steals_local_node + u.steals_remote_node >= 50,
-        "not enough steal pressure to classify locality: {u:?}"
+    let s = rt.stats();
+    assert_eq!(
+        s.steals_remote_node, 0,
+        "a steal left the thief's node: {s:?}"
     );
-    assert!(
-        h.steal_locality_ratio() > u.steal_locality_ratio(),
-        "hierarchical locality ratio must beat uniform: {:.3} (={}/{}) vs {:.3} (={}/{})",
-        h.steal_locality_ratio(),
-        h.steals_local_node,
-        h.steals_remote_node,
-        u.steal_locality_ratio(),
-        u.steals_local_node,
-        u.steals_remote_node
-    );
-    // The hierarchical policy overwhelmingly stays on-node; uniform can't
-    // (only 3 of 7 victims are local).
-    assert!(
-        h.steals_local_node > h.steals_remote_node,
-        "hierarchical must steal mostly same-node: {h:?}"
-    );
+    assert!(s.steals_local_node > 0, "no steal was classified: {s:?}");
+    assert_eq!(s.victim_escalations, 0, "the policy never escalates: {s:?}");
 }
