@@ -10,8 +10,11 @@
 //! `cargo bench -p xkaapi-bench`, or `--quick` for a fast smoke pass.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use xkaapi_bench::{measure_ns, print_table, SchedPolicy};
-use xkaapi_core::{PromotionPolicy, Runtime, Shared};
+use xkaapi_core::{
+    AggregatedStealing, PerThiefStealing, PromotionPolicy, Runtime, Shared, StealPolicy,
+};
 use xkaapi_forkjoin::the_deque::{JobRef, TheDeque};
 
 struct Bench {
@@ -177,8 +180,12 @@ fn bench_dataflow(b: &mut Bench) {
             assert_eq!(*h.get(), 256);
         });
     }
-    for (label, agg) in [("aggregation-on", true), ("aggregation-off", false)] {
-        let rt = Runtime::builder().workers(4).aggregation(agg).build();
+    let policies: [(&str, Arc<dyn StealPolicy>); 2] = [
+        ("aggregation-on", Arc::new(AggregatedStealing)),
+        ("aggregation-off", Arc::new(PerThiefStealing)),
+    ];
+    for (label, steal) in policies {
+        let rt = Runtime::builder().workers(4).steal_policy(steal).build();
         b.run("dataflow", &format!("wide512 {label}"), 512, || {
             let sum = AtomicUsize::new(0);
             rt.scope(|ctx| {

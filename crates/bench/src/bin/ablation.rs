@@ -24,7 +24,10 @@ use xkaapi_bench::{
     busy_work, measure_ns, print_table, steal_heavy_workload, SchedPolicy, VictimPolicy,
 };
 use xkaapi_core::dataflow::DataflowEngine;
-use xkaapi_core::{PromotionPolicy, RenamePolicy, Runtime, Shared, Topology};
+use xkaapi_core::{
+    AggregatedStealing, PerThiefStealing, PromotionPolicy, RenamePolicy, Runtime, Shared,
+    StealPolicy, Topology,
+};
 use xkaapi_linalg::{cholesky_seq, cholesky_xkaapi, RecordedCholesky, TiledMatrix};
 use xkaapi_sim::{simulate_dag, DagPolicy, Platform, SimTask, TaskDag};
 
@@ -558,8 +561,12 @@ fn main() {
 
     // --- real: aggregation on/off under thief pressure ------------------
     let mut rows = Vec::new();
-    for (label, agg) in [("aggregation ON", true), ("aggregation OFF", false)] {
-        let rt = Runtime::builder().workers(4).aggregation(agg).build();
+    let policies: [(&str, Arc<dyn StealPolicy>); 2] = [
+        ("aggregation ON", Arc::new(AggregatedStealing)),
+        ("aggregation OFF", Arc::new(PerThiefStealing)),
+    ];
+    for (label, steal) in policies {
+        let rt = Runtime::builder().workers(4).steal_policy(steal).build();
         let t = measure_ns(5, || {
             let sum = AtomicUsize::new(0);
             rt.scope(|ctx| {

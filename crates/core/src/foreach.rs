@@ -24,6 +24,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Default loop grain is `n / (GRAIN_FACTOR × workers)`; a caller that
+/// wants another grain passes it per loop.
+const GRAIN_FACTOR: usize = 8;
+
 /// Shared control block of one `foreach`.
 struct LoopCtl {
     /// Chunk body `(range, worker_index)`. Lifetime-erased: the foreach
@@ -226,7 +230,7 @@ pub(crate) fn foreach_run(
     }
     let p = rt.num_workers();
     let grain = grain
-        .unwrap_or_else(|| (n / (rt.tun.grain_factor * p)).max(1))
+        .unwrap_or_else(|| (n / (GRAIN_FACTOR * p)).max(1))
         .max(1);
     if p == 1 || n <= grain || detached {
         body(range, widx);
@@ -295,7 +299,7 @@ impl<'scope> Ctx<'scope> {
     }
 
     /// Adaptive parallel loop over chunks (`grain: None` = automatic:
-    /// `n / (grain_factor × workers)`).
+    /// `n / (GRAIN_FACTOR × workers)`, eight chunks per worker).
     pub fn foreach_chunks<F>(&mut self, range: Range<usize>, grain: Option<usize>, body: &F)
     where
         F: Fn(Range<usize>) + Sync,

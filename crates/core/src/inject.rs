@@ -60,8 +60,7 @@ pub enum OnFull {
 /// jobs across all lanes; `on_full` decides whether a submitter at the
 /// bound throttles or is rejected. Configured via
 /// [`Builder::inject_policy`](crate::Builder::inject_policy) /
-/// [`Builder::max_pending`](crate::Builder::max_pending), with the
-/// `XKAAPI_MAX_PENDING` environment variable overriding the default bound.
+/// [`Builder::max_pending`](crate::Builder::max_pending).
 ///
 /// Admission is **priority-ordered** (`DESIGN.md` §5): [`Priority::High`]
 /// and [`Priority::Normal`] submissions admit up to the full `max_pending`,
@@ -141,31 +140,18 @@ impl std::error::Error for SubmitError {}
 /// Completion callback registered through [`JoinHandle::on_complete`].
 type CompleteFn = Box<dyn FnOnce() + Send>;
 
-/// Process-global count of contained `on_complete` callback panics.
-/// Global because callbacks fire wherever completion happens — worker
-/// threads, external submitter threads — with no runtime reference in
-/// hand; merged into [`Runtime::stats`](crate::Runtime::stats).
-static CALLBACK_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the contained-callback-panic count (`Runtime::stats`).
-pub(crate) fn callback_panics() -> u64 {
-    CALLBACK_PANICS.load(Ordering::Relaxed)
-}
-
-/// Reset hook for `Runtime::reset_stats` (process-global, see above).
-pub(crate) fn reset_callback_panics() {
-    CALLBACK_PANICS.store(0, Ordering::Relaxed);
-}
-
 /// Run one completion callback with panic containment: a callback often
 /// fires on a worker thread, and an unwinding worker would silently shrink
 /// the pool (job-body panics are already caught and routed to the handle —
 /// callbacks get the same never-unwind-the-worker treatment). Contained
-/// panics are counted (`callback_panics`) and the payload is surfaced in
-/// the warning so they stay observable.
-fn run_callback(cb: CompleteFn) {
+/// panics are counted in `rt`'s `callback_panics` and the payload is
+/// surfaced in the warning so they stay observable. `rt` is `None` only
+/// when the runtime is already gone, with no stats left to count into.
+fn run_callback(rt: Option<&RtInner>, cb: CompleteFn) {
     if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(cb)) {
-        CALLBACK_PANICS.fetch_add(1, Ordering::Relaxed);
+        if let Some(rt) = rt {
+            rt.inject.callback_panics.fetch_add(1, Ordering::Relaxed);
+        }
         let payload = p
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
@@ -212,9 +198,10 @@ impl<R> JoinState<R> {
     }
 
     /// Publish the result (first writer wins), wake waiters and fire the
-    /// registered callbacks. Idempotent: the abandonment guard may race a
-    /// normal completion without double-firing.
-    pub(crate) fn complete(&self, result: std::thread::Result<R>) {
+    /// registered callbacks, counting their contained panics on `rt`.
+    /// Idempotent: the abandonment guard may race a normal completion
+    /// without double-firing.
+    pub(crate) fn complete(&self, rt: Option<&RtInner>, result: std::thread::Result<R>) {
         #[cfg(feature = "future")]
         let waker;
         let callbacks = {
@@ -241,7 +228,7 @@ impl<R> JoinState<R> {
             w.wake();
         }
         for cb in callbacks {
-            run_callback(cb);
+            run_callback(rt, cb);
         }
     }
 
@@ -287,7 +274,8 @@ impl<R> JoinState<R> {
 /// Drop guard a submitted job carries: if the runtime shuts down with the
 /// job still queued (the boxed closure is dropped unexecuted), the guard
 /// completes the state with a panic payload so waiters unblock instead of
-/// hanging forever.
+/// hanging forever. The runtime is being torn down, so callback panics
+/// fired here go uncounted.
 pub(crate) struct AbandonGuard<R> {
     pub(crate) state: Arc<JoinState<R>>,
 }
@@ -295,9 +283,12 @@ pub(crate) struct AbandonGuard<R> {
 impl<R> Drop for AbandonGuard<R> {
     fn drop(&mut self) {
         if !self.state.is_done() {
-            self.state.complete(Err(Box::new(
-                "xkaapi: runtime shut down before the submitted job ran",
-            )));
+            self.state.complete(
+                None,
+                Err(Box::new(
+                    "xkaapi: runtime shut down before the submitted job ran",
+                )),
+            );
         }
     }
 }
@@ -458,7 +449,7 @@ impl<R: Send> JoinHandle<R> {
             }
         };
         if run_now {
-            run_callback(Box::new(cb));
+            run_callback(self.rt.upgrade().as_deref(), Box::new(cb));
         }
     }
 }
@@ -569,6 +560,8 @@ pub(crate) struct InjectLanes {
     expired: AtomicU64,
     /// Starved Low-band entries moved up one band by the age sweep.
     promoted: AtomicU64,
+    /// Contained `on_complete` callback panics of this runtime's handles.
+    callback_panics: AtomicU64,
     /// Promote a Low-band entry after waiting this long (`None` disables
     /// the sweep; from `Tunables::promote_low_after`).
     promote_after: Option<Duration>,
@@ -628,6 +621,7 @@ impl InjectLanes {
             rejected: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             promoted: AtomicU64::new(0),
+            callback_panics: AtomicU64::new(0),
             promote_after,
         }
     }
@@ -849,6 +843,11 @@ impl InjectLanes {
         self.promoted.load(Ordering::Relaxed)
     }
 
+    /// Contained `on_complete` callback panics since the last reset.
+    pub(crate) fn total_callback_panics(&self) -> u64 {
+        self.callback_panics.load(Ordering::Relaxed)
+    }
+
     /// Count a deadline shed (admission-side or drain-side).
     pub(crate) fn note_expired(&self) {
         self.expired.fetch_add(1, Ordering::Relaxed);
@@ -872,6 +871,7 @@ impl InjectLanes {
         self.banded_drains.store(0, Ordering::Relaxed);
         self.expired.store(0, Ordering::Relaxed);
         self.promoted.store(0, Ordering::Relaxed);
+        self.callback_panics.store(0, Ordering::Relaxed);
         for l in self.lanes.iter() {
             l.submitted.store(0, Ordering::Relaxed);
             l.drained.store(0, Ordering::Relaxed);
@@ -903,7 +903,9 @@ where
             raw.rt.inject.note_expired();
             // Shed instant, arg 0 = deadline expiry (telemetry layer).
             crate::telemetry::emit_current(&raw.rt, raw.widx, EventKind::Shed, 0, 0);
-            guard.state.complete(Err(Box::new(SubmitError::Expired)));
+            guard
+                .state
+                .complete(Some(&raw.rt), Err(Box::new(SubmitError::Expired)));
             drop(guard);
             return;
         }
@@ -911,14 +913,16 @@ where
             WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_cancelled, 1);
             // Shed instant, arg 1 = cancelled before start.
             crate::telemetry::emit_current(&raw.rt, raw.widx, EventKind::Shed, 0, 1);
-            guard.state.complete(Err(Box::new(SubmitError::Cancelled)));
+            guard
+                .state
+                .complete(Some(&raw.rt), Err(Box::new(SubmitError::Cancelled)));
             drop(guard);
             return;
         }
         raw.cancel = cancel;
         let r = raw.run_scoped_catch(f);
         raw.cancel = None;
-        guard.state.complete(r);
+        guard.state.complete(Some(&raw.rt), r);
         drop(guard); // completed: the guard's drop sees `done` and no-ops
     }))
 }

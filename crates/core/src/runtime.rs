@@ -30,13 +30,13 @@ use crate::handle::{Partitioned, Shared};
 use crate::inject::{
     make_job, InjectLaneStats, InjectLanes, InjectPolicy, JoinHandle, JoinState, SubmitError,
 };
-use crate::policy::{AggregatedStealing, PerThiefStealing, RenamePolicy, StealPolicy};
+use crate::policy::{AggregatedStealing, RenamePolicy, StealPolicy};
 use crate::queue::{DistributedLanes, TaskQueue, WorkItem};
 use crate::stats::{self, StatsSnapshot};
 use crate::steal::Grab;
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
-use crate::track::{OffloadTunables, Tracks};
+use crate::track::Tracks;
 use crate::worker::{current_worker_of, worker_main, ParkLot, Worker};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,46 +44,28 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Scheduler tuning knobs. Defaults reproduce the paper's design; ablation
-/// benchmarks flip individual features off.
+/// benchmarks flip individual features off. The steal protocol is not a
+/// tunable: [`Runtime::steal_policy_name`] names the one installed.
 #[derive(Clone, Copy, Debug)]
 pub struct Tunables {
     /// Ready-list ("graph mode") promotion policy.
     pub promotion: PromotionPolicy,
     /// Write-only renaming (WAR/WAW elimination) policy.
     pub rename: RenamePolicy,
-    /// Steal-request aggregation: the elected combiner serves every drained
-    /// request. When `false`, the combiner serves only itself and fails the
-    /// others (they retry), modelling a runtime without flat combining.
-    /// Mirror of the [`StealPolicy`] the runtime was built with; an explicit
-    /// [`Builder::steal_policy`] overrides it.
-    pub aggregation: bool,
     /// Idle rounds of steal attempts before a worker parks.
     pub steal_rounds_before_park: u32,
-    /// Park timeout in microseconds: the bound on how long a parked worker
-    /// sleeps before re-probing (repairs lost wake-up races). Historically
-    /// a hardcoded 500 µs.
-    pub park_timeout_us: u64,
-    /// Default parallel-loop grain is `n / (grain_factor * workers)`.
-    pub grain_factor: usize,
     /// Injection admission/backpressure policy (pending root-job cap and
-    /// behaviour at the cap). `XKAAPI_MAX_PENDING` overrides the default
-    /// cap.
+    /// behaviour at the cap).
     pub inject: InjectPolicy,
     /// Pin worker threads to their topology cores (`sched_setaffinity`,
     /// best effort: unsupported platforms and failed syscalls silently
-    /// keep the nominal mapping). `XKAAPI_PIN` overrides the default.
+    /// keep the nominal mapping).
     pub pin_workers: bool,
     /// Age-based promotion of starved Low-band inject entries: a queued
     /// Low job waiting at least this long is moved up to the Normal band
     /// by the drain-side sweep (`DESIGN.md` §8). `None` disables aging
     /// (pre-PR 8 strict band order, starvation by design).
     pub promote_low_after: Option<Duration>,
-    /// Non-CPU execution tracks (`DESIGN.md` §10): the modelled offload
-    /// engine's launch latency / batch size / in-flight cap / transfer
-    /// cost and the blocking-I/O thread count.
-    /// `XKAAPI_OFFLOAD_LATENCY_US` and `XKAAPI_IO_THREADS` override the
-    /// corresponding defaults.
-    pub offload: OffloadTunables,
 }
 
 impl Default for Tunables {
@@ -91,56 +73,35 @@ impl Default for Tunables {
         Tunables {
             promotion: PromotionPolicy::default(),
             rename: RenamePolicy::default(),
-            aggregation: true,
             steal_rounds_before_park: 32,
-            park_timeout_us: 500,
-            grain_factor: 8,
             inject: InjectPolicy::default(),
             pin_workers: false,
             promote_low_after: Some(Duration::from_millis(10)),
-            offload: OffloadTunables::default(),
         }
     }
 }
 
 /// Builder for [`Runtime`].
 ///
-/// # Environment overrides
+/// # Environment
 ///
-/// These variables override the corresponding *defaults* at
-/// [`Builder::build`] time, so binaries that don't pin a configuration can
-/// be tuned without recompiling (rayon's `RAYON_NUM_THREADS` precedent):
+/// Two variables are read at [`Builder::build`] time, and only when the
+/// matching setter was not called:
 ///
-/// * `XKAAPI_WORKERS` — number of worker threads (≥ 1);
-/// * `XKAAPI_GRAIN_FACTOR` — parallel-loop grain divisor (≥ 1);
-/// * `XKAAPI_PARK_TIMEOUT_US` — idle-worker park timeout in µs (≥ 1);
-/// * `XKAAPI_STEAL_ROUNDS` — failed steal rounds before a worker parks
-///   (≥ 1);
-/// * `XKAAPI_MAX_PENDING` — pending root-job cap of the injection
-///   admission layer (≥ 1; the `on_full` behaviour is code-only);
-/// * `XKAAPI_PIN` — pin worker threads to their topology cores
-///   (`1/0`, `true/false`, `on/off`, `yes/no`);
+/// * `XKAAPI_WORKERS` — number of worker threads (≥ 1), a deployment
+///   setting (rayon's `RAYON_NUM_THREADS` precedent);
 /// * `XKAAPI_TRACE` — enable the always-compiled telemetry layer (event
-///   rings + latency histograms, `DESIGN.md` §9; same boolean syntax).
+///   rings + latency histograms, `DESIGN.md` §9; `1/0`, `true/false`,
+///   `on/off`, `yes/no`).
 ///
-/// An explicit setter call ([`Builder::workers`], [`Builder::grain_factor`],
-/// [`Builder::park_timeout_us`], [`Builder::steal_rounds_before_park`],
-/// [`Builder::max_pending`], [`Builder::inject_policy`],
-/// [`Builder::pin_workers`])
-/// wins over the environment: code that sized auxiliary structures (a
-/// custom [`TaskQueue`], `Reduction::with_slots`) to a requested worker
-/// count must never be resized from the outside underneath it. Malformed
-/// values are ignored with a one-line warning on stderr.
+/// An explicit [`Builder::workers`] or [`Builder::tracing`] call wins over
+/// the environment: code that sized auxiliary structures (a custom
+/// [`TaskQueue`], `Reduction::with_slots`) to a requested worker count
+/// must never be resized from the outside underneath it. Malformed values
+/// are ignored with a one-line warning on stderr.
 pub struct Builder {
     workers: Option<usize>,
     tun: Tunables,
-    grain_explicit: bool,
-    park_explicit: bool,
-    rounds_explicit: bool,
-    pending_explicit: bool,
-    pin_explicit: bool,
-    offload_latency_explicit: bool,
-    io_threads_explicit: bool,
     tracing: Option<bool>,
     stack_size: usize,
     queue: Option<Arc<dyn TaskQueue>>,
@@ -155,13 +116,6 @@ impl Default for Builder {
         Builder {
             workers: None,
             tun: Tunables::default(),
-            grain_explicit: false,
-            park_explicit: false,
-            rounds_explicit: false,
-            pending_explicit: false,
-            pin_explicit: false,
-            offload_latency_explicit: false,
-            io_threads_explicit: false,
             tracing: None,
             stack_size: 16 << 20,
             queue: None,
@@ -223,21 +177,9 @@ impl Builder {
         self
     }
 
-    /// Override the full renaming policy (master switch + slot cap).
-    pub fn rename_policy(mut self, p: RenamePolicy) -> Self {
-        self.tun.rename = p;
-        self
-    }
-
-    /// Enable/disable steal-request aggregation. Convenience for selecting
-    /// [`AggregatedStealing`] / [`PerThiefStealing`]; an explicit
-    /// [`Builder::steal_policy`] call wins over this flag.
-    pub fn aggregation(mut self, on: bool) -> Self {
-        self.tun.aggregation = on;
-        self
-    }
-
-    /// Install a thief-side steal protocol (steal layer).
+    /// Install a thief-side steal protocol (steal layer). Defaults to
+    /// [`AggregatedStealing`] (flat combining); [`crate::PerThiefStealing`]
+    /// is the no-aggregation ablation.
     pub fn steal_policy(mut self, p: Arc<dyn StealPolicy>) -> Self {
         self.steal = Some(p);
         self
@@ -261,64 +203,36 @@ impl Builder {
         self
     }
 
-    /// Parallel-loop grain factor (default chunk = `n / (factor * workers)`,
-    /// with `XKAAPI_GRAIN_FACTOR` overriding the default factor). An
-    /// explicit call here wins over the environment.
-    pub fn grain_factor(mut self, f: usize) -> Self {
-        assert!(f >= 1);
-        self.tun.grain_factor = f;
-        self.grain_explicit = true;
-        self
-    }
-
     /// Idle steal rounds before a worker parks (park threshold; default
-    /// overridable via `XKAAPI_STEAL_ROUNDS`). An explicit call here wins
-    /// over the environment.
+    /// 32).
     pub fn steal_rounds_before_park(mut self, rounds: u32) -> Self {
         self.tun.steal_rounds_before_park = rounds.max(1);
-        self.rounds_explicit = true;
-        self
-    }
-
-    /// Park timeout in microseconds (default 500, overridable via
-    /// `XKAAPI_PARK_TIMEOUT_US`). An explicit call here wins over the
-    /// environment.
-    pub fn park_timeout_us(mut self, us: u64) -> Self {
-        self.tun.park_timeout_us = us.max(1);
-        self.park_explicit = true;
         self
     }
 
     /// Injection admission policy: pending root-job cap and behaviour at
     /// the cap ([`crate::OnFull::Block`] throttles submitters,
-    /// [`crate::OnFull::Reject`] sheds load). An explicit call here wins
-    /// over the `XKAAPI_MAX_PENDING` environment override.
+    /// [`crate::OnFull::Reject`] sheds load).
     pub fn inject_policy(mut self, p: InjectPolicy) -> Self {
         assert!(p.max_pending >= 1, "max_pending must be >= 1");
         self.tun.inject = p;
-        self.pending_explicit = true;
         self
     }
 
     /// Pending root-job cap of the injection admission layer (default
-    /// 4096, overridable via `XKAAPI_MAX_PENDING`); keeps the configured
-    /// `on_full` behaviour. An explicit call here wins over the
-    /// environment.
+    /// 4096); keeps the configured `on_full` behaviour.
     pub fn max_pending(mut self, n: usize) -> Self {
         assert!(n >= 1, "max_pending must be >= 1");
         self.tun.inject.max_pending = n;
-        self.pending_explicit = true;
         self
     }
 
     /// Pin worker threads to their topology cores via `sched_setaffinity`
     /// (best effort: platforms without the syscall — or cores the process
     /// may not use — silently keep the nominal, unpinned mapping). Default
-    /// `false`, overridable via the `XKAAPI_PIN` environment variable; an
-    /// explicit call here wins over the environment.
+    /// `false`.
     pub fn pin_workers(mut self, pin: bool) -> Self {
         self.tun.pin_workers = pin;
-        self.pin_explicit = true;
         self
     }
 
@@ -333,37 +247,6 @@ impl Builder {
     /// this long (`None` disables the age sweep; default 10 ms).
     pub fn promote_low_after(mut self, after: Option<Duration>) -> Self {
         self.tun.promote_low_after = after;
-        self
-    }
-
-    /// Replace the whole non-CPU track configuration (launch latency,
-    /// batch size, in-flight cap, transfer cost, io thread count). Counts
-    /// as explicit for *every* offload field: neither
-    /// `XKAAPI_OFFLOAD_LATENCY_US` nor `XKAAPI_IO_THREADS` overrides it.
-    pub fn offload_tunables(mut self, t: OffloadTunables) -> Self {
-        assert!(t.io_threads >= 1, "at least one io thread required");
-        self.tun.offload = t;
-        self.offload_latency_explicit = true;
-        self.io_threads_explicit = true;
-        self
-    }
-
-    /// Modelled kernel-launch latency of the offload engine in µs
-    /// (default 20, overridable via `XKAAPI_OFFLOAD_LATENCY_US`). An
-    /// explicit call here wins over the environment.
-    pub fn offload_launch_latency_us(mut self, us: u64) -> Self {
-        self.tun.offload.launch_latency_us = us;
-        self.offload_latency_explicit = true;
-        self
-    }
-
-    /// Number of dedicated blocking-I/O threads (default 2, overridable
-    /// via `XKAAPI_IO_THREADS`). An explicit call here wins over the
-    /// environment.
-    pub fn io_threads(mut self, n: usize) -> Self {
-        assert!(n >= 1, "at least one io thread required");
-        self.tun.offload.io_threads = n;
-        self.io_threads_explicit = true;
         self
     }
 
@@ -389,42 +272,7 @@ impl Builder {
 
     /// Create the runtime and start its workers.
     pub fn build(self) -> Runtime {
-        let mut tun = self.tun;
-        if !self.grain_explicit {
-            if let Some(f) = env_override("XKAAPI_GRAIN_FACTOR") {
-                tun.grain_factor = f;
-            }
-        }
-        if !self.park_explicit {
-            if let Some(us) = env_override("XKAAPI_PARK_TIMEOUT_US") {
-                tun.park_timeout_us = us as u64;
-            }
-        }
-        if !self.rounds_explicit {
-            if let Some(r) = env_override("XKAAPI_STEAL_ROUNDS") {
-                tun.steal_rounds_before_park = r.min(u32::MAX as usize) as u32;
-            }
-        }
-        if !self.pending_explicit {
-            if let Some(n) = env_override("XKAAPI_MAX_PENDING") {
-                tun.inject.max_pending = n;
-            }
-        }
-        if !self.pin_explicit {
-            if let Some(pin) = env_flag("XKAAPI_PIN") {
-                tun.pin_workers = pin;
-            }
-        }
-        if !self.offload_latency_explicit {
-            if let Some(us) = env_override("XKAAPI_OFFLOAD_LATENCY_US") {
-                tun.offload.launch_latency_us = us as u64;
-            }
-        }
-        if !self.io_threads_explicit {
-            if let Some(n) = env_override("XKAAPI_IO_THREADS") {
-                tun.offload.io_threads = n;
-            }
-        }
+        let tun = self.tun;
         let nworkers = self
             .workers
             .or_else(|| env_override("XKAAPI_WORKERS"))
@@ -440,11 +288,8 @@ impl Builder {
                 (Arc::clone(&lanes) as Arc<dyn TaskQueue>, Some(lanes))
             }
         };
-        let steal_pol: Arc<dyn StealPolicy> = match self.steal {
-            Some(p) => p,
-            None if tun.aggregation => Arc::new(AggregatedStealing),
-            None => Arc::new(PerThiefStealing),
-        };
+        let steal_pol: Arc<dyn StealPolicy> =
+            self.steal.unwrap_or_else(|| Arc::new(AggregatedStealing));
         let topo = match self.topo {
             Some(t) => {
                 assert_eq!(
@@ -462,7 +307,7 @@ impl Builder {
             .tracing
             .or_else(|| env_flag("XKAAPI_TRACE"))
             .unwrap_or(false);
-        let tracks = Tracks::new(tun.offload, nworkers);
+        let tracks = Tracks::new(nworkers);
         // One Perfetto lane per worker, then one per track thread, in the
         // exact order `RtInner::tele_refs` yields the bundles.
         let lanes: Vec<String> = (0..nworkers)
@@ -632,7 +477,7 @@ impl RtInner {
         snap.inject_banded_drains += self.inject.total_banded_drains();
         snap.jobs_expired += self.inject.total_expired();
         snap.inject_promotions += self.inject.total_promoted();
-        snap.callback_panics += crate::inject::callback_panics();
+        snap.callback_panics += self.inject.total_callback_panics();
         snap.latency = self.telemetry.collect_latency(&self.tele_refs());
         snap
     }
@@ -756,11 +601,12 @@ impl Runtime {
             self.inner.inject.note_inline_submit();
             if token.is_cancelled() {
                 crate::stats::WorkerStats::bump(&self.inner.workers[widx].stats.tasks_cancelled, 1);
-                state.complete(Err(Box::new(SubmitError::Cancelled)));
+                state.complete(Some(&self.inner), Err(Box::new(SubmitError::Cancelled)));
             } else {
                 let mut raw = RawCtx::new(&self.inner, widx);
                 raw.cancel = Some(token.clone());
-                state.complete(raw.run_scoped_catch(f));
+                let r = raw.run_scoped_catch(f);
+                state.complete(Some(&self.inner), r);
             }
             return Ok(JoinHandle::new(state, &self.inner, Some(token)));
         }
@@ -802,7 +648,8 @@ impl Runtime {
         let state = Arc::new(JoinState::<R>::new());
         let st = Arc::clone(&state);
         let job_fn = move |raw: &mut RawCtx| {
-            st.complete(raw.run_scoped_catch(f));
+            let r = raw.run_scoped_catch(f);
+            st.complete(Some(&raw.rt), r);
         };
         // Safety: lifetime erasure of the job closure; the caller blocks on
         // the join state until the job has run to completion, so every
@@ -950,7 +797,6 @@ impl Runtime {
                 .chain(self.inner.tracks.stats_refs()),
         );
         self.inner.inject.reset_counters();
-        crate::inject::reset_callback_panics();
         self.inner.telemetry.reset(&self.inner.tele_refs());
     }
 

@@ -97,8 +97,7 @@ counters! {
     /// data-affine grab matching, `DESIGN.md` §5).
     affine_placements,
     /// Worker threads successfully pinned to their topology core
-    /// (`Builder::pin_workers` / `XKAAPI_PIN`; best effort, at most one
-    /// per worker).
+    /// (`Builder::pin_workers`; best effort, at most one per worker).
     workers_pinned,
     /// Tasks/jobs lowered through the `#[cold]` attribute-carrying slow
     /// path (non-default priority or affinity). Zero means every spawn in
@@ -128,8 +127,8 @@ counters! {
     /// satisfied — only the user body is elided.
     tasks_cancelled,
     /// `on_complete` callback panics caught and discarded by the inject
-    /// layer. Maintained globally (callbacks may fire on external
-    /// threads), merged in by `Runtime::stats`.
+    /// layer. Counted on the runtime that owns the handle (callbacks may
+    /// fire on external threads), merged in by `Runtime::stats`.
     callback_panics,
     /// Jobs shed at admission or drain time because their deadline had
     /// already passed (`JobBuilder::deadline`). Maintained globally by the

@@ -488,7 +488,11 @@ fn partitioned_keyed_tiles() {
 
 #[test]
 fn aggregation_can_be_disabled() {
-    let rt = Runtime::builder().workers(4).aggregation(false).build();
+    let rt = Runtime::builder()
+        .workers(4)
+        .steal_policy(Arc::new(PerThiefStealing))
+        .build();
+    assert_eq!(rt.steal_policy_name(), "per-thief");
     let s = rt.foreach_reduce(
         0..50_000,
         Some(16),
@@ -629,23 +633,49 @@ fn deeply_nested_scopes() {
 fn builder_exposes_tunables() {
     let rt = Runtime::builder()
         .workers(2)
-        .aggregation(false)
-        .grain_factor(4)
+        .steal_policy(Arc::new(PerThiefStealing))
         .promotion(PromotionPolicy {
             enabled: false,
             promote_len: 5,
             promote_scans: 9,
         })
+        .pin_workers(true)
         .stack_size(4 << 20)
+        .steal_rounds_before_park(1)
+        .max_pending(2)
         .build();
+    assert_eq!(rt.steal_policy_name(), "per-thief");
     let t = rt.tunables();
-    assert!(!t.aggregation);
-    assert_eq!(t.grain_factor, 4);
     assert!(!t.promotion.enabled);
     assert_eq!(t.promotion.promote_len, 5);
+    assert!(t.pin_workers);
+    assert_eq!(t.steal_rounds_before_park, 1);
+    assert_eq!(t.inject.max_pending, 2);
     assert_eq!(rt.num_workers(), 2);
-    // still functional
+    // still functional; pinning is best effort, so whether or not the
+    // syscall stuck, the runtime computes correctly
     assert_eq!(rt.scope(|ctx| ctx.join(|_| 1, |_| 2)), (1, 2));
+    let s = rt.foreach_reduce(0..1000, None, || 0u64, |a, i| *a += i as u64, |a, b| a + b);
+    assert_eq!(s, 499_500);
+    // Workers park after a single idle round and admission holds at most
+    // two pending jobs, so these submits are throttled (`OnFull::Block`)
+    // and each job may have to wake a parked worker.
+    let handles: Vec<_> = (0..16u64)
+        .map(|i| rt.submit(move |_| i * i).expect("Block admission never rejects"))
+        .collect();
+    let sum: u64 = handles.into_iter().map(|h| h.wait()).sum();
+    assert_eq!(sum, (0..16u64).map(|i| i * i).sum::<u64>());
+
+    let plain = Runtime::builder().workers(1).build();
+    assert_eq!(
+        plain.steal_policy_name(),
+        "aggregated",
+        "flat combining is the default protocol"
+    );
+    let t = plain.tunables();
+    assert_eq!(t.steal_rounds_before_park, 32);
+    assert_eq!(t.inject.max_pending, 4096);
+    assert!(!t.pin_workers, "pinning defaults off");
 }
 
 #[test]

@@ -2,15 +2,16 @@
 //! different execution properties sitting beside the CPU worker pool.
 //!
 //! The data-flow core computes *when* a task may run; a track decides
-//! *where and how*. [`Track::Cpu`](crate::attrs::Track) is today's worker
-//! pool (wrapped as [`CpuTrack`] for uniformity). [`OffloadEngine`] models
+//! *where and how*. [`Track::Cpu`](crate::attrs::Track) is the worker pool
+//! itself: [`dispatch`] leaves those tasks inline. [`OffloadEngine`] models
 //! an accelerator the way GPU frame-graph runtimes type their passes:
 //! explicit H2D/D2H transfer steps synthesized per handle access (first
 //! device use uploads, written handles download at commit), a batched
-//! kernel-launch queue paying a configurable launch latency per batch,
-//! a bounded number of in-flight batches, and an asynchronous completion
-//! stream. [`IoEngine`] runs bodies that block on external events on a
-//! small dedicated thread set so they never occupy a CPU worker.
+//! kernel-launch queue paying [`LAUNCH_LATENCY`] per batch of up to
+//! [`BATCH`] tasks, at most [`MAX_INFLIGHT`] in-flight batches, and an
+//! asynchronous completion stream. [`IoEngine`] runs bodies that block on
+//! external events on [`IO_THREADS`] dedicated threads so they never
+//! occupy a CPU worker.
 //!
 //! The load-bearing inversion: an offloaded task's successors become
 //! ready when its **completion drains**, not when its body returns. The
@@ -42,73 +43,31 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How long engine threads sleep between shutdown-flag checks while idle.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
-// ---------------------------------------------------------------------------
-// Tunables
+/// Modelled kernel-launch latency the offload engine pays once per batch.
+const LAUNCH_LATENCY: Duration = Duration::from_micros(20);
 
-/// Configuration of the non-CPU tracks (`Tunables::offload`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OffloadTunables {
-    /// Modelled kernel-launch latency paid once per batch, in µs
-    /// (`XKAAPI_OFFLOAD_LATENCY_US`).
-    pub launch_latency_us: u64,
-    /// Maximum tasks fused into one kernel launch.
-    pub batch: usize,
-    /// Maximum launched-but-undrained batches the device pipelines.
-    pub max_inflight: usize,
-    /// Modelled cost of one H2D/D2H transfer step, in µs (0 = stamp the
-    /// transfer events but pay nothing).
-    pub transfer_cost_us: u64,
-    /// Dedicated blocking-I/O threads (`XKAAPI_IO_THREADS`).
-    pub io_threads: usize,
-}
+/// Maximum tasks fused into one kernel launch.
+const BATCH: usize = 8;
 
-impl Default for OffloadTunables {
-    fn default() -> OffloadTunables {
-        OffloadTunables {
-            launch_latency_us: 20,
-            batch: 8,
-            max_inflight: 4,
-            transfer_cost_us: 0,
-            io_threads: 2,
-        }
-    }
-}
+/// Maximum launched-but-undrained batches the modelled device pipelines.
+const MAX_INFLIGHT: usize = 4;
 
-// ---------------------------------------------------------------------------
-// The track abstraction
+/// Dedicated blocking-I/O threads.
+const IO_THREADS: usize = 2;
 
 /// A dataflow-ready task handed to a track engine. The engine owns the
 /// claim: it (or a completion job it emits) must eventually run or skip
 /// the body and publish the completion into the frame.
-pub struct ReadyTask {
-    pub(crate) frame: Arc<Frame>,
-    pub(crate) idx: usize,
-    pub(crate) task: Arc<Task>,
-}
-
-/// An execution engine tasks can be routed to by [`Track`] attribute.
-///
-/// `submit_ready` receives tasks whose dependencies are satisfied;
-/// `poll_completions` drains any pending completion records back into
-/// dataflow readiness and returns how many it drained; `quiesce` blocks
-/// until every submitted task's completion has retired. `quiesce` (and
-/// `poll_completions` for [`OffloadEngine`]) must be called from outside
-/// the worker pool: completions retire on CPU workers.
-pub trait TrackEngine: Send + Sync {
-    /// Short stable name (also the engine's Perfetto lane prefix).
-    fn name(&self) -> &'static str;
-    /// Accept a dependency-satisfied task for execution on this engine.
-    fn submit_ready(&self, t: ReadyTask);
-    /// Push pending completion records toward the pool; returns drained.
-    fn poll_completions(&self) -> usize;
-    /// Block until every submitted task has fully retired.
-    fn quiesce(&self);
+pub(crate) struct ReadyTask {
+    frame: Arc<Frame>,
+    idx: usize,
+    task: Arc<Task>,
 }
 
 /// Route a ready task to its engine. Returns `false` when the task should
@@ -150,44 +109,6 @@ pub(crate) fn dispatch(
 }
 
 // ---------------------------------------------------------------------------
-// CpuTrack: the worker pool, wearing the trait
-
-/// The existing CPU worker pool wrapped as a [`TrackEngine`]: submission
-/// executes inline (the pool's readiness hand-off *is* its queue), so
-/// completions are always already drained.
-pub struct CpuTrack {
-    rt: OnceLock<Weak<RtInner>>,
-}
-
-impl CpuTrack {
-    fn new() -> CpuTrack {
-        CpuTrack {
-            rt: OnceLock::new(),
-        }
-    }
-}
-
-impl TrackEngine for CpuTrack {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn submit_ready(&self, t: ReadyTask) {
-        let Some(rt) = self.rt.get().and_then(Weak::upgrade) else {
-            return;
-        };
-        let widx = crate::worker::current_worker_of(&rt).unwrap_or(0);
-        run_claimed_body(&rt, widx, &t.frame, t.idx, t.task);
-    }
-
-    fn poll_completions(&self) -> usize {
-        0
-    }
-
-    fn quiesce(&self) {}
-}
-
-// ---------------------------------------------------------------------------
 // OffloadEngine: the modelled accelerator
 
 struct Completion {
@@ -208,8 +129,6 @@ struct OffloadShared {
     completions: VecDeque<Completion>,
     /// Launched batches whose completions have not all retired.
     inflight: usize,
-    submitted: u64,
-    retired: u64,
     shutdown: bool,
 }
 
@@ -221,49 +140,44 @@ struct OffloadShared {
 /// written handles (commit-on-completion download), then emits one
 /// completion record per task. Completions are injected as root jobs; a
 /// CPU worker drains each, runs the task body, and publishes into the
-/// frame — the successor-release point. At most `max_inflight` batches
+/// frame — the successor-release point. At most [`MAX_INFLIGHT`] batches
 /// may be launched-but-undrained; the device stalls beyond that.
-pub struct OffloadEngine {
-    tun: OffloadTunables,
+pub(crate) struct OffloadEngine {
     state: Mutex<OffloadShared>,
     cv: Condvar,
     pub(crate) tele: WorkerTelemetry,
     pub(crate) stats: WorkerStats,
-    rt: OnceLock<Weak<RtInner>>,
 }
 
 impl OffloadEngine {
-    fn new(tun: OffloadTunables) -> OffloadEngine {
+    fn new() -> OffloadEngine {
         OffloadEngine {
-            tun,
             state: Mutex::new(OffloadShared {
                 queue: VecDeque::new(),
                 resident: HashSet::new(),
                 completions: VecDeque::new(),
                 inflight: 0,
-                submitted: 0,
-                retired: 0,
                 shutdown: false,
             }),
             cv: Condvar::new(),
             tele: WorkerTelemetry::new(),
             stats: WorkerStats::default(),
-            rt: OnceLock::new(),
         }
     }
 
+    /// Accept a dependency-satisfied task for the device thread.
+    pub(crate) fn submit_ready(&self, t: ReadyTask) {
+        self.state.lock().queue.push_back(t);
+        self.cv.notify_all();
+    }
+
     /// One H2D (`dir == 0`) or D2H (`dir == 1`) transfer step: a traced
-    /// span (the direction rides the event's band field) plus the
-    /// modelled cost.
+    /// span, the direction riding the event's band field. Transfers are
+    /// modelled as free; only the launch pays a latency.
     fn transfer(&self, tracing: bool, dir: u8, handle: u32) {
         if tracing {
             self.tele
                 .emit(telemetry::tick(), EventKind::TransferB, dir, handle);
-        }
-        if self.tun.transfer_cost_us > 0 {
-            std::thread::sleep(Duration::from_micros(self.tun.transfer_cost_us));
-        }
-        if tracing {
             self.tele
                 .emit(telemetry::tick(), EventKind::TransferE, dir, handle);
         }
@@ -308,9 +222,7 @@ impl OffloadEngine {
                 batch.len() as u32,
             );
         }
-        if self.tun.launch_latency_us > 0 {
-            std::thread::sleep(Duration::from_micros(self.tun.launch_latency_us));
-        }
+        std::thread::sleep(LAUNCH_LATENCY);
         if tracing {
             self.tele.emit(
                 telemetry::tick(),
@@ -382,9 +294,9 @@ impl OffloadEngine {
     /// Inject every pending completion record as a root job. The drained
     /// job runs the task body on a CPU worker and publishes into the
     /// frame — *this* is where successors of an offloaded task become
-    /// ready. Returns how many records were flushed.
-    fn flush(&self, rt: &Arc<RtInner>) -> usize {
-        let mut n = 0;
+    /// ready.
+    fn flush(&self, rt: &Arc<RtInner>) {
+        let mut flushed = false;
         loop {
             let c = {
                 let mut st = self.state.lock();
@@ -392,20 +304,19 @@ impl OffloadEngine {
                     // Teardown: undrained completions are dropped. Their
                     // claimed tasks never publish — acceptable, nothing
                     // can be waiting on them once the pool is gone.
-                    return n;
+                    return;
                 }
                 st.completions.pop_front()
             };
             let Some(c) = c else { break };
             if !self.inject_completion(rt, c) {
-                return n;
+                return;
             }
-            n += 1;
+            flushed = true;
         }
-        if n > 0 {
+        if flushed {
             rt.signal_work();
         }
-        n
     }
 
     /// Returns `false` when teardown raced the injection (the record is
@@ -431,14 +342,13 @@ impl OffloadEngine {
             }
             let eng = &rt.tracks.offload;
             WorkerStats::bump(&eng.stats.offload_completions, 1);
-            let mut st = eng.state.lock();
-            st.retired += 1;
             if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last completion of the batch: free its in-flight slot.
+                let mut st = eng.state.lock();
                 st.inflight = st.inflight.saturating_sub(1);
+                drop(st);
+                eng.cv.notify_all();
             }
-            drop(st);
-            eng.cv.notify_all();
         });
         let mut job = Job::new(run);
         // Stamped at injection: the drainer's submit→start histogram for
@@ -463,43 +373,6 @@ impl OffloadEngine {
         rt.inject.push(adm, lane, NORMAL_BAND, job);
         true
     }
-
-    fn upgrade(&self) -> Option<Arc<RtInner>> {
-        self.rt.get().and_then(Weak::upgrade)
-    }
-}
-
-impl TrackEngine for OffloadEngine {
-    fn name(&self) -> &'static str {
-        "offload"
-    }
-
-    fn submit_ready(&self, t: ReadyTask) {
-        let mut st = self.state.lock();
-        st.submitted += 1;
-        st.queue.push_back(t);
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    fn poll_completions(&self) -> usize {
-        match self.upgrade() {
-            Some(rt) => self.flush(&rt),
-            None => 0,
-        }
-    }
-
-    fn quiesce(&self) {
-        let mut st = self.state.lock();
-        while !(st.shutdown
-            || st.retired >= st.submitted
-                && st.queue.is_empty()
-                && st.completions.is_empty()
-                && st.inflight == 0)
-        {
-            self.cv.wait_for(&mut st, IDLE_WAIT);
-        }
-    }
 }
 
 /// The device thread: batch, launch, flush, repeat.
@@ -513,12 +386,12 @@ fn offload_main(rt: Arc<RtInner>) {
                 if st.shutdown {
                     return;
                 }
-                if !st.queue.is_empty() && st.inflight < eng.tun.max_inflight.max(1) {
+                if !st.queue.is_empty() && st.inflight < MAX_INFLIGHT {
                     break;
                 }
                 eng.cv.wait_for(&mut st, IDLE_WAIT);
             }
-            let n = eng.tun.batch.max(1).min(st.queue.len());
+            let n = BATCH.min(st.queue.len());
             st.inflight += 1;
             st.queue.drain(..n).collect()
         };
@@ -539,8 +412,6 @@ enum IoWork {
 
 struct IoShared {
     queue: VecDeque<IoWork>,
-    submitted: u64,
-    retired: u64,
     shutdown: bool,
 }
 
@@ -548,41 +419,36 @@ struct IoShared {
 /// that runs bodies which block on external events, so a blocked body
 /// never occupies a CPU worker. Bodies run under a detached context —
 /// children they spawn are ordinary stealable CPU tasks.
-pub struct IoEngine {
-    nthreads: usize,
+pub(crate) struct IoEngine {
     nworkers: usize,
     state: Mutex<IoShared>,
     cv: Condvar,
     pub(crate) tele: Box<[WorkerTelemetry]>,
     pub(crate) stats: WorkerStats,
-    rt: OnceLock<Weak<RtInner>>,
 }
 
 impl IoEngine {
-    fn new(nthreads: usize, nworkers: usize) -> IoEngine {
-        let nthreads = nthreads.max(1);
+    fn new(nworkers: usize) -> IoEngine {
         IoEngine {
-            nthreads,
             nworkers: nworkers.max(1),
             state: Mutex::new(IoShared {
                 queue: VecDeque::new(),
-                submitted: 0,
-                retired: 0,
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            tele: (0..nthreads).map(|_| WorkerTelemetry::new()).collect(),
+            tele: (0..IO_THREADS).map(|_| WorkerTelemetry::new()).collect(),
             stats: WorkerStats::default(),
-            rt: OnceLock::new(),
         }
     }
 
     fn enqueue(&self, w: IoWork) {
-        let mut st = self.state.lock();
-        st.submitted += 1;
-        st.queue.push_back(w);
-        drop(st);
+        self.state.lock().queue.push_back(w);
         self.cv.notify_all();
+    }
+
+    /// Accept a dependency-satisfied task for the io threads.
+    pub(crate) fn submit_ready(&self, t: ReadyTask) {
+        self.enqueue(IoWork::Task(t));
     }
 
     /// Route a root job (`JobBuilder::wait_external`) to the io threads.
@@ -590,29 +456,6 @@ impl IoEngine {
     /// must not consume admission slots sized for CPU throughput.
     pub(crate) fn submit_job(&self, job: Job) {
         self.enqueue(IoWork::Job(job));
-    }
-}
-
-impl TrackEngine for IoEngine {
-    fn name(&self) -> &'static str {
-        "io"
-    }
-
-    fn submit_ready(&self, t: ReadyTask) {
-        self.enqueue(IoWork::Task(t));
-    }
-
-    fn poll_completions(&self) -> usize {
-        // Io completions publish directly from the io thread; there is
-        // no deferred stream to drain.
-        0
-    }
-
-    fn quiesce(&self) {
-        let mut st = self.state.lock();
-        while st.retired < st.submitted && !st.shutdown {
-            self.cv.wait_for(&mut st, IDLE_WAIT);
-        }
     }
 }
 
@@ -681,10 +524,6 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
                 k as u32,
             );
         }
-        let mut st = eng.state.lock();
-        st.retired += 1;
-        drop(st);
-        eng.cv.notify_all();
     }
 }
 
@@ -693,18 +532,16 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
 
 /// All track engines of one runtime plus their thread handles.
 pub(crate) struct Tracks {
-    pub(crate) cpu: CpuTrack,
     pub(crate) offload: OffloadEngine,
     pub(crate) io: IoEngine,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Tracks {
-    pub(crate) fn new(tun: OffloadTunables, nworkers: usize) -> Tracks {
+    pub(crate) fn new(nworkers: usize) -> Tracks {
         Tracks {
-            cpu: CpuTrack::new(),
-            offload: OffloadEngine::new(tun),
-            io: IoEngine::new(tun.io_threads, nworkers),
+            offload: OffloadEngine::new(),
+            io: IoEngine::new(nworkers),
             threads: Mutex::new(Vec::new()),
         }
     }
@@ -713,9 +550,9 @@ impl Tracks {
     /// [`Tracks::tele_refs`] yields their bundles (appended after the
     /// worker lanes).
     pub(crate) fn lane_names(&self) -> Vec<String> {
-        let mut v = Vec::with_capacity(1 + self.io.nthreads);
+        let mut v = Vec::with_capacity(1 + IO_THREADS);
         v.push("offload".to_string());
-        for k in 0..self.io.nthreads {
+        for k in 0..IO_THREADS {
             v.push(format!("io-{k}"));
         }
         v
@@ -731,12 +568,9 @@ impl Tracks {
         [&self.offload.stats, &self.io.stats].into_iter()
     }
 
-    /// Attach the runtime and spawn the engine threads. Called once,
-    /// right after `Arc::new(RtInner)`.
+    /// Spawn the engine threads. Called once, right after
+    /// `Arc::new(RtInner)`.
     pub(crate) fn start(&self, inner: &Arc<RtInner>) {
-        let _ = self.cpu.rt.set(Arc::downgrade(inner));
-        let _ = self.offload.rt.set(Arc::downgrade(inner));
-        let _ = self.io.rt.set(Arc::downgrade(inner));
         let mut threads = self.threads.lock();
         {
             let rt = Arc::clone(inner);
@@ -747,7 +581,7 @@ impl Tracks {
                     .expect("spawn offload engine thread"),
             );
         }
-        for k in 0..self.io.nthreads {
+        for k in 0..IO_THREADS {
             let rt = Arc::clone(inner);
             threads.push(
                 std::thread::Builder::new()
@@ -783,30 +617,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tunable_defaults() {
-        let t = OffloadTunables::default();
-        assert_eq!(t.launch_latency_us, 20);
-        assert_eq!(t.batch, 8);
-        assert_eq!(t.max_inflight, 4);
-        assert_eq!(t.transfer_cost_us, 0);
-        assert_eq!(t.io_threads, 2);
-    }
-
-    #[test]
     fn lane_names_parallel_tele_refs() {
-        let tracks = Tracks::new(OffloadTunables::default(), 4);
+        let tracks = Tracks::new(4);
         let names = tracks.lane_names();
         assert_eq!(names[0], "offload");
         assert_eq!(names[1], "io-0");
         assert_eq!(names[2], "io-1");
         assert_eq!(names.len(), tracks.tele_refs().count());
-    }
-
-    #[test]
-    fn engine_names() {
-        let tracks = Tracks::new(OffloadTunables::default(), 1);
-        assert_eq!(tracks.cpu.name(), "cpu");
-        assert_eq!(tracks.offload.name(), "offload");
-        assert_eq!(tracks.io.name(), "io");
     }
 }

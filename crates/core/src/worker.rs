@@ -14,7 +14,7 @@
 //! streak* (consecutive failed acquisition attempts, tracked on the
 //! [`Worker`] so the steal policy sees it too) reaches
 //! `Tunables::steal_rounds_before_park` blocks on the lot's condvar with a
-//! `Tunables::park_timeout_us` timeout (bounding lost wake-up races), and
+//! [`PARK_TIMEOUT`] timeout (bounding lost wake-up races), and
 //! producers call [`ParkLot::signal`] — one relaxed load when nobody
 //! sleeps.
 
@@ -29,6 +29,10 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long a parked worker sleeps before re-probing, even unsignalled:
+/// the bound on what a lost wake-up race costs.
+const PARK_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// One worker: its frames (stealable task stacks), adaptive-work registry,
 /// steal point (request stack + combiner lock) and statistics.
@@ -183,14 +187,13 @@ impl ParkLot {
         self.cv.notify_all();
     }
 
-    /// Park unless `should_stay_awake` already holds; bounded by `timeout`
-    /// (`Tunables::park_timeout_us`) so a lost wake-up race costs at most
-    /// one period.
-    pub(crate) fn park(&self, timeout: Duration, should_stay_awake: impl Fn() -> bool) {
+    /// Park unless `should_stay_awake` already holds; bounded by
+    /// [`PARK_TIMEOUT`] so a lost wake-up race costs at most one period.
+    pub(crate) fn park(&self, should_stay_awake: impl Fn() -> bool) {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut g = self.mx.lock();
         if !should_stay_awake() {
-            self.cv.wait_for(&mut g, timeout);
+            self.cv.wait_for(&mut g, PARK_TIMEOUT);
         }
         drop(g);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
@@ -297,7 +300,6 @@ pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
             WorkerStats::bump(&my.stats.workers_pinned, 1);
         }
     }
-    let park_timeout = Duration::from_micros(rt.tun.park_timeout_us);
     loop {
         if rt.shutdown.load(Ordering::Acquire) {
             break;
@@ -318,7 +320,7 @@ pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
             // which has no worker identity.
             telemetry::emit_current(&rt, idx, EventKind::Park, 0, streak);
             let rt2 = &rt;
-            rt.park_lot.park(park_timeout, || {
+            rt.park_lot.park(|| {
                 rt2.shutdown.load(Ordering::Acquire)
                     || rt2.inject.has_pending_hint()
                     || !rt2.queue.is_empty_hint(idx)

@@ -8,7 +8,7 @@ use xkaapi::core::{Reduction, Runtime, Shared};
 
 fn main() {
     // Builder defaults: available parallelism, overridable via
-    // XKAAPI_WORKERS / XKAAPI_GRAIN_FACTOR without recompiling.
+    // XKAAPI_WORKERS without recompiling.
     let rt = Runtime::builder().build();
     println!("X-Kaapi quickstart on {} workers", rt.num_workers());
 

@@ -26,12 +26,12 @@ pub use xkaapi_skyline as skyline;
 
 #[cfg(feature = "fault-injection")]
 pub use xkaapi_core::FaultPlan;
+pub use xkaapi_core::JoinHandle;
 pub use xkaapi_core::{
     Access, AccessMode, Affinity, AggregatedStealing, Builder, CancelToken, Ctx, DataflowEngine,
     DistanceMatrix, DistributedLanes, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst,
     Partitioned, PerThiefStealing, Priority, PromotionPolicy, RecCtx, RecordStats, RecordedDag,
     Reduction, Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy,
-    SubmitError, TaskAttrs, TaskBuilder, TaskQueue, Topology, Track, TrackEngine, Tunables,
-    UniformVictim, VictimChoice, WorkItem,
+    SubmitError, TaskAttrs, TaskBuilder, TaskQueue, Topology, Track, Tunables, UniformVictim,
+    VictimChoice, WorkItem,
 };
-pub use xkaapi_core::{JoinHandle, OffloadTunables};

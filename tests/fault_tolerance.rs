@@ -510,6 +510,36 @@ fn callback_panics_are_counted() {
     assert_eq!(rt.stats().callback_panics, 0);
 }
 
+/// Callback panics count on the runtime that owns the handle, on both
+/// paths that run a callback: the worker completing the job, and
+/// `on_complete` on an already finished handle. Another runtime neither
+/// sees them nor resets them.
+#[test]
+fn callback_panics_are_counted_per_runtime() {
+    let (a, b) = (Runtime::new(1), Runtime::new(1));
+    let gate = Arc::new(AtomicBool::new(false));
+    let g = Arc::clone(&gate);
+    let h = b
+        .submit(move |_ctx| {
+            while !g.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        })
+        .unwrap();
+    h.on_complete(|| panic!("reactor wake failed on the worker"));
+    gate.store(true, Ordering::Release);
+    wait_until(20, "the worker-side callback", || {
+        b.stats().callback_panics == 1
+    });
+    h.on_complete(|| panic!("reactor wake failed on the caller"));
+    assert_eq!(b.stats().callback_panics, 2);
+    assert_eq!(a.stats().callback_panics, 0, "B's panics leaked into A");
+    a.reset_stats();
+    assert_eq!(b.stats().callback_panics, 2, "A's reset zeroed B's count");
+    b.reset_stats();
+    assert_eq!(b.stats().callback_panics, 0);
+}
+
 /// Graceful shutdown: queued jobs drain inside the window (`true`), and a
 /// zero window on a saturated pool gives up honestly (`false`).
 #[test]

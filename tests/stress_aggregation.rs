@@ -19,7 +19,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xkaapi::core::{
-    HierarchicalVictim, LocalityFirst, Runtime, Shared, StealPolicy, Topology, UniformVictim,
+    AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing, Runtime, Shared,
+    StealPolicy, Topology, UniformVictim,
 };
 
 const WORKERS: usize = 8;
@@ -75,11 +76,11 @@ fn expected_chain() -> u64 {
 fn aggregation_on_off_identical_results_with_combiner_activity() {
     let rt_on = Runtime::builder()
         .workers(WORKERS)
-        .aggregation(true)
+        .steal_policy(Arc::new(AggregatedStealing))
         .build();
     let rt_off = Runtime::builder()
         .workers(WORKERS)
-        .aggregation(false)
+        .steal_policy(Arc::new(PerThiefStealing))
         .build();
     assert_eq!(rt_on.steal_policy_name(), "aggregated");
     assert_eq!(rt_off.steal_policy_name(), "per-thief");

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use xkaapi::core::{
-    Affinity, InjectPolicy, OnFull, Priority, Runtime, Shared, TaskQueue, Topology,
+    Affinity, AggregatedStealing, InjectPolicy, OnFull, PerThiefStealing, Priority, Runtime,
+    Shared, StealPolicy, TaskQueue, Topology,
 };
 use xkaapi::omp::OmpCentralQueue;
 use xkaapi::quark::QuarkCentralQueue;
@@ -373,7 +374,12 @@ fn default_and_attributed_lowering_agree_everywhere() {
         for aggregation in [true, false] {
             let queue = queue.clone();
             let build = |q: Option<Arc<dyn TaskQueue>>| {
-                let mut b = Runtime::builder().workers(3).aggregation(aggregation);
+                let steal: Arc<dyn StealPolicy> = if aggregation {
+                    Arc::new(AggregatedStealing)
+                } else {
+                    Arc::new(PerThiefStealing)
+                };
+                let mut b = Runtime::builder().workers(3).steal_policy(steal);
                 if let Some(q) = q {
                     b = b.task_queue(q);
                 }

@@ -40,19 +40,14 @@ const COMBO_NAMES: [&str; 4] = [
     "central+perthief",
 ];
 
-/// One of the four queue×steal policy combinations, with a fast offload
-/// engine (1 µs launch latency keeps the suite quick; the batching and
-/// completion paths are identical).
+/// One of the four queue×steal policy combinations.
 fn build_rt(combo: usize, workers: usize) -> Runtime {
     let steal: Arc<dyn StealPolicy> = if combo.is_multiple_of(2) {
         Arc::new(AggregatedStealing)
     } else {
         Arc::new(PerThiefStealing)
     };
-    let mut b = Runtime::builder()
-        .workers(workers)
-        .steal_policy(steal)
-        .offload_launch_latency_us(1);
+    let mut b = Runtime::builder().workers(workers).steal_policy(steal);
     if combo >= 2 {
         let q: Arc<dyn TaskQueue> = Arc::new(OmpCentralQueue::new());
         b = b.task_queue(q);
@@ -129,10 +124,7 @@ fn offload_checksum_equivalence_across_policies() {
 /// came from the completion stream, not from A's spawn or body return.
 #[test]
 fn completion_feeds_readiness_on_one_worker() {
-    let rt = Runtime::builder()
-        .workers(1)
-        .offload_launch_latency_us(1)
-        .build();
+    let rt = Runtime::new(1);
     let h = Shared::new(0u64);
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     rt.scope(|ctx| {
@@ -167,7 +159,7 @@ fn completion_feeds_readiness_on_one_worker() {
 #[test]
 fn io_track_never_occupies_a_cpu_worker() {
     let workers = 2usize;
-    let rt = Arc::new(Runtime::builder().workers(workers).io_threads(1).build());
+    let rt = Arc::new(Runtime::new(workers));
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     // One blocker per CPU worker — if these held CPU workers, the scope
     // below would have no worker left to run on.
@@ -238,7 +230,7 @@ fn io_track_never_occupies_a_cpu_worker() {
 fn io_loop_runs_inline_beside_cpu_joins() {
     const ROUNDS: u64 = 200;
     const N: usize = 4096;
-    let rt = Runtime::builder().workers(2).io_threads(1).build();
+    let rt = Runtime::new(2);
     let io_thread: Arc<OnceLock<ThreadId>> = Arc::new(OnceLock::new());
     let cpu_busy = Arc::new(AtomicBool::new(false));
     let loops = {
