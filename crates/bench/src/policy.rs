@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use xkaapi_core::{
     AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing, Runtime, StealPolicy,
-    TaskQueue, Topology, UniformVictim,
+    TaskQueue, Topology,
 };
 use xkaapi_omp::OmpCentralQueue;
 use xkaapi_quark::QuarkCentralQueue;
@@ -50,7 +50,7 @@ impl VictimPolicy {
     /// The steal-layer policy object implementing this victim selection.
     pub fn steal_policy(self) -> Arc<dyn StealPolicy> {
         match self {
-            VictimPolicy::Uniform => Arc::new(UniformVictim),
+            VictimPolicy::Uniform => Arc::new(AggregatedStealing),
             VictimPolicy::Hierarchical => Arc::new(HierarchicalVictim::default()),
             VictimPolicy::LocalityFirst => Arc::new(LocalityFirst::default()),
         }

@@ -169,14 +169,6 @@ pub struct Access {
     /// [`Shared::set_home`](crate::Shared::set_home) or from first-touch
     /// (the node of the first worker that wrote through the handle).
     pub(crate) home: u32,
-    /// The handle renames *per tile*: the data-flow engine must seed its
-    /// version-chain state with slot allocation pinned past the handle's
-    /// tile-slot watermark instead of adopting `lineage`'s slot as current
-    /// (tile slots are neither current nor free — they may hold un-merged
-    /// committed tiles). Stamped by
-    /// [`Partitioned::renameable_tiles`](crate::Partitioned::renameable_tiles)
-    /// handles' access constructors.
-    pub(crate) tile_slots: bool,
 }
 
 impl Access {
@@ -190,16 +182,7 @@ impl Access {
             renameable: false,
             lineage: 0,
             home: u32::MAX,
-            tile_slots: false,
         }
-    }
-
-    /// Mark this access as naming a per-tile renamed handle (handle layer
-    /// only; see the `tile_slots` field).
-    #[inline]
-    pub(crate) fn with_tile_slots(mut self) -> Self {
-        self.tile_slots = true;
-        self
     }
 
     /// Stamp the handle's committed-version snapshot (handle layer only).
@@ -228,9 +211,10 @@ impl Access {
     /// slots ([`Shared::renameable`](crate::Shared::renameable) /
     /// [`Partitioned::renameable_with`](crate::Partitioned::renameable_with)).
     ///
-    /// Only meaningful on a whole-object write-only access; flagging an
-    /// access whose handle has no slot table makes the granted task panic
-    /// when it touches the data. Prefer the handle's own constructors
+    /// The flag takes effect only on a whole-object write-only access (see
+    /// [`Access::can_rename`]); on any other access it is ignored. Flagging
+    /// an access whose handle has no slot table makes the granted task
+    /// panic when it touches the data. Prefer the handle's own constructors
     /// ([`Shared::write`](crate::Shared::write),
     /// [`Partitioned::write_all`](crate::Partitioned::write_all)): they
     /// also stamp the committed-version snapshot that keeps slot routing
@@ -241,15 +225,15 @@ impl Access {
         self
     }
 
-    /// May the versioned data-flow core rename this access? Whole-object
-    /// and single-tile ([`Region::Key`]) write-only accesses qualify;
-    /// ranges do not (a fresh slot can only stand in for a region whose
-    /// identity the commit protocol tracks — `All` or one key).
+    /// May the versioned data-flow core rename this access? Only a flagged
+    /// write-only access to [`Region::All`] qualifies: a renamed writer
+    /// gets a fresh buffer, so it must overwrite the whole object. A
+    /// [`Region::Key`] or [`Region::Range`] write is partial — the
+    /// untouched part must come from the previous version — so it always
+    /// serializes.
     #[inline]
     pub fn can_rename(&self) -> bool {
-        self.renameable
-            && self.mode.is_write_only()
-            && matches!(self.region, Region::All | Region::Key(_))
+        self.renameable && self.mode.is_write_only() && self.region == Region::All
     }
 
     /// Do two accesses require an ordering edge between their tasks?
@@ -346,9 +330,8 @@ mod tests {
         assert!(!r.with_renaming().can_rename());
         let part = Access::new(h(1), Region::Range { start: 0, end: 4 }, AccessMode::Write);
         assert!(!part.with_renaming().can_rename());
-        // Single-tile write-only accesses are candidates (per-tile renaming).
+        // A single-tile write is partial too: never a candidate.
         let tile = Access::new(h(1), Region::key2(1, 2), AccessMode::Write);
-        assert!(!tile.can_rename());
-        assert!(tile.with_renaming().can_rename());
+        assert!(!tile.with_renaming().can_rename());
     }
 }

@@ -14,7 +14,7 @@
 //! the owner meets a task a thief claimed, it suspends and works as a thief
 //! itself until the task completes.
 
-use crate::access::{Access, AccessMode, HandleId, Region};
+use crate::access::{Access, AccessMode, HandleId};
 use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs};
 use crate::dataflow::SlotBinding;
 use crate::frame::Frame;
@@ -980,41 +980,6 @@ impl<'scope> Ctx<'scope> {
                 p.note_first_touch(raw.rt.topo.node_of(raw.widx));
             }
         }
-        if p.is_tile_renameable() {
-            return self.tile_view(p, None);
-        }
-        self.whole_view(p)
-    }
-
-    /// Like [`Ctx::view_of`], but routes the declared access on tile `key`
-    /// (see [`Region::key2`]) — for tasks that touch several tiles of one
-    /// [`Partitioned`] handle (a GEMM reading two tiles and updating a
-    /// third), where [`Ctx::view_of`] resolves only one routed pointer.
-    ///
-    /// On handles without per-tile renaming this is equivalent to
-    /// [`Ctx::view_of`].
-    pub fn view_of_key<'a, T: Send>(&self, p: &'a Partitioned<T>, key: u64) -> PartView<'a, T> {
-        self.check_granted(p.id(), false);
-        {
-            let raw = self.raw();
-            let writes = raw.cur.as_ref().is_some_and(|cur| {
-                cur.accesses
-                    .iter()
-                    .any(|a| a.handle == p.id() && a.region == Region::Key(key) && a.mode.writes())
-            });
-            if writes {
-                p.note_first_touch(raw.rt.topo.node_of(raw.widx));
-            }
-        }
-        if p.is_tile_renameable() {
-            return self.tile_view(p, Some(key));
-        }
-        self.whole_view(p)
-    }
-
-    /// Whole-object slot routing (non-tile handles): the pre-PR 7 `view_of`
-    /// tail.
-    fn whole_view<'a, T: Send>(&self, p: &'a Partitioned<T>) -> PartView<'a, T> {
         if !p.is_renameable() {
             return p.part_view(0, None);
         }
@@ -1024,66 +989,6 @@ impl<'scope> Ctx<'scope> {
         {
             Some(b) => p.part_view(b.slot, b.renamed.then_some(b.seq)),
             None => p.part_view(p.committed_slot(), None),
-        }
-    }
-
-    /// Tile-routed view on a per-tile renamed handle. `key` selects which
-    /// declared access to route (`None` picks the task's primary access,
-    /// writes preferred).
-    fn tile_view<'a, T: Send>(&self, p: &'a Partitioned<T>, key: Option<u64>) -> PartView<'a, T> {
-        let raw = self.raw();
-        let Some(cur) = raw.cur.as_ref() else {
-            // Scope root / fast lane: quiesce tile slots, hand out main.
-            p.merge_tiles();
-            return p.part_view(0, None);
-        };
-        let pos = match key {
-            Some(k) => cur
-                .accesses
-                .iter()
-                .position(|a| a.handle == p.id() && a.region == Region::Key(k) && a.mode.writes())
-                .or_else(|| {
-                    cur.accesses
-                        .iter()
-                        .position(|a| a.handle == p.id() && a.region == Region::Key(k))
-                }),
-            None => cur
-                .accesses
-                .iter()
-                .position(|a| a.handle == p.id() && a.mode.writes())
-                .or_else(|| cur.accesses.iter().position(|a| a.handle == p.id())),
-        };
-        let Some(pos) = pos else {
-            p.merge_tiles();
-            return p.part_view(0, None);
-        };
-        let binding = cur.binding();
-        let b = if binding.len() == cur.accesses.len() {
-            binding[pos]
-        } else {
-            // All-default sentinel (or fast-lane task): default routing.
-            SlotBinding::default()
-        };
-        match cur.accesses[pos].region {
-            Region::Key(k) => {
-                if b.renamed {
-                    p.part_view_key(b.slot, b.seq, k)
-                } else if b.slot != 0 {
-                    p.part_view(b.slot, None)
-                } else {
-                    // Default-routed tile access: the tile's current value
-                    // may live in a renamed slot committed by an earlier
-                    // version (possibly in a previous scope).
-                    p.part_view(p.tile_slot_of(k).unwrap_or(0), None)
-                }
-            }
-            _ => {
-                // Whole-object access: the data-flow edges (including the
-                // renamed-away stash, see `dataflow.rs`) order this task
-                // after every tile writer — fold the slots back into main.
-                p.merge_tiles();
-                p.part_view(0, None)
-            }
         }
     }
 
@@ -1195,7 +1100,7 @@ impl<'b, 'scope> TaskBuilder<'b, 'scope> {
         self
     }
 
-    /// Route the task to an execution track (default [`Track::Cpu`]:
+    /// Route the task to an execution track (default [`Track::Cpu`](crate::Track::Cpu):
     /// today's worker pool, unchanged). `Track::Offload` hands it to the
     /// modelled accelerator engine — successors become ready when its
     /// completion drains, not when the body returns; `Track::Io` runs it

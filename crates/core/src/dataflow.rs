@@ -7,8 +7,8 @@
 //! graph — and its **slot routing** (which buffer of the handle each access
 //! must touch).
 //!
-//! Both execution strategies of [`crate::frame::Frame`] are built on this
-//! one engine, so they can never disagree:
+//! Both execution strategies of a frame (`crate::frame::Frame`) are built
+//! on this one engine, so they can never disagree:
 //!
 //! * **scan mode** answers "is task *i* ready?" by checking that every
 //!   recorded predecessor completed — an incremental check that replaced
@@ -137,16 +137,6 @@ struct HandleState {
     live_slots: u32,
     /// Not-yet-completed bound tasks per slot (slots `> 0` only).
     pending: HashMap<u32, u32>,
-    /// Slot currently holding each keyed region's data, for keys whose
-    /// writes were renamed into a dedicated tile slot (per-tile renaming,
-    /// `DESIGN.md` §7). Absent keys route to `cur_slot`.
-    key_slots: HashMap<u64, u32>,
-    /// Tasks whose WAR/WAW edges a *keyed* rename erased and whose chain
-    /// entry the renamed write replaced. Coarse (`All`/`Range`) accesses —
-    /// the merge points that rewrite the whole-object slot — must still
-    /// order behind them, so their indices are stashed here until a
-    /// whole-object write absorbs them transitively.
-    renamed_away: Vec<u32>,
 }
 
 impl HandleState {
@@ -162,31 +152,9 @@ impl HandleState {
     /// one are dead — quiescent between scopes — so they are recycled here
     /// rather than leaked. Renamed writers factory-reset their buffer, so
     /// reusing an id that held old data is safe.
-    fn seeded(lineage: u64, tile_slots: bool) -> Self {
+    fn seeded(lineage: u64) -> Self {
         let slot = (lineage & 0xFFFF) as u32;
         let seq = lineage >> 16;
-        if tile_slots {
-            // Per-tile renamed handle: `lineage` is the handle's *tile-slot
-            // watermark*, not a committed whole-object slot. The logical
-            // whole-object data stays in slot 0 (main, merged on demand);
-            // slots up to the watermark may hold committed, un-merged tiles
-            // from previous scopes, so they are neither current nor
-            // recyclable here — allocation starts past them and the commit
-            // sequence continues past the watermark sequence.
-            return HandleState {
-                all: None,
-                keys: HashMap::new(),
-                ranges: Vec::new(),
-                cur_slot: 0,
-                next_slot: slot + 1,
-                next_seq: seq + 1,
-                free: Vec::new(),
-                live_slots: slot,
-                pending: HashMap::new(),
-                key_slots: HashMap::new(),
-                renamed_away: Vec::new(),
-            };
-        }
         HandleState {
             all: None,
             keys: HashMap::new(),
@@ -197,10 +165,9 @@ impl HandleState {
             free: (1..slot).collect(),
             live_slots: slot,
             pending: HashMap::new(),
-            key_slots: HashMap::new(),
-            renamed_away: Vec::new(),
         }
     }
+
     /// Can a fresh version slot be opened under `policy`?
     fn can_open_slot(&self, policy: &RenamePolicy) -> bool {
         !self.free.is_empty() || self.live_slots < policy.max_live_slots.min(MAX_SLOT)
@@ -223,33 +190,9 @@ impl HandleState {
         (slot, seq)
     }
 
-    /// Open a fresh (or recycled) version slot for keyed region `k`
-    /// without moving the whole-object current slot (per-tile renaming).
-    fn open_slot_for_key(&mut self, k: u64) -> (u32, u64) {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.live_slots += 1;
-            let s = self.next_slot;
-            self.next_slot += 1;
-            s
-        });
-        if let Some(prev) = self.key_slots.insert(k, slot) {
-            self.maybe_recycle(prev, slot);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        (slot, seq)
-    }
-
     /// Recycle `slot` if it is drained and superseded by `new_cur`.
     fn maybe_recycle(&mut self, slot: u32, new_cur: u32) {
-        if slot != 0
-            && slot != new_cur
-            && self.pending.get(&slot) == Some(&0)
-            // Never recycle a slot still holding some key's current data:
-            // a same-key rename re-receiving it would hand the new writer
-            // the very buffer its erased-WAR readers are reading.
-            && !self.key_slots.values().any(|&s| s == slot)
-        {
+        if slot != 0 && slot != new_cur && self.pending.get(&slot) == Some(&0) {
             self.pending.remove(&slot);
             self.free.push(slot);
         }
@@ -358,7 +301,7 @@ impl DataflowEngine {
             }
             let hs = handles
                 .entry(a.handle)
-                .or_insert_with(|| HandleState::seeded(a.lineage, a.tile_slots));
+                .or_insert_with(|| HandleState::seeded(a.lineage));
 
             // 1. Collect predecessor edges from every overlapping chain.
             let before = preds.len();
@@ -402,50 +345,18 @@ impl DataflowEngine {
             }
 
             // 2. Renaming: a write-only access covering the whole object
-            // (or one keyed tile of a per-tile renamed handle) reads
-            // nothing, so *all* its edges are WAR/WAW — eliminable by
+            // reads nothing, so *all* its edges are WAR/WAW — eliminable by
             // giving the writer a fresh version slot. Skipped when there is
-            // nothing to eliminate or the slot cap is reached.
-
-            // Where this access routes without a rename: keyed regions
-            // follow their tile's slot, everything else the whole-object
-            // current slot.
-            let routed_before = match a.region {
-                Region::Key(k) => hs.key_slots.get(&k).copied().unwrap_or(hs.cur_slot),
-                _ => hs.cur_slot,
-            };
-            // Coarse accesses rewrite (or merge into) the whole-object
-            // slot, so they must also order behind tasks keyed renames
-            // erased from their chains (see `renamed_away`).
-            if !matches!(a.region, Region::Key(_)) && !hs.renamed_away.is_empty() {
-                for &p in &hs.renamed_away {
-                    if p != idx {
-                        preds.push(p);
-                    }
-                }
-            }
+            // nothing to eliminate or the slot cap is reached. Every other
+            // access routes to the current slot.
             let rename = policy.enabled
                 && a.can_rename()
                 && preds.len() > before
-                && hs.can_open_slot(policy)
-                // Keyed renames require exact tile identity: range chains
-                // alias keys conservatively, so serialize instead.
-                && (matches!(a.region, Region::All) || hs.ranges.is_empty());
+                && hs.can_open_slot(policy);
             let routed = if rename {
                 renames += 1;
-                let (slot, seq) = match a.region {
-                    Region::Key(k) => {
-                        // Stash the erased edges for later coarse accesses
-                        // before dropping them from this task's set.
-                        hs.renamed_away.extend_from_slice(&preds[before..]);
-                        preds.truncate(before);
-                        hs.open_slot_for_key(k)
-                    }
-                    _ => {
-                        preds.truncate(before);
-                        hs.open_slot()
-                    }
-                };
+                preds.truncate(before);
+                let (slot, seq) = hs.open_slot();
                 slot_scratch.push(SlotBinding {
                     slot,
                     seq,
@@ -454,11 +365,11 @@ impl DataflowEngine {
                 slot
             } else {
                 slot_scratch.push(SlotBinding {
-                    slot: routed_before,
+                    slot: hs.cur_slot,
                     seq: 0,
                     renamed: false,
                 });
-                routed_before
+                hs.cur_slot
             };
             if routed != 0 {
                 *hs.pending.entry(routed).or_insert(0) += 1;
@@ -501,21 +412,6 @@ impl DataflowEngine {
             {
                 hs.keys.clear();
                 hs.ranges.clear();
-                // It also supersedes every keyed tile slot: later keyed
-                // accesses route back to the whole-object slot, and
-                // drained tile slots are recycled.
-                if !hs.key_slots.is_empty() {
-                    let stale: Vec<u32> = hs.key_slots.drain().map(|(_, s)| s).collect();
-                    for s in stale {
-                        hs.maybe_recycle(s, hs.cur_slot);
-                    }
-                }
-                // A non-renamed absorbing write just took edges to every
-                // erased-WAR task, so later coarse accesses are ordered
-                // behind them transitively.
-                if !rename {
-                    hs.renamed_away.clear();
-                }
             }
         }
 
@@ -856,117 +752,15 @@ mod tests {
     }
 
     #[test]
-    fn keyed_rename_erases_war_waw() {
-        let mut e = DataflowEngine::new();
-        e.bind(&[tw(1, 0, 0)], &ON); // first tile version: no rename needed
-        e.bind(&[tr(1, 0, 0)], &ON); // reader of it
-        let b = e.bind(&[tw(1, 0, 0)], &ON); // write-only again: renamed
-        assert_eq!(b.renames, 1);
-        assert!(b.slots[0].renamed);
-        assert!(b.slots[0].slot > 0);
-        assert_eq!(e.preds(2), &[] as &[u32], "tile WAR/WAW eliminated");
-        // A later reader of the tile routes to the renamed slot and
-        // depends only on its writer.
-        let br = e.bind(&[tr(1, 0, 0)], &ON);
-        assert_eq!(br.slot(0).slot, b.slots[0].slot);
-        assert_eq!(e.preds(3), &[2]);
-    }
-
-    #[test]
-    fn keyed_renames_keep_tiles_independent() {
+    fn keyed_writes_never_rename() {
+        // A keyed write is partial: the other tiles must come from the
+        // previous version, so even a flagged one keeps its WAR/WAW edges.
         let mut e = DataflowEngine::new();
         e.bind(&[tw(1, 0, 0)], &ON);
-        e.bind(&[tw(1, 1, 1)], &ON);
-        let b0 = e.bind(&[tw(1, 0, 0)], &ON); // renamed
-        let b1 = e.bind(&[tw(1, 1, 1)], &ON); // renamed
-        assert!(b0.slots[0].renamed && b1.slots[0].renamed);
-        assert_ne!(b0.slots[0].slot, b1.slots[0].slot, "one slot per tile");
-        assert_eq!(e.preds(2), &[] as &[u32]);
-        assert_eq!(e.preds(3), &[] as &[u32]);
-    }
-
-    #[test]
-    fn coarse_access_orders_behind_erased_readers() {
-        let mut e = DataflowEngine::new();
-        e.bind(&[tw(1, 0, 0)], &ON); // 0: writes main's tile region
-        e.bind(&[tr(1, 0, 0)], &ON); // 1: reads main's tile region
-        let b = e.bind(&[tw(1, 0, 0)], &ON); // 2: renamed (edges to 0,1 erased)
-        assert!(b.slots[0].renamed);
-        // A whole-object access (a merge point: it rewrites main) must
-        // order behind the erased reader/writer, not just the tile head.
-        e.bind(&[r(1)], &ON); // 3
-        assert_eq!(e.preds(3), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn key_current_slot_never_recycled() {
-        let mut e = DataflowEngine::new();
-        e.bind(&[tw(1, 0, 0)], &ON); // 0
-        e.bind(&[tr(1, 0, 0)], &ON); // 1
-        let b2 = e.bind(&[tw(1, 0, 0)], &ON); // 2: renamed -> s
-        let s = b2.slots[0].slot;
-        e.complete(0);
-        e.complete(1);
-        e.complete(2);
-        // s is drained but still holds the tile's current data: a reader
-        // routes to it, and a same-tile rename must NOT re-receive it
-        // (the new writer would share the erased-WAR reader's buffer).
-        let b3 = e.bind(&[tr(1, 0, 0)], &ON); // 3
-        assert_eq!(b3.slot(0).slot, s);
-        e.complete(3);
-        let b4 = e.bind(&[tw(1, 0, 0)], &ON); // 4: renamed again
-        assert!(b4.slots[0].renamed);
-        assert_ne!(b4.slots[0].slot, s);
-    }
-
-    #[test]
-    fn whole_object_write_resets_key_routing() {
-        let mut e = DataflowEngine::new();
-        e.bind(&[tw(1, 0, 0)], &ON); // 0
-        e.bind(&[tr(1, 0, 0)], &ON); // 1
-        e.bind(&[tw(1, 0, 0)], &ON); // 2: renamed
-        e.bind(&[wx(1)], &ON); // 3: absorbs tiles and key routing
-        let b4 = e.bind(&[tr(1, 0, 0)], &ON); // 4
-        assert_eq!(b4.slot(0).slot, 0, "keyed routing reset to main");
-        assert_eq!(e.preds(4), &[3]);
-    }
-
-    #[test]
-    fn tile_lineage_seeds_watermark() {
-        // A per-tile renamed handle carries a slot/sequence watermark, not
-        // a committed whole-object slot: the logical data stays in main,
-        // watermark slots (possibly holding un-merged committed tiles) are
-        // neither current nor free, and allocation continues past them.
-        let lineage = (7u64 << 16) | 3;
-        let a = |m| {
-            Access::new(h(1), Region::key2(0, 0), m)
-                .with_lineage(lineage)
-                .with_tile_slots()
-        };
-        let mut e = DataflowEngine::new();
-        let b0 = e.bind(&[a(AccessMode::Write).with_renaming()], &ON);
-        assert_eq!(b0.slot(0).slot, 0, "whole-object data stays in main");
-        e.bind(&[a(AccessMode::Read)], &ON);
-        let b2 = e.bind(&[a(AccessMode::Write).with_renaming()], &ON);
-        assert!(b2.slots[0].renamed);
-        assert_eq!(b2.slots[0].slot, 4, "allocates past the watermark");
-        assert_eq!(b2.slots[0].seq, 8, "sequence continues past the watermark");
-    }
-
-    #[test]
-    fn keyed_rename_refused_with_range_chains() {
-        let mut e = DataflowEngine::new();
-        e.bind(
-            &[Access::new(
-                h(1),
-                Region::Range { start: 0, end: 8 },
-                AccessMode::Write,
-            )],
-            &ON,
-        );
-        e.bind(&[tw(1, 0, 0)], &ON); // aliases the range conservatively
+        e.bind(&[tr(1, 0, 0)], &ON);
         let b = e.bind(&[tw(1, 0, 0)], &ON);
-        assert_eq!(b.renames, 0, "ranges alias keys: serialize, don't rename");
+        assert_eq!(b.renames, 0, "keyed writes serialize, never rename");
+        assert_eq!(b.slot(0).slot, 0);
         assert_eq!(e.preds(2), &[0, 1]);
     }
 

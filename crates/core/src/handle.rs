@@ -9,10 +9,10 @@
 //!
 //! Handles created through [`Shared::renameable`] /
 //! [`Partitioned::renameable_with`] additionally grow **version slots**
-//! (`DESIGN.md` §2): when the data-flow engine *renames* a write-only
-//! access, the writing task is routed to a freshly allocated buffer instead
-//! of serializing behind earlier readers and writers. Completing the write
-//! *commits* the slot — publishes it as the handle's current value unless a
+//! (`DESIGN.md` §2): when the data-flow engine *renames* a whole-object
+//! write-only access, the writing task is routed to a freshly allocated
+//! buffer instead of serializing behind earlier readers and writers.
+//! Completing the write *commits* the slot — publishes it as the handle's current value unless a
 //! newer version committed first — and drained, superseded slots are
 //! recycled by the engine. Tasks are pinned to their slot when they are
 //! spawned, so concurrent commits can never redirect a running task.
@@ -24,7 +24,6 @@
 use crate::access::{fresh_handle_id, Access, AccessMode, HandleId, Region};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,11 +57,6 @@ struct SlotEntry<T: ?Sized> {
     buf: Option<Box<Slot<T>>>,
 }
 
-/// Tile-merge callback of a per-tile renamed handle: copies one keyed
-/// region from a committed tile buffer back into main —
-/// `merge(dst_main, src_slot, key)`.
-type TileMerge<T> = Box<dyn Fn(&mut T, &T, u64) + Send + Sync>;
-
 /// Version-slot table of a renameable handle (`DESIGN.md` §2).
 struct RenameState<T: ?Sized> {
     /// `(commit_seq << 16) | slot` of the youngest committed write-only
@@ -77,33 +71,15 @@ struct RenameState<T: ?Sized> {
     slots: Mutex<Vec<SlotEntry<T>>>,
     /// Fresh-buffer factory for renamed writers.
     alloc: Box<dyn Fn() -> Box<Slot<T>> + Send + Sync>,
-    /// Per-tile commits (`DESIGN.md` §7): `key -> (commit_seq << 16) | slot`
-    /// of the youngest committed version of that keyed region. Only
-    /// populated on handles built with
-    /// [`Partitioned::renameable_tiles`]; folded back into main by
-    /// [`Partitioned::merge_tiles`] (whole merge under this mutex).
-    tiles: Mutex<HashMap<u64, u64>>,
-    /// `Some` marks a per-tile renamed handle (see [`TileMerge`]).
-    merge: Option<TileMerge<T>>,
-    /// High-water marks of tile commits (sequence / slot id), reset by
-    /// `merge_tiles`. They seed the data-flow engine's per-frame state:
-    /// watermark slots may hold un-merged committed tiles, so new frames
-    /// allocate and number past them.
-    tile_seq_hw: AtomicU64,
-    tile_slot_hw: AtomicU32,
 }
 
-impl<T> RenameState<T> {
-    /// Whole-object renaming state (no per-tile commits).
-    fn whole(alloc: Box<dyn Fn() -> Box<Slot<T>> + Send + Sync>) -> Self {
+impl<T: 'static> RenameState<T> {
+    /// Empty slot table whose renamed writers get buffers from `fresh`.
+    fn new(fresh: impl Fn() -> T + Send + Sync + 'static) -> Self {
         RenameState {
             committed: AtomicU64::new(0),
             slots: Mutex::new(Vec::new()),
-            alloc,
-            tiles: Mutex::new(HashMap::new()),
-            merge: None,
-            tile_seq_hw: AtomicU64::new(0),
-            tile_slot_hw: AtomicU32::new(0),
+            alloc: Box::new(move || Box::new(Slot::new(fresh()))),
         }
     }
 }
@@ -126,6 +102,23 @@ struct SharedInner<T: ?Sized> {
 // a time.
 unsafe impl<T: Send + ?Sized> Send for SharedInner<T> {}
 unsafe impl<T: Send + ?Sized> Sync for SharedInner<T> {}
+
+impl<T> SharedInner<T> {
+    /// The committed value, consuming the handle's last reference.
+    fn into_committed(self) -> T {
+        let slot = self.committed_slot();
+        if slot == 0 {
+            return self.main.cell.into_inner();
+        }
+        let rs = self.rename.expect("slot > 0 implies renaming support");
+        let mut slots = rs.slots.into_inner();
+        let b = slots[(slot - 1) as usize]
+            .buf
+            .take()
+            .expect("committed version slot has a buffer");
+        b.cell.into_inner()
+    }
+}
 
 impl<T: ?Sized> SharedInner<T> {
     /// Slot currently holding the handle's committed (logical) value.
@@ -170,6 +163,19 @@ impl<T: ?Sized> SharedInner<T> {
         }
         let b = entry.buf.get_or_insert_with(|| (rs.alloc)());
         (&b.borrows as *const _, b.cell.get())
+    }
+
+    /// Commit guard of a renamed write to `slot` with sequence `seq`.
+    fn commit_guard(&self, slot: u32, seq: u64) -> CommitOnDrop<'_> {
+        CommitOnDrop {
+            cell: &self
+                .rename
+                .as_ref()
+                .expect("commit sequence on a non-renameable handle")
+                .committed,
+            seq,
+            slot,
+        }
     }
 
     /// Committed-version snapshot stamped into access descriptors (zero
@@ -272,23 +278,7 @@ impl<T> Shared<T> {
     /// Recover the value. Panics if other clones of the handle still exist.
     pub fn into_inner(self) -> T {
         match Arc::try_unwrap(self.inner) {
-            Ok(inner) => {
-                let slot = match &inner.rename {
-                    None => 0,
-                    Some(rs) => (rs.committed.load(Ordering::Acquire) & 0xFFFF) as u32,
-                };
-                if slot == 0 {
-                    inner.main.cell.into_inner()
-                } else {
-                    let rs = inner.rename.expect("slot > 0 implies renaming support");
-                    let mut slots = rs.slots.into_inner();
-                    let b = slots[(slot - 1) as usize]
-                        .buf
-                        .take()
-                        .expect("committed version slot has a buffer");
-                    b.cell.into_inner()
-                }
-            }
+            Ok(inner) => inner.into_committed(),
             Err(_) => panic!("Shared::into_inner: handle still has outstanding clones"),
         }
     }
@@ -349,9 +339,7 @@ impl<T: Send + 'static> Shared<T> {
             inner: Arc::new(SharedInner {
                 id: fresh_handle_id(),
                 home: AtomicU32::new(u32::MAX),
-                rename: Some(RenameState::whole(Box::new(move || {
-                    Box::new(Slot::new(fresh()))
-                }))),
+                rename: Some(RenameState::new(fresh)),
                 main: Slot::new(value),
             }),
         }
@@ -497,16 +485,7 @@ impl<T: ?Sized> Shared<T> {
                 .is_ok(),
             "xkaapi: write access while other borrows are live (mis-declared task accesses?)"
         );
-        let commit = commit_seq.map(|seq| CommitOnDrop {
-            cell: &self
-                .inner
-                .rename
-                .as_ref()
-                .expect("commit sequence on a non-renameable handle")
-                .committed,
-            seq,
-            slot,
-        });
+        let commit = commit_seq.map(|seq| self.inner.commit_guard(slot, seq));
         // Safety: exclusive flag held.
         RefMut {
             val: unsafe { &mut *val },
@@ -566,41 +545,12 @@ impl<T: ?Sized> Drop for RefMut<'_, T> {
     }
 }
 
-/// Commit-on-completion guard of a renamed *tile* write: dropping it
-/// publishes `(seq, slot)` as tile `key`'s current version unless a newer
-/// version of the same tile committed first, and advances the handle's
-/// tile watermarks.
-pub(crate) struct KeyCommitOnDrop<'a, T: ?Sized> {
-    rs: &'a RenameState<T>,
-    key: u64,
-    slot: u32,
-    seq: u64,
-}
-
-impl<T: ?Sized> Drop for KeyCommitOnDrop<'_, T> {
-    fn drop(&mut self) {
-        let packed = (self.seq << 16) | self.slot as u64;
-        {
-            let mut tiles = self.rs.tiles.lock();
-            let e = tiles.entry(self.key).or_insert(0);
-            if (*e >> 16) < self.seq {
-                *e = packed;
-            }
-        }
-        // Relaxed is enough: readers of the watermarks (access stamping in
-        // later scopes) are synchronized by the scope join.
-        self.rs.tile_seq_hw.fetch_max(self.seq, Ordering::Relaxed);
-        self.rs.tile_slot_hw.fetch_max(self.slot, Ordering::Relaxed);
-    }
-}
-
 /// Raw, slot-routed view of a [`Partitioned<T>`] granted to a running task
 /// by [`Ctx::view_of`](crate::Ctx::view_of). Dropping the view commits the
-/// version slot when the access was a renamed write (whole-object or tile).
+/// version slot when the access was a renamed whole-object write.
 pub struct PartView<'a, T: ?Sized> {
     ptr: *mut T,
     _commit: Option<CommitOnDrop<'a>>,
-    _kcommit: Option<KeyCommitOnDrop<'a, T>>,
 }
 
 impl<T: ?Sized> PartView<'_, T> {
@@ -645,45 +595,7 @@ impl<T: Send + 'static> Partitioned<T> {
             inner: Arc::new(SharedInner {
                 id: fresh_handle_id(),
                 home: AtomicU32::new(u32::MAX),
-                rename: Some(RenameState::whole(Box::new(move || {
-                    Box::new(Slot::new(fresh()))
-                }))),
-                main: Slot::new(value),
-            }),
-        }
-    }
-
-    /// Wrap a value whose **keyed tile writes** may be renamed
-    /// (`DESIGN.md` §7): a write-only [`Region::Key`] access may be granted
-    /// a fresh buffer from `fresh` instead of serializing behind earlier
-    /// readers and writers of that tile — per-tile WAR/WAW elimination, the
-    /// building block tiled kernels (and the recorder) use.
-    ///
-    /// Completed tile writes *commit* `key -> slot`; the handle's logical
-    /// value is main with every committed tile folded in, materialized
-    /// lazily by whole-object accesses, [`Partitioned::get`] and
-    /// [`Partitioned::into_inner`] through `merge`:
-    /// `merge(main, slot_buffer, key)` must copy exactly the keyed region
-    /// named by `key` from the slot buffer into main.
-    ///
-    /// Tasks resolve their tile buffers through
-    /// [`Ctx::view_of`](crate::Ctx::view_of) /
-    /// [`Ctx::view_of_key`](crate::Ctx::view_of_key). Restrictions:
-    /// [`Region::Range`] accesses on such a handle serialize conservatively
-    /// and disable tile renaming while present, and whole-object write
-    /// accesses are never renamed (main stays authoritative).
-    pub fn renameable_tiles(
-        value: T,
-        fresh: impl Fn() -> T + Send + Sync + 'static,
-        merge: impl Fn(&mut T, &T, u64) + Send + Sync + 'static,
-    ) -> Self {
-        let mut rs = RenameState::whole(Box::new(move || Box::new(Slot::new(fresh()))));
-        rs.merge = Some(Box::new(merge));
-        Partitioned {
-            inner: Arc::new(SharedInner {
-                id: fresh_handle_id(),
-                home: AtomicU32::new(u32::MAX),
-                rename: Some(rs),
+                rename: Some(RenameState::new(fresh)),
                 main: Slot::new(value),
             }),
         }
@@ -715,19 +627,6 @@ impl<T: Send> Partitioned<T> {
         self.inner.rename.is_some()
     }
 
-    /// Does this handle rename **per tile** (built with
-    /// [`Partitioned::renameable_tiles`])?
-    #[inline]
-    pub fn is_tile_renameable(&self) -> bool {
-        self.tile_rename().is_some()
-    }
-
-    /// The rename state iff this is a per-tile renamed handle.
-    #[inline]
-    fn tile_rename(&self) -> Option<&RenameState<T>> {
-        self.inner.rename.as_ref().filter(|rs| rs.merge.is_some())
-    }
-
     /// NUMA node owning this handle's data, if known.
     #[inline]
     pub fn home_node(&self) -> Option<usize> {
@@ -748,41 +647,21 @@ impl<T: Send> Partitioned<T> {
         self.inner.note_first_touch(node);
     }
 
-    /// Declare an access to `region` with `mode`.
-    ///
-    /// On a per-tile renamed handle ([`Partitioned::renameable_tiles`]),
-    /// write-only [`Region::Key`] accesses carry the renaming capability
-    /// and every access carries the handle's tile-slot watermark so the
-    /// data-flow engine numbers new versions past committed, un-merged
-    /// tiles.
+    /// Declare an access to `region` with `mode`. The access never
+    /// carries the renaming capability: it serializes behind the earlier
+    /// accesses it overlaps. Use [`Partitioned::write_all`] for a
+    /// whole-object write that may be renamed.
     #[inline]
     pub fn access(&self, region: Region, mode: AccessMode) -> Access {
-        if let Some(rs) = self.tile_rename() {
-            let lineage = (rs.tile_seq_hw.load(Ordering::Relaxed) << 16)
-                | rs.tile_slot_hw.load(Ordering::Relaxed) as u64;
-            let a = Access::new(self.id(), region, mode)
-                .with_lineage(lineage)
-                .with_tile_slots()
-                .with_home(self.inner.home_u32());
-            return if mode == AccessMode::Write && matches!(region, Region::Key(_)) {
-                a.with_renaming()
-            } else {
-                a
-            };
-        }
         Access::new(self.id(), region, mode)
             .with_lineage(self.inner.lineage())
             .with_home(self.inner.home_u32())
     }
 
     /// Declare a whole-object write-only access (renameable on handles
-    /// built with [`Partitioned::renameable_with`]; on per-tile handles it
-    /// serializes — main stays authoritative).
+    /// built with [`Partitioned::renameable_with`]).
     #[inline]
     pub fn write_all(&self) -> Access {
-        if self.is_tile_renameable() {
-            return self.access(Region::All, AccessMode::Write);
-        }
         let a = Access::new(self.id(), Region::All, AccessMode::Write)
             .with_lineage(self.inner.lineage())
             .with_home(self.inner.home_u32());
@@ -811,91 +690,11 @@ impl<T: Send> Partitioned<T> {
     /// Slot-routed view with an optional commit guard (context layer).
     pub(crate) fn part_view(&self, slot: u32, commit_seq: Option<u64>) -> PartView<'_, T> {
         let (_, ptr) = self.inner.slot_raw(slot, commit_seq);
-        let commit = commit_seq.map(|seq| CommitOnDrop {
-            cell: &self
-                .inner
-                .rename
-                .as_ref()
-                .expect("commit sequence on a non-renameable handle")
-                .committed,
-            seq,
-            slot,
-        });
+        let commit = commit_seq.map(|seq| self.inner.commit_guard(slot, seq));
         PartView {
             ptr,
             _commit: commit,
-            _kcommit: None,
         }
-    }
-
-    /// Tile-routed view with a per-tile commit guard (context layer): the
-    /// buffer of version `(slot, seq)` of tile `key`. Tile buffers are
-    /// **never factory-reset** — a recycled slot may hold other tiles'
-    /// committed data, and the write-only contract covers only the
-    /// declared tile's region.
-    pub(crate) fn part_view_key(&self, slot: u32, seq: u64, key: u64) -> PartView<'_, T> {
-        let (_, ptr) = self.inner.slot_raw(slot, None);
-        let rs = self
-            .inner
-            .rename
-            .as_ref()
-            .expect("tile commit on a handle without renaming support");
-        PartView {
-            ptr,
-            _commit: None,
-            _kcommit: Some(KeyCommitOnDrop { rs, key, slot, seq }),
-        }
-    }
-
-    /// Slot holding tile `key`'s committed data, if a renamed tile write
-    /// committed one that has not been merged back into main yet (fallback
-    /// routing for default-bound tile accesses, possibly across scopes).
-    pub(crate) fn tile_slot_of(&self, key: u64) -> Option<u32> {
-        let rs = self.inner.rename.as_ref()?;
-        rs.tiles.lock().get(&key).map(|&p| (p & 0xFFFF) as u32)
-    }
-
-    /// Fold every committed tile slot back into main and clear the tile
-    /// commits (no-op on handles without per-tile renaming).
-    ///
-    /// Sound only when the caller is ordered after every tile writer — a
-    /// granted whole-object access (the data-flow engine keeps those edges,
-    /// see `renamed_away` in `dataflow.rs`) or quiescence
-    /// ([`Partitioned::get`] / [`Partitioned::into_inner`]). The whole
-    /// merge runs under the tiles mutex: a concurrent second caller blocks,
-    /// then observes the emptied map with main fully merged.
-    pub(crate) fn merge_tiles(&self) {
-        let Some(rs) = self.inner.rename.as_ref() else {
-            return;
-        };
-        let Some(merge) = rs.merge.as_ref() else {
-            return;
-        };
-        let mut tiles = rs.tiles.lock();
-        if tiles.is_empty() {
-            return;
-        }
-        let main = self.inner.main.cell.get();
-        {
-            let slots = rs.slots.lock();
-            for (&key, &packed) in tiles.iter() {
-                let slot = (packed & 0xFFFF) as u32;
-                if slot == 0 {
-                    continue;
-                }
-                let Some(buf) = slots.get((slot - 1) as usize).and_then(|e| e.buf.as_ref()) else {
-                    continue;
-                };
-                // Safety: ordered after every tile writer (caller
-                // contract), and distinct keys name disjoint regions.
-                unsafe { merge(&mut *main, &*buf.cell.get(), key) };
-            }
-        }
-        tiles.clear();
-        // Main is authoritative again: later scopes may number and
-        // allocate tile versions from scratch.
-        rs.tile_seq_hw.store(0, Ordering::Relaxed);
-        rs.tile_slot_hw.store(0, Ordering::Relaxed);
     }
 
     /// Slot currently holding the committed value.
@@ -906,33 +705,14 @@ impl<T: Send> Partitioned<T> {
 
     /// Recover the value. Panics if other clones of the handle still exist.
     pub fn into_inner(self) -> T {
-        self.merge_tiles();
         match Arc::try_unwrap(self.inner) {
-            Ok(inner) => {
-                let slot = match &inner.rename {
-                    None => 0,
-                    Some(rs) => (rs.committed.load(Ordering::Acquire) & 0xFFFF) as u32,
-                };
-                if slot == 0 {
-                    inner.main.cell.into_inner()
-                } else {
-                    let rs = inner.rename.expect("slot > 0 implies renaming support");
-                    let mut slots = rs.slots.into_inner();
-                    let b = slots[(slot - 1) as usize]
-                        .buf
-                        .take()
-                        .expect("committed version slot has a buffer");
-                    b.cell.into_inner()
-                }
-            }
+            Ok(inner) => inner.into_committed(),
             Err(_) => panic!("Partitioned::into_inner: handle still has outstanding clones"),
         }
     }
 
-    /// Read-only borrow from outside any task (quiescence contract). On a
-    /// per-tile renamed handle this first folds committed tiles into main.
+    /// Read-only borrow from outside any task (quiescence contract).
     pub fn get(&self) -> &T {
-        self.merge_tiles();
         let slot = self.inner.committed_slot();
         unsafe { &*self.inner.slot_raw(slot, None).1 }
     }
@@ -1198,77 +978,6 @@ mod tests {
         let c = p.access(Region::key2(0, 0), AccessMode::Read);
         assert!(a.conflicts_with(&c));
         assert_eq!(p.into_inner().len(), 16);
-    }
-
-    #[test]
-    fn tiled_renaming_commits_and_merges() {
-        let p = Partitioned::renameable_tiles(
-            vec![0u8; 4],
-            || vec![0u8; 4],
-            |dst: &mut Vec<u8>, src: &Vec<u8>, key| dst[key as usize] = src[key as usize],
-        );
-        assert!(p.is_tile_renameable());
-        assert!(p.access(Region::Key(1), AccessMode::Write).can_rename());
-        assert!(!p.access(Region::Key(1), AccessMode::Read).can_rename());
-        assert!(!p.write_all().can_rename(), "main stays authoritative");
-        {
-            let v = p.part_view_key(1, 1, 1);
-            unsafe { (&mut *v.ptr())[1] = 7 };
-        } // commit tile 1 -> slot 1 on drop
-        {
-            let v = p.part_view_key(2, 2, 3);
-            unsafe { (&mut *v.ptr())[3] = 9 };
-        }
-        assert_eq!(p.tile_slot_of(1), Some(1));
-        assert_eq!(p.tile_slot_of(3), Some(2));
-        {
-            let g = p.get(); // folds committed tiles into main
-            assert_eq!(g[1], 7);
-            assert_eq!(g[3], 9);
-            assert_eq!(g[0], 0);
-        }
-        assert_eq!(p.tile_slot_of(1), None, "merge clears the tile commits");
-        // Watermarks reset: new accesses seed the engine from scratch.
-        assert_eq!(p.access(Region::Key(1), AccessMode::Read).lineage, 0);
-        assert_eq!(p.into_inner(), vec![0, 7, 0, 9]);
-    }
-
-    #[test]
-    fn tile_commits_take_newest_sequence() {
-        let p = Partitioned::renameable_tiles(
-            vec![0u8; 2],
-            || vec![0u8; 2],
-            |dst: &mut Vec<u8>, src: &Vec<u8>, key| dst[key as usize] = src[key as usize],
-        );
-        // The newer tile version commits first; the older one (completing
-        // late, e.g. stolen) must not take over.
-        {
-            let v = p.part_view_key(2, 5, 0);
-            unsafe { (&mut *v.ptr())[0] = 50 };
-        }
-        {
-            let v = p.part_view_key(1, 3, 0);
-            unsafe { (&mut *v.ptr())[0] = 30 };
-        }
-        assert_eq!(p.get()[0], 50);
-    }
-
-    #[test]
-    fn tile_watermarks_stamp_accesses() {
-        let p = Partitioned::renameable_tiles(
-            vec![0u8; 4],
-            || vec![0u8; 4],
-            |dst: &mut Vec<u8>, src: &Vec<u8>, key| dst[key as usize] = src[key as usize],
-        );
-        {
-            let v = p.part_view_key(3, 4, 2);
-            unsafe { (&mut *v.ptr())[2] = 1 };
-        }
-        let a = p.access(Region::Key(2), AccessMode::Write);
-        assert_eq!(a.lineage, (4u64 << 16) | 3, "watermark lineage");
-        // Un-merged tile data survives until a merge point: a fresh read
-        // falls back to the committed tile slot.
-        assert_eq!(p.tile_slot_of(2), Some(3));
     }
 
     #[test]

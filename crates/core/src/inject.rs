@@ -143,22 +143,21 @@ type CompleteFn = Box<dyn FnOnce() + Send>;
 /// Run one completion callback with panic containment: a callback often
 /// fires on a worker thread, and an unwinding worker would silently shrink
 /// the pool (job-body panics are already caught and routed to the handle —
-/// callbacks get the same never-unwind-the-worker treatment). Contained
-/// panics are counted in `rt`'s `callback_panics` and the payload is
-/// surfaced in the warning so they stay observable. `rt` is `None` only
-/// when the runtime is already gone, with no stats left to count into.
-fn run_callback(rt: Option<&RtInner>, cb: CompleteFn) {
-    if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(cb)) {
-        if let Some(rt) = rt {
-            rt.inject.callback_panics.fetch_add(1, Ordering::Relaxed);
-        }
-        let payload = p
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| format!("non-string panic payload ({:?})", (*p).type_id()));
-        eprintln!("xkaapi: on_complete callback panicked (contained): {payload}");
-    }
+/// callbacks get the same never-unwind-the-worker treatment). The payload
+/// is surfaced in the warning, and the return value says whether the
+/// callback panicked: the caller counts it in its runtime's
+/// `callback_panics`, so a contained panic stays observable.
+fn run_callback(cb: CompleteFn) -> bool {
+    let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(cb)) else {
+        return false;
+    };
+    let payload = p
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| format!("non-string panic payload ({:?})", (*p).type_id()));
+    eprintln!("xkaapi: on_complete callback panicked (contained): {payload}");
+    true
 }
 
 struct JoinInner<R> {
@@ -228,7 +227,11 @@ impl<R> JoinState<R> {
             w.wake();
         }
         for cb in callbacks {
-            run_callback(rt, cb);
+            if run_callback(cb) {
+                if let Some(rt) = rt {
+                    rt.inject.callback_panics.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
     }
 
@@ -439,17 +442,18 @@ impl<R: Send> JoinHandle<R> {
     /// unwound through the completing worker: a callback panic must not
     /// shrink the pool.
     pub fn on_complete(&self, cb: impl FnOnce() + Send + 'static) {
-        let run_now = {
+        {
             let mut inner = self.state.mx.lock();
-            if inner.result.is_some() || self.state.is_done() {
-                true
-            } else {
-                inner.callbacks.push(Box::new(cb) as CompleteFn);
+            if inner.result.is_none() && !self.state.is_done() {
+                inner.callbacks.push(Box::new(cb));
                 return;
             }
-        };
-        if run_now {
-            run_callback(self.rt.upgrade().as_deref(), Box::new(cb));
+        }
+        // The runtime is needed only to count a panic; it may be gone.
+        if run_callback(Box::new(cb)) {
+            if let Some(rt) = self.rt.upgrade() {
+                rt.inject.callback_panics.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }

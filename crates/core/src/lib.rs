@@ -119,7 +119,7 @@ pub use handle::{PartView, Partitioned, Reduction, Ref, RefMut, Shared};
 pub use inject::{InjectLaneStats, InjectPolicy, JoinHandle, OnFull, SubmitError};
 pub use policy::{
     uniform_victim, AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing,
-    RenamePolicy, StealPolicy, UniformVictim, VictimChoice,
+    RenamePolicy, StealPolicy, VictimChoice,
 };
 pub use queue::{DistributedLanes, TaskQueue, WorkItem};
 pub use record::{RecCtx, RecTaskBuilder, RecordStats, RecordedDag, ReplayTrace, TraceEvent};

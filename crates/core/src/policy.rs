@@ -22,8 +22,6 @@
 //!   traversal of the victim's work (N requests, one ready-task detection);
 //! * [`PerThiefStealing`] — the ablation baseline: the combiner serves only
 //!   itself (each thief pays its own traversal);
-//! * [`UniformVictim`] — [`AggregatedStealing`] under its victim-selection
-//!   name, the uniform end of the locality sweep;
 //! * [`HierarchicalVictim`] — prefer victims on the thief's own NUMA node,
 //!   escalate outward as the fail streak grows; bounded, near-first batches;
 //! * [`LocalityFirst`] — rank victims by topology distance and walk the
@@ -154,22 +152,6 @@ impl StealPolicy for PerThiefStealing {
 
     fn serve_batch(&self, pending: usize) -> usize {
         pending.min(1)
-    }
-}
-
-/// Uniform victim selection with full aggregation — behaviourally
-/// [`AggregatedStealing`], named as the uniform end of the victim-policy
-/// sweep so ablation tables read `uniform / hierarchical / locality-first`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformVictim;
-
-impl StealPolicy for UniformVictim {
-    fn name(&self) -> &'static str {
-        "uniform-victim"
-    }
-
-    fn serve_batch(&self, pending: usize) -> usize {
-        pending
     }
 }
 
@@ -387,7 +369,6 @@ mod tests {
         assert_eq!(AggregatedStealing.serve_batch(1), 1);
         assert_eq!(PerThiefStealing.serve_batch(7), 1);
         assert_eq!(PerThiefStealing.serve_batch(0), 0);
-        assert_eq!(UniformVictim.serve_batch(9), 9);
         let h = HierarchicalVictim {
             escalate_after: 4,
             max_batch: 3,

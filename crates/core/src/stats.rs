@@ -36,8 +36,8 @@ macro_rules! counters {
 
         impl StatsSnapshot {
             /// Every counter as a `(name, value)` pair, in declaration
-            /// order — the single enumeration the [`MetricsRegistry`]
-            /// (`crate::telemetry::MetricsRegistry`) is built from, so the
+            /// order — the single enumeration the
+            /// [`MetricsRegistry`](crate::telemetry::MetricsRegistry) is built from, so the
             /// registry can never drift from the snapshot fields.
             pub fn pairs(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name),)+]

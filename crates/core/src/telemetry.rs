@@ -9,7 +9,7 @@
 //!   protocol outcomes, park/unpark, inject drains, replay groups and the
 //!   PR 8 shed paths (panic/cancel/expire). The owning worker thread is
 //!   the *only* producer; draining (the consumer side) is serialized by
-//!   the session lock in [`TelemetryState`]. A full ring drops the newest
+//!   the session lock in `TelemetryState`. A full ring drops the newest
 //!   event and counts the drop — recording never blocks and never
 //!   allocates.
 //! * **banded latency histograms** — HDR-style fixed 64-bucket
@@ -378,7 +378,7 @@ impl Histogram {
     }
 }
 
-/// Owned counts of one [`Histogram`], mergeable bucket-wise.
+/// Owned counts of one `Histogram`, mergeable bucket-wise.
 ///
 /// Merging is plain per-bucket addition, which is associative and
 /// commutative by construction — `tests/telemetry.rs` asserts it — so
@@ -404,7 +404,7 @@ impl HistogramSnapshot {
     }
 
     /// Count one value into the owned snapshot (test/offline use; the
-    /// runtime records through the atomic [`Histogram`]).
+    /// runtime records through the atomic `Histogram`).
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
     }

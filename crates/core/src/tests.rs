@@ -661,7 +661,10 @@ fn builder_exposes_tunables() {
     // two pending jobs, so these submits are throttled (`OnFull::Block`)
     // and each job may have to wake a parked worker.
     let handles: Vec<_> = (0..16u64)
-        .map(|i| rt.submit(move |_| i * i).expect("Block admission never rejects"))
+        .map(|i| {
+            rt.submit(move |_| i * i)
+                .expect("Block admission never rejects")
+        })
         .collect();
     let sum: u64 = handles.into_iter().map(|h| h.wait()).sum();
     assert_eq!(sum, (0..16u64).map(|i| i * i).sum::<u64>());
@@ -848,6 +851,26 @@ fn partitioned_renameable_whole_object_writes() {
     });
     assert_eq!(sum.load(Ordering::Relaxed), (1..=10usize).sum::<usize>());
     assert!(p.get().iter().all(|&x| x == 10));
+
+    // A keyed write is partial even when flagged `with_renaming()`: it must
+    // not be granted a fresh buffer, or the other tiles are lost.
+    let p = Partitioned::renameable_with(vec![1u64; 4], || vec![0u64; 4]);
+    rt.scope(|ctx| {
+        let pr = p.clone();
+        ctx.spawn([p.access(Region::Key(0), AccessMode::Read)], move |t| {
+            let v = t.view_of(&pr);
+            // Safety: read access to tile 0 granted.
+            assert_eq!(unsafe { (&*v.ptr())[0] }, 1);
+        });
+        let pw = p.clone();
+        let write = p.access(Region::Key(0), AccessMode::Write).with_renaming();
+        ctx.spawn([write], move |t| {
+            let v = t.view_of(&pw);
+            // Safety: write access to tile 0 granted.
+            unsafe { (&mut *v.ptr())[0] = 7 };
+        });
+    });
+    assert_eq!(p.get(), &vec![7, 1, 1, 1]);
 }
 
 #[test]

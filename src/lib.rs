@@ -32,6 +32,6 @@ pub use xkaapi_core::{
     DistanceMatrix, DistributedLanes, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst,
     Partitioned, PerThiefStealing, Priority, PromotionPolicy, RecCtx, RecordStats, RecordedDag,
     Reduction, Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy,
-    SubmitError, TaskAttrs, TaskBuilder, TaskQueue, Topology, Track, Tunables, UniformVictim,
-    VictimChoice, WorkItem,
+    SubmitError, TaskAttrs, TaskBuilder, TaskQueue, Topology, Track, Tunables, VictimChoice,
+    WorkItem,
 };

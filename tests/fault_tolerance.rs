@@ -513,7 +513,8 @@ fn callback_panics_are_counted() {
 /// Callback panics count on the runtime that owns the handle, on both
 /// paths that run a callback: the worker completing the job, and
 /// `on_complete` on an already finished handle. Another runtime neither
-/// sees them nor resets them.
+/// sees them nor resets them. A handle that outlives its runtime still
+/// contains the panic.
 #[test]
 fn callback_panics_are_counted_per_runtime() {
     let (a, b) = (Runtime::new(1), Runtime::new(1));
@@ -538,6 +539,11 @@ fn callback_panics_are_counted_per_runtime() {
     assert_eq!(b.stats().callback_panics, 2, "A's reset zeroed B's count");
     b.reset_stats();
     assert_eq!(b.stats().callback_panics, 0);
+
+    // A handle may outlive its runtime: the panic is still contained, with
+    // no stats left to count it in.
+    drop(b);
+    h.on_complete(|| panic!("reactor wake failed after shutdown"));
 }
 
 /// Graceful shutdown: queued jobs drain inside the window (`true`), and a

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xkaapi::core::{
     AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing, Runtime, Shared,
-    StealPolicy, Topology, UniformVictim,
+    StealPolicy, Topology,
 };
 
 const WORKERS: usize = 8;
@@ -169,7 +169,7 @@ fn topology_aware_stealing_preserves_results_under_stress() {
     // re-queue path constantly; an aggressive escalation threshold forces
     // both the local-only and machine-wide victim regimes.
     let policies: [(&str, Arc<dyn StealPolicy>); 4] = [
-        ("uniform", Arc::new(UniformVictim)),
+        ("uniform", Arc::new(AggregatedStealing)),
         (
             "hierarchical",
             Arc::new(HierarchicalVictim {

@@ -14,7 +14,7 @@
 //!    `steals_local_node` / `steals_remote_node` counters.
 
 use xkaapi::core::{
-    HierarchicalVictim, LocalityFirst, Runtime, Shared, StealPolicy, Topology, UniformVictim,
+    AggregatedStealing, HierarchicalVictim, LocalityFirst, Runtime, Shared, StealPolicy, Topology,
 };
 
 /// Seeded xorshift64* closure: the same seed replays the same choices.
@@ -127,7 +127,7 @@ fn uniform_covers_all_victims_without_escalating() {
     let mut rng = seeded_rng(3);
     let mut seen = [false; 8];
     for _ in 0..500 {
-        let c = UniformVictim.choose_victim(2, &mut rng, &topo, 10);
+        let c = AggregatedStealing.choose_victim(2, &mut rng, &topo, 10);
         assert_ne!(c.victim, 2);
         assert!(!c.escalated);
         seen[c.victim] = true;
