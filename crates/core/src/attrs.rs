@@ -104,28 +104,21 @@ pub enum Affinity {
     Node(usize),
 }
 
-/// Execution track of a task or root job: which engine runs its body
+/// Execution track of a task or root job: which threads run its body
 /// (`DESIGN.md` §10).
 ///
-/// The CPU worker pool is one track among several. The **offload** track
-/// models an accelerator — explicit H2D/D2H transfer steps synthesized per
-/// handle access, a batched kernel-launch queue with configurable launch
-/// latency, and an asynchronous completion stream; successors of an
-/// offloaded task become ready when its completion *drains* back into the
-/// pool, not when the body returns. The **I/O** track runs bodies that
+/// The CPU worker pool is one track; the **I/O** track runs bodies that
 /// block on external events on a small dedicated thread set so they never
-/// occupy a CPU worker. Routing is an attribute like [`Priority`] and
-/// [`Affinity`]: `ctx.task().track(Track::Offload)` /
-/// `rt.task().track(Track::Io)`, with the default [`Track::Cpu`] lowering
+/// occupy a CPU worker. Successors of an io task become ready when its io
+/// thread publishes the completion. Routing is an attribute like
+/// [`Priority`] and [`Affinity`]: `ctx.task().track(Track::Io)` /
+/// `rt.task().wait_external()`, with the default [`Track::Cpu`] lowering
 /// to exactly the pre-track behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Track {
     /// The CPU worker pool (the default): unchanged pre-track behaviour.
     #[default]
     Cpu,
-    /// The modelled-accelerator engine: batched launches, synthesized
-    /// H2D/D2H transfers, asynchronous completions (`OffloadEngine`).
-    Offload,
     /// The blocking-I/O thread set: bodies that wait on external events
     /// (`IoEngine`); see also the `wait_external` builder sugar.
     Io,
@@ -136,7 +129,6 @@ impl Track {
     pub fn label(self) -> &'static str {
         match self {
             Track::Cpu => "cpu",
-            Track::Offload => "offload",
             Track::Io => "io",
         }
     }
@@ -197,8 +189,8 @@ pub struct TaskAttrs {
     /// Cooperative cancellation token, if the task belongs to a cancellable
     /// cone. Inherited by child spawns (`DESIGN.md` §8).
     pub cancel: Option<CancelToken>,
-    /// Execution track: which engine runs the body (`DESIGN.md` §10). The
-    /// default [`Track::Cpu`] is the worker pool; non-CPU tracks are
+    /// Execution track: which threads run the body (`DESIGN.md` §10). The
+    /// default [`Track::Cpu`] is the worker pool; [`Track::Io`] tasks are
     /// dispatched at the point the task would otherwise execute.
     pub track: Track,
 }

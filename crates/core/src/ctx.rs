@@ -46,7 +46,7 @@ pub struct RawCtx {
     /// Cancellation token governing this execution, inherited by every
     /// child spawn so cancelling a root cancels its whole cone.
     pub(crate) cancel: Option<CancelToken>,
-    /// Running on a track thread (offload/io engine, `DESIGN.md` §10)
+    /// Running on an io thread (`Track::Io`, `DESIGN.md` §10)
     /// rather than a pool worker. A detached context must never borrow a
     /// worker's thief identity: its syncs spin-wait instead of stealing
     /// and its fork-joins and loops run sequentially inline — children it
@@ -55,7 +55,7 @@ pub struct RawCtx {
 }
 
 impl RawCtx {
-    /// A context on worker `widx` of `rt`; detached when built on a track
+    /// A context on worker `widx` of `rt`; detached when built on an io
     /// thread.
     pub(crate) fn new(rt: &Arc<RtInner>, widx: usize) -> RawCtx {
         RawCtx::with_detached(rt, widx, crate::telemetry::on_track_thread())
@@ -70,8 +70,8 @@ impl RawCtx {
         // `RawCtx` is only ever built on the stack of a call that borrows
         // `rt` and handed down as `&mut`, never stored or sent, and the
         // thread building it holds an owning `Arc<RtInner>` for the whole
-        // call — the worker thread (`worker_main`), the track thread
-        // (`offload_main` / `io_main`), or the `Runtime` handle behind
+        // call — the worker thread (`worker_main`), the io thread
+        // (`io_main`), or the `Runtime` handle behind
         // `scope` / `submit`. Nested contexts borrow from their parent's
         // copy, which is valid for the same reason.
         let rt = ManuallyDrop::new(unsafe { std::ptr::read(rt) });
@@ -213,15 +213,13 @@ impl RawCtx {
                     frame.advance_cursor();
                     WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
                     execute_claimed(rt, widx, &frame, i, Arc::clone(&t));
-                    // Track-routed tasks (`DESIGN.md` §10) come back from
+                    // Io-track tasks (`DESIGN.md` §10) come back from
                     // execute_claimed dispatched but not done — their body
-                    // runs when the engine's completion drains. The owner
-                    // FIFO walk runs later children inline *without* a
-                    // readiness proof (sequential order is the proof), so
-                    // it must not pass an in-flight child: wait exactly
-                    // like the stolen case, helping in the meantime (the
-                    // help loop drains the inject lanes the completion
-                    // arrives on).
+                    // runs later on an io thread. The owner FIFO walk runs
+                    // later children inline *without* a readiness proof
+                    // (sequential order is the proof), so it must not pass
+                    // an in-flight child: wait exactly like the stolen
+                    // case, helping elsewhere in the meantime.
                     if !t.is_done() {
                         if self.detached {
                             wait_detached(|| t.is_done());
@@ -342,11 +340,11 @@ pub(crate) fn execute_claimed(
         complete_and_publish(rt, widx, frame, idx, &task);
         return;
     }
-    // Track routing (`DESIGN.md` §10): non-CPU tasks hand off to their
-    // engine here instead of running inline. The engine owns the claimed
-    // task from this point — its body runs later (offload: inside the
-    // drained completion job; io: on a dedicated blocking thread).
-    if crate::track::dispatch(rt, widx, frame, idx, &task) {
+    // Track routing (`DESIGN.md` §10): io tasks hand off to the io
+    // threads here instead of running inline. The io engine owns the
+    // claimed task from this point — its body runs later on a dedicated
+    // blocking thread.
+    if crate::track::dispatch(rt, frame, idx, &task) {
         return;
     }
     run_claimed_body(rt, widx, frame, idx, task);
@@ -354,10 +352,9 @@ pub(crate) fn execute_claimed(
 
 /// Run the body of an already-claimed task and publish its completion —
 /// the tail of [`execute_claimed`] after the skip/dispatch decisions. Also
-/// the entry point track engines use to execute a task they deferred: the
-/// offload completion job calls it on the draining CPU worker, the io
-/// engine on its own thread (where `RawCtx::new` picks up detached mode
-/// and `tele_for` routes the span to the track's telemetry lane).
+/// the entry point the io threads use to execute a task they deferred
+/// (where `RawCtx::new` picks up detached mode and `tele_for` routes the
+/// span to the io thread's telemetry lane).
 ///
 /// Never unwinds: both the body and the implicit child sync are caught,
 /// recorded (poison-before-complete, `DESIGN.md` §8) and swallowed — a
@@ -371,7 +368,7 @@ pub(crate) fn run_claimed_body(
 ) {
     let stats = &rt.workers[widx].stats;
     // Re-check cancellation: the token may have been cancelled while the
-    // task sat in a track engine's queue (a no-op on the inline CPU path,
+    // task sat in the io queue (a no-op on the inline CPU path,
     // where `execute_claimed` checked moments ago).
     if task.attrs.is_cancelled() {
         let _ = task.take_body();
@@ -394,8 +391,8 @@ pub(crate) fn run_claimed_body(
     // the start→done delta into the band's service histogram. One relaxed
     // load when tracing is off; the inline fork-join fast lane
     // (`Ctx::join`) is deliberately not per-event instrumented. `tele_for`
-    // resolves to the executing thread's own lane (SPSC ring safety when a
-    // track thread runs the body).
+    // resolves to the executing thread's own lane (SPSC ring safety when an
+    // io thread runs the body).
     let tracing = rt.telemetry.enabled();
     let band = task
         .attrs
@@ -446,8 +443,8 @@ pub(crate) fn run_claimed_body(
     complete_and_publish(rt, widx, frame, idx, &task);
 }
 
-/// Spin-wait for a detached (track-thread) context: no stealing, no inject
-/// drains — track threads own no thief identity (`Worker::req`) and must
+/// Spin-wait for a detached (io-thread) context: no stealing, no inject
+/// drains — io threads own no thief identity (`Worker::req`) and must
 /// not impersonate one. Progress comes from the CPU pool, which can steal
 /// from the detached frame like from any registered frame.
 fn wait_detached(done: impl Fn() -> bool) {
@@ -699,7 +696,7 @@ impl<'scope> Ctx<'scope> {
         RB: Send,
     {
         if self.raw().detached {
-            // Detached contexts (track threads, `DESIGN.md` §10) own no
+            // Detached contexts (io threads, `DESIGN.md` §10) own no
             // T.H.E. deque — worker `widx`'s lane is single-producer and
             // the real owner may be pushing concurrently — so the pair
             // runs sequentially inline, `fb` in a fresh scope like the
@@ -743,7 +740,7 @@ impl<'scope> Ctx<'scope> {
             let run = catch_unwind(AssertUnwindSafe(|| {
                 debug_assert!(
                     !crate::telemetry::on_track_thread(),
-                    "a track thread ran a fork-join job"
+                    "an io thread ran a fork-join job"
                 );
                 #[cfg(feature = "fault-injection")]
                 crate::fault::on_task_execute(rt);
@@ -1101,10 +1098,9 @@ impl<'b, 'scope> TaskBuilder<'b, 'scope> {
     }
 
     /// Route the task to an execution track (default [`Track::Cpu`](crate::Track::Cpu):
-    /// today's worker pool, unchanged). `Track::Offload` hands it to the
-    /// modelled accelerator engine — successors become ready when its
-    /// completion drains, not when the body returns; `Track::Io` runs it
-    /// on the dedicated blocking thread set (`DESIGN.md` §10).
+    /// today's worker pool, unchanged). `Track::Io` runs it on the
+    /// dedicated blocking thread set; its successors become ready when
+    /// the io thread publishes its completion (`DESIGN.md` §10).
     pub fn track(mut self, t: crate::attrs::Track) -> Self {
         self.attrs.track = t;
         self

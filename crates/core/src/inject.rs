@@ -654,8 +654,7 @@ impl InjectLanes {
     }
 
     /// Try to reserve a pending slot for a `band` submission without
-    /// blocking (also the polling primitive of the track engines, whose
-    /// threads must stay responsive to shutdown).
+    /// blocking.
     pub(crate) fn try_admit(&self, band: u8) -> Option<Admission> {
         let limit = self.band_limit(band);
         let mut cur = self.pending.load(Ordering::Relaxed);

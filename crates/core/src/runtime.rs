@@ -36,7 +36,7 @@ use crate::stats::{self, StatsSnapshot};
 use crate::steal::Grab;
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
-use crate::track::Tracks;
+use crate::track::IoEngine;
 use crate::worker::{current_worker_of, worker_main, ParkLot, Worker};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -307,12 +307,12 @@ impl Builder {
             .tracing
             .or_else(|| env_flag("XKAAPI_TRACE"))
             .unwrap_or(false);
-        let tracks = Tracks::new(nworkers);
-        // One Perfetto lane per worker, then one per track thread, in the
+        let io = IoEngine::new();
+        // One Perfetto lane per worker, then one per io thread, in the
         // exact order `RtInner::tele_refs` yields the bundles.
         let lanes: Vec<String> = (0..nworkers)
             .map(|i| format!("worker {i}"))
-            .chain(tracks.lane_names())
+            .chain(io.lane_names())
             .collect();
         let inner = Arc::new(RtInner {
             workers,
@@ -326,13 +326,13 @@ impl Builder {
             steal_pol,
             topo,
             threads: Mutex::new(Vec::new()),
-            tracks,
+            io,
             #[cfg(feature = "fault-injection")]
             fault: self
                 .fault_plan
                 .map(|p| Arc::new(crate::fault::FaultState::new(p))),
         });
-        inner.tracks.start(&inner);
+        inner.io.start(&inner);
         for i in 0..nworkers {
             let rt = Arc::clone(&inner);
             let h = std::thread::Builder::new()
@@ -375,9 +375,8 @@ pub(crate) struct RtInner {
     /// Machine topology consulted by topology-aware steal policies.
     pub(crate) topo: Topology,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Non-CPU execution tracks: the modelled offload engine and the
-    /// blocking-I/O thread set (`DESIGN.md` §10).
-    pub(crate) tracks: Tracks,
+    /// The blocking-I/O thread set behind `Track::Io` (`DESIGN.md` §10).
+    pub(crate) io: IoEngine,
     /// Deterministic fault-injection plan state (chaos testing only).
     #[cfg(feature = "fault-injection")]
     pub(crate) fault: Option<Arc<crate::fault::FaultState>>,
@@ -450,13 +449,13 @@ impl RtInner {
     }
 
     /// All telemetry bundles in lane order — workers first, then the
-    /// track threads (drain/merge views; parallel to the session's lane
+    /// io threads (drain/merge views; parallel to the session's lane
     /// names).
     pub(crate) fn tele_refs(&self) -> Vec<&WorkerTelemetry> {
         self.workers
             .iter()
             .map(|w| &w.tele)
-            .chain(self.tracks.tele_refs())
+            .chain(self.io.tele_refs())
             .collect()
     }
 
@@ -466,12 +465,7 @@ impl RtInner {
     /// both [`Runtime::stats`] and [`Runtime::metrics`] so the two can
     /// never disagree.
     pub(crate) fn collect_stats(&self) -> StatsSnapshot {
-        let mut snap = stats::aggregate(
-            self.workers
-                .iter()
-                .map(|w| &w.stats)
-                .chain(self.tracks.stats_refs()),
-        );
+        let mut snap = stats::aggregate(self.workers.iter().map(|w| &w.stats));
         snap.jobs_submitted += self.inject.total_submitted();
         snap.jobs_rejected += self.inject.total_rejected();
         snap.inject_banded_drains += self.inject.total_banded_drains();
@@ -592,7 +586,7 @@ impl Runtime {
             if self.inner.telemetry.enabled() {
                 job.submit_tick = crate::telemetry::tick();
             }
-            self.inner.tracks.io.submit_job(job);
+            self.inner.io.submit_job(job);
             return Ok(JoinHandle::new(state, &self.inner, Some(token)));
         }
         if let Some(widx) = current_worker_of(&self.inner) {
@@ -789,13 +783,7 @@ impl Runtime {
     /// is quiescent: a join running concurrently may restore its worker's
     /// pre-reset `tasks_spawned` / `tasks_executed_own`.
     pub fn reset_stats(&self) {
-        stats::reset_all(
-            self.inner
-                .workers
-                .iter()
-                .map(|w| &w.stats)
-                .chain(self.inner.tracks.stats_refs()),
-        );
+        stats::reset_all(self.inner.workers.iter().map(|w| &w.stats));
         self.inner.inject.reset_counters();
         self.inner.telemetry.reset(&self.inner.tele_refs());
     }
@@ -864,12 +852,11 @@ impl Drop for Runtime {
         for t in threads {
             let _ = t.join();
         }
-        // Track engines stop after the CPU workers: a worker mid-task may
-        // still dispatch to a track (the shutdown check in `dispatch` is
+        // The io threads stop after the CPU workers: a worker mid-task may
+        // still dispatch to them (the shutdown check in `dispatch` is
         // advisory), but once workers are joined nothing submits anymore.
-        // Queued-but-unstarted track work is dropped like queued inject
-        // jobs.
-        self.inner.tracks.stop();
+        // Queued-but-unstarted io work is dropped like queued inject jobs.
+        self.inner.io.stop();
         // Final telemetry drain: every ring's tail events land in the
         // accumulated session (worker threads are gone, so the producer
         // side is quiescent). Only observable through an outstanding
@@ -929,11 +916,10 @@ impl<'rt> JobBuilder<'rt> {
         self
     }
 
-    /// Route the job to an execution track. For root jobs only
-    /// [`Track::Io`](crate::Track) changes the path: the body runs on the
-    /// dedicated blocking thread set instead of a CPU worker
-    /// (`DESIGN.md` §10). `Track::Offload` is a task-level attribute —
-    /// a root job keeps the CPU path and routes per-task via
+    /// Route the job to an execution track. [`Track::Io`](crate::Track)
+    /// runs the body on the dedicated blocking thread set instead of a CPU
+    /// worker (`DESIGN.md` §10); the default `Track::Cpu` keeps the inject
+    /// path. Tasks spawned inside the job route per task via
     /// [`TaskBuilder::track`](crate::TaskBuilder::track).
     pub fn track(mut self, t: crate::attrs::Track) -> Self {
         self.attrs.track = t;

@@ -138,22 +138,6 @@ counters! {
     /// promotion sweep (`Tunables::promote_low_after`). Maintained
     /// globally by the inject lanes, merged in by `Runtime::stats`.
     inject_promotions,
-    /// Tasks routed to the offload engine (`Track::Offload`) instead of
-    /// executing on the CPU pool (`DESIGN.md` §10).
-    tasks_offloaded,
-    /// Kernel-launch batches issued by the offload engine (each batch pays
-    /// one launch latency and holds one in-flight slot).
-    offload_batches,
-    /// Host→device transfer steps synthesized by the offload engine (first
-    /// use of a handle uploads it).
-    offload_h2d,
-    /// Device→host transfer steps synthesized by the offload engine
-    /// (written handles download at commit).
-    offload_d2h,
-    /// Offload completion records drained back into dataflow readiness via
-    /// the inject lanes (successor release happens here, not at body
-    /// return).
-    offload_completions,
     /// Tasks and root jobs executed on the dedicated blocking-I/O thread
     /// set (`Track::Io` / `wait_external`), never occupying a CPU worker.
     tasks_io,
@@ -169,9 +153,9 @@ impl WorkerStats {
     /// stats on the fork-join fast path: a relaxed load plus store, no
     /// locked read-modify-write. Only for `Ctx::join`'s two counters
     /// (`tasks_spawned`, `tasks_executed_own`); every other site keeps
-    /// `fetch_add`, because io threads and track engines share one
-    /// `WorkerStats`. The price is that these two counters are exact only
-    /// while nothing else writes them, and two writers can:
+    /// `fetch_add`, because an io thread shares the `WorkerStats` of the
+    /// worker whose index it borrows. The price is that these two counters
+    /// are exact only while nothing else writes them, and two writers can:
     ///
     /// * an io thread borrows worker index `k % n`, and its detached
     ///   data-flow spawns and syncs `bump` the same two counters — every

@@ -111,24 +111,11 @@ pub enum EventKind {
     Cancel = 12,
     /// A job was shed at drain time (deadline expired or cancelled).
     Shed = 13,
-    /// An offload-track transfer step started (`band` = direction:
-    /// 0 host→device, 1 device→host; `arg` = handle id).
-    TransferB = 14,
-    /// The matching end of [`EventKind::TransferB`].
-    TransferE = 15,
-    /// A batched kernel launch started on the offload track (`arg` =
-    /// batch size).
-    LaunchB = 16,
-    /// The matching end of [`EventKind::LaunchB`].
-    LaunchE = 17,
-    /// An offload completion record was produced — the point successors
-    /// become releasable, not the body return (`arg` = frame slot).
-    OffloadComplete = 18,
     /// An I/O-track body started blocking on its external event
     /// (`arg` = io thread index).
-    IoBlockB = 19,
+    IoBlockB = 14,
     /// The matching end of [`EventKind::IoBlockB`].
-    IoBlockE = 20,
+    IoBlockE = 15,
 }
 
 impl EventKind {
@@ -148,14 +135,14 @@ impl EventKind {
             10 => EventKind::ReplayGroup,
             11 => EventKind::Panic,
             12 => EventKind::Cancel,
-            14 => EventKind::TransferB,
-            15 => EventKind::TransferE,
-            16 => EventKind::LaunchB,
-            17 => EventKind::LaunchE,
-            18 => EventKind::OffloadComplete,
-            19 => EventKind::IoBlockB,
-            20 => EventKind::IoBlockE,
-            _ => EventKind::Shed,
+            13 => EventKind::Shed,
+            14 => EventKind::IoBlockB,
+            15 => EventKind::IoBlockE,
+            _ => {
+                // Only `push` writes the byte, from a typed kind.
+                debug_assert!(false, "unknown telemetry event kind {v}");
+                EventKind::Shed
+            }
         }
     }
 
@@ -173,15 +160,12 @@ impl EventKind {
             EventKind::Panic => "panic",
             EventKind::Cancel => "cancel",
             EventKind::Shed => "shed",
-            EventKind::TransferB | EventKind::TransferE => "transfer",
-            EventKind::LaunchB | EventKind::LaunchE => "launch",
-            EventKind::OffloadComplete => "offload_complete",
             EventKind::IoBlockB | EventKind::IoBlockE => "io_block",
         }
     }
 
     /// Span classification: `Some((name, is_begin))` for begin/end pairs
-    /// (`task`, `job`, `park`), `None` for instant events.
+    /// (`task`, `job`, `park`, `io_block`), `None` for instant events.
     pub fn span(self) -> Option<(&'static str, bool)> {
         match self {
             EventKind::TaskBegin => Some(("task", true)),
@@ -190,10 +174,6 @@ impl EventKind {
             EventKind::JobEnd => Some(("job", false)),
             EventKind::Park => Some(("park", true)),
             EventKind::Unpark => Some(("park", false)),
-            EventKind::TransferB => Some(("transfer", true)),
-            EventKind::TransferE => Some(("transfer", false)),
-            EventKind::LaunchB => Some(("launch", true)),
-            EventKind::LaunchE => Some(("launch", false)),
             EventKind::IoBlockB => Some(("io_block", true)),
             EventKind::IoBlockE => Some(("io_block", false)),
             _ => None,
@@ -539,7 +519,7 @@ pub(crate) struct TelemetryState {
     epoch_instant: Instant,
     epoch_tick: u64,
     /// Perfetto lane names, one per drained ring: the CPU workers first,
-    /// then each track thread (`offload`, `io-0`, …).
+    /// then each io thread (`io-0`, `io-1`).
     lanes: Vec<String>,
     /// Drained-but-not-yet-taken raw events, one vec per lane. The lock
     /// also serializes the consumer side of every ring.
@@ -556,7 +536,7 @@ impl TelemetryState {
     }
 
     /// One explicit Perfetto lane name per drained ring (CPU workers
-    /// followed by track threads).
+    /// followed by io threads).
     pub(crate) fn named(lanes: Vec<String>, enabled: bool) -> TelemetryState {
         let n = lanes.len();
         TelemetryState {
@@ -693,11 +673,11 @@ pub(crate) fn emit_current(
 // ---------------------------------------------------------------------------
 // Track-thread lane override
 //
-// Event rings are SPSC: one producer — the owning thread. Track threads
-// (offload/io engines, `DESIGN.md` §10) therefore each own a telemetry
+// Event rings are SPSC: one producer — the owning thread. Io threads
+// (`Track::Io`, `DESIGN.md` §10) therefore each own a telemetry
 // bundle of their own and register it here at startup; every shared
-// emission site resolves through `tele_for` so a task body executing on a
-// track thread lands on the track's lane, never on worker `widx`'s ring
+// emission site resolves through `tele_for` so a task body executing on an
+// io thread lands on that thread's lane, never on worker `widx`'s ring
 // (whose producer is a live CPU thread). The same thread-local doubles as
 // the detached-context marker (`RawCtx::detached`).
 
@@ -707,21 +687,21 @@ thread_local! {
 }
 
 /// Register `tele` as the calling thread's telemetry lane. Called once per
-/// track thread at startup; `tele` must stay alive for the thread's whole
-/// life (it lives in `RtInner::tracks`, and the thread holds the
+/// io thread at startup; `tele` must stay alive for the thread's whole
+/// life (it lives in `RtInner::io`, and the thread holds the
 /// `Arc<RtInner>`).
 pub(crate) fn set_track_lane(tele: &WorkerTelemetry) {
     TRACK_LANE.with(|c| c.set(tele as *const WorkerTelemetry));
 }
 
-/// Is the calling thread a track thread (offload/io engine)?
+/// Is the calling thread a track thread (an io thread)?
 #[inline]
 pub(crate) fn on_track_thread() -> bool {
     TRACK_LANE.with(|c| !c.get().is_null())
 }
 
-/// The telemetry bundle the calling thread may emit to: its own track
-/// lane if it is a track thread, worker `widx`'s otherwise.
+/// The telemetry bundle the calling thread may emit to: its own lane if
+/// it is an io thread, worker `widx`'s otherwise.
 #[inline]
 pub(crate) fn tele_for(rt: &crate::runtime::RtInner, widx: usize) -> &WorkerTelemetry {
     TRACK_LANE.with(|c| {
@@ -729,9 +709,9 @@ pub(crate) fn tele_for(rt: &crate::runtime::RtInner, widx: usize) -> &WorkerTele
         if p.is_null() {
             &rt.workers[widx].tele
         } else {
-            // Safety: set only by track threads, pointing into
-            // `rt.tracks`, which outlives every track thread (they are
-            // joined before `RtInner` drops).
+            // Safety: set only by io threads, pointing into `rt.io`,
+            // which outlives every io thread (they are joined before
+            // `RtInner` drops).
             unsafe { &*p }
         }
     })
@@ -753,13 +733,13 @@ pub struct TraceSession {
 }
 
 impl TraceSession {
-    /// Number of timelines (CPU workers plus track threads).
+    /// Number of timelines (CPU workers plus io threads).
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
     /// The Perfetto lane name of timeline `w` (`worker {w}` for CPU
-    /// workers, the track's name — `offload`, `io-0`, … — for tracks).
+    /// workers, `io-0` and `io-1` for the io threads).
     pub fn lane_name(&self, w: usize) -> String {
         self.lanes
             .get(w)
@@ -1006,6 +986,49 @@ mod tests {
         assert_eq!(EventKind::from_u8(out[0].kind), EventKind::StealHit);
     }
 
+    /// Every kind, in discriminant order.
+    const ALL_KINDS: [EventKind; 16] = [
+        EventKind::TaskBegin,
+        EventKind::TaskEnd,
+        EventKind::JobBegin,
+        EventKind::JobEnd,
+        EventKind::StealAttempt,
+        EventKind::StealHit,
+        EventKind::StealFail,
+        EventKind::Park,
+        EventKind::Unpark,
+        EventKind::InjectDrain,
+        EventKind::ReplayGroup,
+        EventKind::Panic,
+        EventKind::Cancel,
+        EventKind::Shed,
+        EventKind::IoBlockB,
+        EventKind::IoBlockE,
+    ];
+
+    #[test]
+    fn every_kind_round_trips_and_every_span_begin_has_its_end() {
+        for (i, &k) in ALL_KINDS.iter().enumerate() {
+            assert_eq!(k as u8, i as u8, "{k:?}: discriminants are dense");
+            assert_eq!(EventKind::from_u8(k as u8), k);
+            if let Some((name, is_begin)) = k.span() {
+                let partners = ALL_KINDS
+                    .iter()
+                    .filter(|p| p.span() == Some((name, !is_begin)))
+                    .count();
+                assert_eq!(partners, 1, "{k:?}: span {name:?} needs one partner");
+                assert_eq!(k.label(), name, "{k:?}: span name is its label");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unknown telemetry event kind")]
+    fn unknown_kind_byte_is_caught_in_debug() {
+        EventKind::from_u8(ALL_KINDS.len() as u8);
+    }
+
     #[test]
     fn ring_reset_discards_pending() {
         let r = EventRing::new(4);
@@ -1075,7 +1098,7 @@ mod tests {
                     arg: 0,
                 }],
             ],
-            lanes: vec!["worker 0".into(), "offload".into()],
+            lanes: vec!["worker 0".into(), "io-0".into()],
             dropped: 0,
         };
         let j = session.to_chrome_trace();
@@ -1084,7 +1107,7 @@ mod tests {
         assert!(j.contains("\"tid\":0"));
         assert!(j.contains("\"tid\":1"));
         assert!(j.contains("\"name\":\"worker 0\""));
-        assert!(j.contains("\"name\":\"offload\""));
+        assert!(j.contains("\"name\":\"io-0\""));
         assert!(j.contains("\"ph\":\"B\""));
         assert!(j.contains("\"ph\":\"E\""));
         assert!(j.contains("\"ph\":\"i\""));

@@ -16,12 +16,14 @@
 //!   point that collapses at fine grain;
 //! * [`DagPolicy::Static`] — PLASMA-static: a fixed task→core map, no
 //!   scheduling cost at all, progress-table waits;
-//! * [`DagPolicy::Offload`] — an accelerator track (the runtime's
-//!   `OffloadEngine`): ready tasks feed a serialized launch engine that
-//!   groups them into batches, the first task of each batch paying the
-//!   kernel-launch latency, every task paying a per-task transfer cost;
-//!   cores model the device's parallel execution lanes and successors are
-//!   released by the asynchronous completion stream.
+//! * [`DagPolicy::Offload`] — an accelerator track: ready tasks feed a
+//!   serialized launch engine that groups them into batches, the first
+//!   task of each batch paying the kernel-launch latency, every task
+//!   paying a per-task transfer cost; cores model the device's parallel
+//!   execution lanes and successors are released by the asynchronous
+//!   completion stream. This is the repository's only accelerator model:
+//!   the runtime has no device, so launch latency, batch size and transfer
+//!   cost are studied here as parameters (`DESIGN.md` §10).
 
 use crate::platform::Platform;
 use std::cmp::Reverse;
@@ -195,8 +197,7 @@ pub enum DagPolicy {
         owner: Vec<u32>,
     },
     /// Accelerator track: batched kernel launches behind a serialized
-    /// engine (the runtime's `OffloadEngine` model). Cores stand in for
-    /// the device's parallel execution lanes.
+    /// engine. Cores stand in for the device's parallel execution lanes.
     Offload {
         /// Kernel-launch latency, paid once by the first task of each
         /// batch (the remaining `batch − 1` tasks ride the same launch).

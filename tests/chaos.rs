@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xkaapi::core::{
     AggregatedStealing, CancelToken, Ctx, FaultPlan, PerThiefStealing, Runtime, Shared,
-    StatsSnapshot, StealPolicy, TaskQueue,
+    StatsSnapshot, StealPolicy, TaskQueue, Track,
 };
 use xkaapi::omp::OmpCentralQueue;
 
@@ -268,15 +268,15 @@ fn chaos_planned_cancellation_drains() {
     }
 }
 
-/// Seeded fault at the offload transfer/launch boundary (DESIGN.md §10):
-/// the offload engine runs the task-execute hook before each batch
-/// launch, so a planned panic lands *inside the engine*, off any CPU
-/// worker. The invariants are the same as a CPU-side fault: no hang (the
-/// scope returns, rethrowing the planned payload), the downstream cone is
-/// poisoned instead of computing garbage, and both the pool and the
-/// engine serve clean work afterwards.
+/// Seeded fault on io-track tasks (DESIGN.md §10): the task-execute hook
+/// runs in `run_claimed_body`, which for an io task runs on the io thread,
+/// so a planned panic lands off every CPU worker. The invariants are the
+/// same as a CPU-side fault: no hang (the scope returns, rethrowing the
+/// planned payload), the chain before the fault completed, the cone after
+/// it is poisoned instead of computing garbage, and both the pool and the
+/// io threads serve clean work afterwards.
 #[test]
-fn chaos_offload_fault_at_launch_boundary() {
+fn chaos_io_track_fault_poisons_cone() {
     let chain = 24u64;
     for &nth in &[2u64, 5, 11] {
         for (combo, name) in COMBO_NAMES.iter().enumerate() {
@@ -288,66 +288,59 @@ fn chaos_offload_fault_at_launch_boundary() {
                         let hw = h.clone();
                         ctx.task()
                             .access(h.exclusive())
-                            .track(xkaapi::core::Track::Offload)
+                            .track(Track::Io)
                             .spawn(move |t| *t.write(&hw) += 1);
                     }
                 });
             }));
-            // No hang: we got here. The planned panic either landed in
-            // the offload chain (scope rethrows it, partial sum) or hit
-            // the root body before any spawn (empty sum) — never a wrong
-            // full sum.
-            let snap = rt.stats();
-            match res {
-                Err(p) => {
-                    let msg = p
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_default();
-                    assert!(
-                        msg.contains("fault-injection"),
-                        "[{name} nth={nth}] only the planned panic may surface: {msg:?}"
-                    );
-                    assert!(
-                        *h.get() < chain,
-                        "[{name} nth={nth}] a faulted chain must not complete"
-                    );
-                    assert!(
-                        snap.tasks_poisoned > 0 || snap.tasks_offloaded == 0,
-                        "[{name} nth={nth}] the cone downstream of the fault is poisoned \
-                         (poisoned {}, offloaded {})",
-                        snap.tasks_poisoned,
-                        snap.tasks_offloaded
-                    );
-                }
-                Ok(()) => {
-                    // The plan fired before the scope (builder/registration
-                    // paths also execute hooks) — the chain itself is clean.
-                    assert_eq!(*h.get(), chain, "[{name} nth={nth}] clean chain sum");
-                }
-            }
+            // No hang: we got here. The scope root is a job, not a task
+            // body, so the planned step is the nth body of the chain.
+            let p = res.expect_err("the planned panic re-raises at the scope");
+            let msg = p
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
             assert!(
-                snap.tasks_panicked <= 1,
-                "[{name} nth={nth}] one plan, at most one planned panic"
+                msg.contains("fault-injection"),
+                "[{name} nth={nth}] only the planned panic may surface: {msg:?}"
             );
-            // Pool and engine alive: a clean offload round on the same rt.
+            let snap = rt.stats();
+            assert_eq!(
+                *h.get(),
+                nth - 1,
+                "[{name} nth={nth}] chain before the fault"
+            );
+            assert_eq!(
+                snap.tasks_panicked, 1,
+                "[{name} nth={nth}] one planned panic"
+            );
+            assert_eq!(
+                snap.tasks_poisoned,
+                chain - nth,
+                "[{name} nth={nth}] the cone downstream of the fault is poisoned"
+            );
+            assert_eq!(
+                snap.tasks_io, nth,
+                "[{name} nth={nth}] the faulted task ran on an io thread"
+            );
+            // Pool and io threads alive: a clean io round on the same rt.
             let probe = Shared::new(0u64);
             rt.scope(|ctx| {
                 for _ in 0..4 {
                     let pw = probe.clone();
                     ctx.task()
                         .access(probe.exclusive())
-                        .track(xkaapi::core::Track::Offload)
+                        .track(Track::Io)
                         .spawn(move |t| *t.write(&pw) += 1);
                 }
             });
             assert_eq!(
                 *probe.get(),
                 4,
-                "[{name} nth={nth}] engine alive after fault"
+                "[{name} nth={nth}] io threads alive after fault"
             );
-            drop(rt); // a dead engine thread would hang the join here
+            drop(rt); // a dead io thread would hang the join here
         }
     }
 }

@@ -1,23 +1,23 @@
-//! Execution-track integration suite (DESIGN.md §10): the offload and io
-//! engines behind [`Track`] routing.
+//! Execution-track integration suite (DESIGN.md §10): the io thread set
+//! behind [`Track`] routing.
 //!
 //! * **equivalence** — routing every task of a dataflow wavefront to the
-//!   offload track changes *where* bodies run and *when* successors are
-//!   released (completion drain, not body return), but never the result:
-//!   checksums match the CPU track across all four queue×steal policy
-//!   combinations, each handle is uploaded once, and the traced run
-//!   records events;
-//! * **completion feeds readiness** — on one worker, a successor of an
-//!   offloaded task only runs after the engine's completion drains back
-//!   through the inject lanes;
+//!   io track changes *where* bodies run and *when* successors are
+//!   released (the io thread's publish, not an inline return), but never
+//!   the result: checksums match the CPU track across all four
+//!   queue×steal policy combinations, every task ran on an io thread, and
+//!   the traced run has one lane per worker plus one per io thread;
+//! * **the owner waits** — on one worker, a successor of an io task only
+//!   runs after the io thread published the task, although the owner's
+//!   FIFO walk would otherwise run it inline at once;
 //! * **io isolation** — `.wait_external()` work blocked on an external
 //!   event holds an io thread, never a CPU worker: a full CPU scope
 //!   completes while the blockers sit parked, and the `tasks_io` counter
 //!   proves where they ran; and io work never steals from the pool: a
 //!   loop inside it runs inline beside a join-heavy CPU scope;
-//! * **lifecycle across the boundary** — a panic in an offloaded body
-//!   poisons its dataflow cone exactly like a CPU panic, and a cancelled
-//!   token skips offloaded bodies without losing the scope.
+//! * **lifecycle across the boundary** — a panic in an io body poisons
+//!   its dataflow cone exactly like a CPU panic, and a cancelled token
+//!   skips io bodies without losing the scope.
 //!
 //! [`Track`]: xkaapi::core::Track
 
@@ -79,49 +79,52 @@ fn wavefront(rt: &Runtime, n: usize, track: Track) -> u64 {
     *tiles[n * n - 1].get()
 }
 
-/// Offload on vs off: identical checksums across all four scheduler
-/// policy combinations, and the offload run really went through the
-/// engine (routed, batched, drained — not silently run on the CPU).
+/// Io track on vs off: identical checksums across all four scheduler
+/// policy combinations, and the io run really went through the io
+/// threads (counted there, traced on their lanes).
 #[test]
-fn offload_checksum_equivalence_across_policies() {
-    let n = 8usize;
+fn io_checksum_equivalence_across_policies() {
+    let (n, workers) = (8usize, 4usize);
     for (combo, name) in COMBO_NAMES.iter().enumerate() {
-        let rt_cpu = build_rt(combo, 4);
+        let rt_cpu = build_rt(combo, workers);
         let cpu = wavefront(&rt_cpu, n, Track::Cpu);
         assert_eq!(
-            rt_cpu.stats().tasks_offloaded,
+            rt_cpu.stats().tasks_io,
             0,
-            "[{name}] the CPU run must not touch the engine"
+            "[{name}] the CPU run must not touch the io threads"
         );
-        let rt_off = build_rt(combo, 4);
-        rt_off.set_tracing(true);
-        let off = wavefront(&rt_off, n, Track::Offload);
-        assert_eq!(cpu, off, "[{name}] offload changed the wavefront result");
-        let s = rt_off.stats();
-        let tasks = (n * n) as u64;
-        assert_eq!(s.tasks_offloaded, tasks, "[{name}] every task routed");
-        assert_eq!(s.offload_completions, tasks, "[{name}] every task drained");
-        assert!(s.offload_batches > 0, "[{name}] launches were batched");
-        // Each tile is one handle: uploaded on first use, resident for
-        // every later reader; each write commits back once.
+        let rt_io = build_rt(combo, workers);
+        rt_io.set_tracing(true);
+        let io = wavefront(&rt_io, n, Track::Io);
+        assert_eq!(
+            cpu, io,
+            "[{name}] the io track changed the wavefront result"
+        );
+        assert_eq!(
+            rt_io.stats().tasks_io,
+            (n * n) as u64,
+            "[{name}] every task ran on an io thread"
+        );
+        let trace = rt_io.take_trace();
         assert!(
-            s.offload_h2d == tasks && s.offload_d2h == tasks,
-            "[{name}] transfers synthesized (h2d {}, d2h {})",
-            s.offload_h2d,
-            s.offload_d2h
+            trace.total_events() > 0,
+            "[{name}] traced io run recorded no events"
         );
-        assert!(
-            rt_off.take_trace().total_events() > 0,
-            "[{name}] traced offload run recorded no events"
+        assert_eq!(
+            trace.worker_count(),
+            workers + 2,
+            "[{name}] one lane per worker, then io-0 and io-1"
         );
+        assert_eq!(trace.lane_name(workers), "io-0");
+        assert_eq!(trace.lane_name(workers + 1), "io-1");
     }
 }
 
-/// On a single worker there is no second CPU to sneak the successor in:
-/// B (CPU track) reads what A (offload track) wrote, so B can only run
-/// after A's completion drains from the engine back through the inject
-/// lanes. The observed order and the drain counter prove the release
-/// came from the completion stream, not from A's spawn or body return.
+/// On a single worker there is no second CPU to run the successor: the
+/// owner claims A (io track), hands it to an io thread, and its FIFO walk
+/// would run B (CPU track, reads what A wrote) inline at once. A sleeps
+/// before writing, so only the owner-wait rule in `sync` keeps B behind
+/// A: B runs after the io thread published A's completion.
 #[test]
 fn completion_feeds_readiness_on_one_worker() {
     let rt = Runtime::new(1);
@@ -131,9 +134,12 @@ fn completion_feeds_readiness_on_one_worker() {
         let (hw, ord) = (h.clone(), Arc::clone(&order));
         ctx.task()
             .access(h.exclusive())
-            .track(Track::Offload)
+            .track(Track::Io)
             .spawn(move |t| {
-                ord.lock().unwrap().push("offloaded");
+                let me = thread::current();
+                assert!(me.name().unwrap_or("").starts_with("xkaapi-io-"));
+                thread::sleep(Duration::from_millis(20));
+                ord.lock().unwrap().push("io");
                 *t.write(&hw) = 7;
             });
         let (hw, ord) = (h.clone(), Arc::clone(&order));
@@ -142,20 +148,15 @@ fn completion_feeds_readiness_on_one_worker() {
             *t.write(&hw) += 1;
         });
     });
-    assert_eq!(*h.get(), 8, "successor saw the offloaded write");
-    assert_eq!(*order.lock().unwrap(), ["offloaded", "successor"]);
-    let s = rt.stats();
-    assert_eq!(s.tasks_offloaded, 1);
-    assert_eq!(
-        s.offload_completions, 1,
-        "the successor was released by the completion drain"
-    );
+    assert_eq!(*h.get(), 8, "successor saw the io write");
+    assert_eq!(*order.lock().unwrap(), ["io", "successor"]);
+    assert_eq!(rt.stats().tasks_io, 1);
 }
 
 /// Blocking io work never occupies a CPU worker: park `wait_external`
 /// jobs behind a gate, run a whole CPU scope to completion while they
-/// sit blocked, then release them. The io engine's own counter (and the
-/// untouched offload counters) pin down where every body ran.
+/// sit blocked, then release them. The `tasks_io` counter pins down where
+/// every body ran.
 #[test]
 fn io_track_never_occupies_a_cpu_worker() {
     let workers = 2usize;
@@ -201,7 +202,6 @@ fn io_track_never_occupies_a_cpu_worker() {
         s.tasks_io, workers as u64,
         "every blocker ran on the io thread set"
     );
-    assert_eq!(s.tasks_offloaded, 0);
 
     // An io *task* inside a dataflow scope: the io body's write releases
     // a CPU successor — readiness crosses the track boundary both ways.
@@ -284,11 +284,11 @@ fn io_loop_runs_inline_beside_cpu_joins() {
     );
 }
 
-/// A panic in an offloaded body re-raises at the scope and poisons its
+/// A panic in an io body re-raises at the scope and poisons its
 /// dataflow cone — the same lifecycle contract as a CPU panic, across
-/// the track boundary. The pool (and the engine) stay alive after.
+/// the track boundary. The pool and the io threads stay alive after.
 #[test]
-fn offload_panic_poisons_cone_across_boundary() {
+fn io_panic_poisons_cone_across_boundary() {
     let rt = build_rt(0, 2);
     let h = Shared::new(0u64);
     let res = catch_unwind(AssertUnwindSafe(|| {
@@ -296,16 +296,16 @@ fn offload_panic_poisons_cone_across_boundary() {
             let hw = h.clone();
             ctx.task()
                 .access(h.exclusive())
-                .track(Track::Offload)
+                .track(Track::Io)
                 .spawn(move |t| {
                     *t.write(&hw) = 1;
-                    panic!("offload body panic");
+                    panic!("io body panic");
                 });
             for _ in 0..4 {
                 let hw = h.clone();
                 ctx.task()
                     .access(h.exclusive())
-                    .track(Track::Offload)
+                    .track(Track::Io)
                     .spawn(move |t| *t.write(&hw) += 100);
             }
         });
@@ -316,20 +316,20 @@ fn offload_panic_poisons_cone_across_boundary() {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_default();
-    assert!(msg.contains("offload body panic"), "wrong payload: {msg:?}");
+    assert!(msg.contains("io body panic"), "wrong payload: {msg:?}");
     let s = rt.stats();
     assert_eq!(s.tasks_panicked, 1);
     assert_eq!(s.tasks_poisoned, 4, "the whole downstream cone is poisoned");
     assert_eq!(*h.get(), 1, "no poisoned body ran");
-    // Engine and pool both alive: a clean offload round still works.
-    let clean = wavefront(&rt, 4, Track::Offload);
+    // Io threads and pool both alive: a clean io round still works.
+    let clean = wavefront(&rt, 4, Track::Io);
     assert_eq!(clean, wavefront(&rt, 4, Track::Cpu));
 }
 
-/// A cancelled token skips offloaded bodies exactly like CPU bodies: the
-/// scope drains (no hang waiting on engine completions), nothing runs.
+/// A cancelled token skips io bodies exactly like CPU bodies: the scope
+/// drains, nothing runs, and the skipped tasks never reach an io thread.
 #[test]
-fn cancellation_skips_offloaded_bodies() {
+fn cancellation_skips_io_bodies() {
     let rt = build_rt(1, 2);
     let tok = CancelToken::new();
     tok.cancel();
@@ -339,7 +339,7 @@ fn cancellation_skips_offloaded_bodies() {
             let hw = h.clone();
             ctx.task()
                 .access(h.exclusive())
-                .track(Track::Offload)
+                .track(Track::Io)
                 .cancel_token(&tok)
                 .spawn(move |t| *t.write(&hw) += 1);
         }
@@ -347,5 +347,6 @@ fn cancellation_skips_offloaded_bodies() {
     assert_eq!(*h.get(), 0, "cancelled bodies must not run");
     let s = rt.stats();
     assert_eq!(s.tasks_cancelled, 8);
+    assert_eq!(s.tasks_io, 0, "skipped before dispatch");
     assert_eq!(rt.scope(|c| c.join(|_| 2, |_| 3)), (2, 3));
 }
