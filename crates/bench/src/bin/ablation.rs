@@ -739,34 +739,6 @@ fn main() {
         ],
     );
 
-    // --- real: park-threshold sweep (idle spin rounds before blocking) ---
-    let mut rows = Vec::new();
-    for park_rounds in [1u32, 32, 1024] {
-        let rt = Runtime::builder()
-            .workers(4)
-            .steal_rounds_before_park(park_rounds)
-            .build();
-        let t = measure_ns(5, || {
-            let s = rt.foreach_reduce(
-                0..200_000,
-                None,
-                || 0u64,
-                |a, i| *a += i as u64,
-                |a, b| a + b,
-            );
-            assert_eq!(s, 199_999u64 * 100_000);
-        });
-        rows.push(vec![
-            park_rounds.to_string(),
-            format!("{:.2}", t as f64 / 1e6),
-        ]);
-    }
-    print_table(
-        "Real: park-threshold sweep, 200k-iteration reduction, 4 workers",
-        &["steal rounds before park", "time (ms)"],
-        &rows,
-    );
-
     // --- simulated: aggregation at 48 cores ------------------------------
     // Spine + fan-out workload: many simultaneously idle thieves hammer one
     // victim, the regime the paper's aggregation targets.

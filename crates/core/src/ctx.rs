@@ -171,7 +171,7 @@ impl RawCtx {
             crate::steal::publish_ready(&self.rt, self.widx, &frame);
         }
         if self.rt.num_workers() > 1 {
-            self.rt.signal_work();
+            self.rt.notify_work(1);
         }
         (frame, idx, task)
     }
@@ -468,9 +468,11 @@ pub(crate) fn complete_and_publish(
 ) {
     task.complete();
     frame.complete_task(idx, task);
+    // Completion may have released successors.
     if rt.queue.centralized() {
-        // Completion may have released successors: publish them centrally.
         crate::steal::publish_ready(rt, widx, frame);
+    } else if frame.pending() > 0 && rt.num_workers() > 1 {
+        rt.notify_work(1);
     }
 }
 
@@ -796,13 +798,21 @@ impl<'scope> Ctx<'scope> {
                 WorkerStats::bump(&stats.tasks_with_attrs, 1);
             }
             let pushed = rt.push_join(widx, jref, attrs.band());
-            if pushed {
+            if let Some(was_empty) = pushed {
                 WorkerStats::bump_owned(&stats.tasks_spawned, 1);
                 if rt.num_workers() > 1 {
-                    rt.signal_work();
+                    // Fence for the park handshake only when this push
+                    // made the deque non-empty: a job queued behind
+                    // another is ours to take back if no thief comes, so
+                    // a missed wake costs parallelism, never progress.
+                    if was_empty {
+                        rt.notify_work(1);
+                    } else {
+                        rt.park_lot.wake_if_needed(1);
+                    }
                 }
             }
-            pushed
+            pushed.is_some()
         };
         // Continuation; even if it panics the job must retire first (it
         // points into this stack frame).

@@ -40,7 +40,7 @@ impl FastJob {
 
 const CAP: usize = 1 << 13;
 
-/// Fixed-capacity T.H.E. deque of [`FastJob`]s. `push` returns `false`
+/// Fixed-capacity T.H.E. deque of [`FastJob`]s. `push` returns `None`
 /// when full (the caller runs the job inline).
 ///
 /// `head` (written by thieves), `tail` (written by the owner) and `lock`
@@ -69,17 +69,19 @@ impl FastLane {
         }
     }
 
-    /// Owner: push at the tail. `false` when full.
+    /// Owner: push at the tail. `None` when full, else whether the deque
+    /// was empty before the push (as far as the owner's view of `head`
+    /// goes: a steal it has not seen yet reads as non-empty).
     #[inline]
-    pub(crate) fn push(&self, job: FastJob) -> bool {
+    pub(crate) fn push(&self, job: FastJob) -> Option<bool> {
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Acquire);
         if (t - h) as usize >= CAP {
-            return false;
+            return None;
         }
         self.slots[(t as usize) & (CAP - 1)].set(Some(job));
         self.tail.store(t + 1, Ordering::Release);
-        true
+        Some(t == h)
     }
 
     /// Owner: pop at the tail (LIFO), T.H.E. protocol.
@@ -150,8 +152,8 @@ mod tests {
         let lane = FastLane::new();
         assert!(lane.pop().is_none());
         assert!(lane.steal().is_none());
-        assert!(lane.push(job()));
-        assert!(lane.push(job()));
+        assert_eq!(lane.push(job()), Some(true));
+        assert_eq!(lane.push(job()), Some(false));
         assert!(lane.steal().is_some()); // oldest
         assert!(lane.pop().is_some()); // newest
         assert!(lane.pop().is_none());

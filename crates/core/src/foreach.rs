@@ -264,7 +264,7 @@ pub(crate) fn foreach_run(
         ctl: Arc::clone(&ctl),
     });
     rt.workers[widx].register_adaptive(Arc::clone(&master));
-    rt.signal_work();
+    rt.notify_work(p - 1);
 
     // Work through our reserved slice, then any slice nobody started.
     let mut next = ctl.claim_untouched(widx);

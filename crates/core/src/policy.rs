@@ -114,6 +114,14 @@ pub trait StealPolicy: Send + Sync {
         VictimChoice::near(uniform_victim(me, topo.workers(), rng))
     }
 
+    /// Whether thief `me` may ever steal from `victim`. A worker about to
+    /// park probes every victim this allows, not only `choose_victim`'s
+    /// picks (the park handshake in `crate::worker`). Default: everyone.
+    fn may_steal_from(&self, me: usize, victim: usize, topo: &Topology) -> bool {
+        let _ = (me, victim, topo);
+        true
+    }
+
     /// Service-priority key for a drained request when the combiner hands
     /// out a bounded batch: lower keys are served first (stable for ties,
     /// so the default constant preserves arrival order). Locality-aware
@@ -209,6 +217,12 @@ impl StealPolicy for HierarchicalVictim {
         } else {
             VictimChoice::near(v)
         }
+    }
+
+    fn may_steal_from(&self, me: usize, victim: usize, topo: &Topology) -> bool {
+        self.escalate_after < u32::MAX
+            || topo.same_node(me, victim)
+            || topo.workers_on_node(topo.node_of(me)).len() <= 1
     }
 
     fn thief_priority(&self, victim: usize, thief: usize, topo: &Topology) -> u32 {

@@ -162,9 +162,6 @@ pub trait TaskQueue: Send + Sync {
     /// [`WorkItem::token`]) if it is still queued for `worker`. The
     /// fork-join fast path uses this to reclaim its own stack job.
     fn take(&self, worker: usize, token: *mut ()) -> Option<WorkItem>;
-
-    /// Cheap emptiness hint from `worker`'s perspective (park heuristic).
-    fn is_empty_hint(&self, worker: usize) -> bool;
 }
 
 /// A non-default band's side deque: a mutexed FIFO/LIFO with an atomic
@@ -315,15 +312,16 @@ impl DistributedLanes {
     /// [`TaskQueue::push`] of a fork-join job at `band`, without the
     /// `WorkItem` round trip: `Ctx::join` calls it directly when these are
     /// the runtime's lanes, and the default band folds to the T.H.E. push.
-    /// `false` when the default lane is full.
+    /// `None` when the default lane is full, else whether the push made
+    /// the lane non-empty (a side band counts as always: it is cold).
     #[inline]
-    pub(crate) fn push_job(&self, worker: usize, job: FastJob, band: usize) -> bool {
+    pub(crate) fn push_job(&self, worker: usize, job: FastJob, band: usize) -> Option<bool> {
         let lane = &self.lanes[worker];
         match lane.side(band) {
             Some(side) => {
                 lane.side_pushed();
                 side.push_back(job);
-                true
+                Some(true)
             }
             None => lane.normal.push(job),
         }
@@ -371,13 +369,10 @@ impl TaskQueue for DistributedLanes {
     fn push(&self, worker: usize, item: WorkItem) -> Result<(), WorkItem> {
         let band = item.band();
         match item.grab {
-            Grab::Fast(job) => {
-                if self.push_job(worker, job, band) {
-                    Ok(())
-                } else {
-                    Err(WorkItem::fast_banded(job, band as u8))
-                }
-            }
+            Grab::Fast(job) => match self.push_job(worker, job, band) {
+                Some(_) => Ok(()),
+                None => Err(WorkItem::fast_banded(job, band as u8)),
+            },
             // Data-flow tasks stay in their frames under this policy; loop
             // slices travel through the steal protocol. Refusing them makes
             // the engine run the item inline.
@@ -440,11 +435,6 @@ impl TaskQueue for DistributedLanes {
         self.take_job(worker, token)
             .map(|(job, band)| WorkItem::fast_banded(job, band))
     }
-
-    fn is_empty_hint(&self, worker: usize) -> bool {
-        let lane = &self.lanes[worker];
-        lane.normal.is_empty_hint() && !lane.has_side_jobs()
-    }
 }
 
 #[cfg(test)]
@@ -464,7 +454,7 @@ mod tests {
     fn distributed_lanes_route_per_worker() {
         let q = DistributedLanes::new(2);
         assert!(!q.centralized());
-        assert!(q.is_empty_hint(0));
+        assert!(q.pop(0).is_none());
         q.push(0, WorkItem::fast(dummy_job(1))).unwrap();
         q.push(0, WorkItem::fast(dummy_job(2))).unwrap();
         assert!(q.pop(1).is_none(), "lanes are per-worker");
@@ -490,12 +480,10 @@ mod tests {
         q.push(0, WorkItem::fast_banded(dummy_job(30), 2)).unwrap();
         q.push(0, WorkItem::fast(dummy_job(20))).unwrap();
         q.push(0, WorkItem::fast_banded(dummy_job(10), 0)).unwrap();
-        assert!(!q.is_empty_hint(0));
         let order: Vec<usize> = std::iter::from_fn(|| q.pop(0))
             .map(|i| i.token() as usize)
             .collect();
         assert_eq!(order, vec![10, 20, 30]);
-        assert!(q.is_empty_hint(0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The engine is layered (see `README.md` for the stack diagram):
 //!
 //! * the **worker layer** ([`crate::worker`]) runs the idle loop
-//!   *queue → inject → steal → park*;
+//!   *queue → inject → steal → search → park*;
 //! * the **injection layer** ([`crate::inject`]) is how root jobs enter
 //!   from outside the pool: sharded per-NUMA-node lanes with admission
 //!   control, [`JoinHandle`]s for non-blocking callers;
@@ -52,8 +52,6 @@ pub struct Tunables {
     pub promotion: PromotionPolicy,
     /// Write-only renaming (WAR/WAW elimination) policy.
     pub rename: RenamePolicy,
-    /// Idle rounds of steal attempts before a worker parks.
-    pub steal_rounds_before_park: u32,
     /// Injection admission/backpressure policy (pending root-job cap and
     /// behaviour at the cap).
     pub inject: InjectPolicy,
@@ -73,7 +71,6 @@ impl Default for Tunables {
         Tunables {
             promotion: PromotionPolicy::default(),
             rename: RenamePolicy::default(),
-            steal_rounds_before_park: 32,
             inject: InjectPolicy::default(),
             pin_workers: false,
             promote_low_after: Some(Duration::from_millis(10)),
@@ -203,13 +200,6 @@ impl Builder {
         self
     }
 
-    /// Idle steal rounds before a worker parks (park threshold; default
-    /// 32).
-    pub fn steal_rounds_before_park(mut self, rounds: u32) -> Self {
-        self.tun.steal_rounds_before_park = rounds.max(1);
-        self
-    }
-
     /// Injection admission policy: pending root-job cap and behaviour at
     /// the cap ([`crate::OnFull::Block`] throttles submitters,
     /// [`crate::OnFull::Reject`] sheds load).
@@ -318,7 +308,7 @@ impl Builder {
             workers,
             inject,
             telemetry: TelemetryState::named(lanes, trace_on),
-            park_lot: ParkLot::new(),
+            park_lot: ParkLot::new(nworkers),
             shutdown: AtomicBool::new(false),
             tun,
             queue,
@@ -410,19 +400,22 @@ impl RtInner {
         self.workers.len()
     }
 
-    /// Push `Ctx::join`'s stack job on worker `widx`'s queue; `false` when
-    /// the queue refused it. With the built-in lanes this inlines into the
-    /// join, where the default band folds to the T.H.E. push; the virtual
-    /// call and the `WorkItem` round trip it avoids were a large share of
-    /// a join's cost (`DESIGN.md` §6, "What a join may touch").
+    /// Push `Ctx::join`'s stack job on worker `widx`'s queue: `None` when
+    /// the queue refused it, else whether the push made the queue
+    /// non-empty (always `true` for a custom queue, which cannot tell).
+    /// With the built-in lanes this inlines into the join, where the
+    /// default band folds to the T.H.E. push; the virtual call and the
+    /// `WorkItem` round trip it avoids were a large share of a join's cost
+    /// (`DESIGN.md` §6, "What a join may touch").
     #[inline]
-    pub(crate) fn push_join(&self, widx: usize, job: FastJob, band: u8) -> bool {
+    pub(crate) fn push_join(&self, widx: usize, job: FastJob, band: u8) -> Option<bool> {
         match &self.builtin_lanes {
             Some(lanes) => lanes.push_job(widx, job, band as usize),
             None => self
                 .queue
                 .push(widx, WorkItem::fast_banded(job, band))
-                .is_ok(),
+                .ok()
+                .map(|()| true),
         }
     }
 
@@ -442,10 +435,11 @@ impl RtInner {
         }
     }
 
-    /// Wake parked workers because new work appeared.
+    /// Producer side of the park handshake (`crate::worker`): `units`
+    /// new stealable units were just published.
     #[inline]
-    pub(crate) fn signal_work(&self) {
-        self.park_lot.signal();
+    pub(crate) fn notify_work(&self, units: usize) {
+        self.park_lot.notify(units);
     }
 
     /// All telemetry bundles in lane order — workers first, then the
@@ -614,7 +608,7 @@ impl Runtime {
             job.submit_tick = crate::telemetry::tick();
         }
         self.inner.inject.push(admission, lane, attrs.band(), job);
-        self.inner.signal_work();
+        self.inner.notify_work(1);
         Ok(JoinHandle::new(state, &self.inner, Some(token)))
     }
 
@@ -660,7 +654,7 @@ impl Runtime {
             job.submit_tick = crate::telemetry::tick();
         }
         self.inner.inject.push(admission, lane, NORMAL_BAND, job);
-        self.inner.signal_work();
+        self.inner.notify_work(1);
         state.wait_blocking();
         match state
             .take_result()
@@ -835,7 +829,6 @@ impl Runtime {
         let deadline = Instant::now() + timeout;
         let mut drained = !self.inner.inject.has_pending_hint();
         while !drained && Instant::now() < deadline {
-            self.inner.signal_work();
             std::thread::sleep(Duration::from_millis(1));
             drained = !self.inner.inject.has_pending_hint();
         }
@@ -847,7 +840,7 @@ impl Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.park_lot.signal_all();
+        self.inner.park_lot.wake_all();
         let threads = std::mem::take(&mut *self.inner.threads.lock());
         for t in threads {
             let _ = t.join();

@@ -273,16 +273,14 @@ fn distribute(reqs: Vec<&Request>, grabs: Vec<Grab>) {
 ///
 /// The thief's *fail streak* (consecutive answered-empty attempts, kept on
 /// the [`Worker`](crate::worker::Worker)) feeds the policy's victim
-/// escalation and the idle loop's park decision; it is reset here on a
-/// successful grab and by the idle loop on any acquired work.
+/// escalation; it is reset here on a successful grab and by the idle loop
+/// on any acquired work.
 pub(crate) fn try_steal_once(rt: &Arc<RtInner>, me: usize) -> Option<Grab> {
     #[cfg(feature = "fault-injection")]
     crate::fault::on_worker_boundary(rt, me);
     let p = rt.num_workers();
     let my = &rt.workers[me];
     if p < 2 {
-        // No victims; still count the failure so a lone worker waiting for
-        // injected work escalates to parking.
         my.note_steal_failure();
         return None;
     }
@@ -401,6 +399,31 @@ pub(crate) fn try_steal_once(rt: &Arc<RtInner>, me: usize) -> Option<Grab> {
     }
 }
 
+/// The parker's probe of one victim ([`crate::worker`]'s handshake): take
+/// `victim`'s steal lock, blocking, and serve this thief's request alone.
+/// Unlike [`try_steal_once`] it is exact — a request answered empty by a
+/// bounded combiner batch, or re-queued past its turn, would read as "no
+/// work" while the victim still had some, and the worker would then
+/// block with stealable work in sight.
+pub(crate) fn steal_exact(rt: &Arc<RtInner>, me: usize, victim: usize) -> Option<Grab> {
+    let my = &rt.workers[me];
+    WorkerStats::bump(&my.stats.steal_attempts, 1);
+    let grab = {
+        let _guard = rt.workers[victim].steal_lock.lock();
+        serve(rt, me, victim, &[&my.req], &my.stats).pop()
+    };
+    if grab.is_some() {
+        WorkerStats::bump(&my.stats.steal_hits, 1);
+        let stat = if rt.topo.same_node(me, victim) {
+            &my.stats.steals_local_node
+        } else {
+            &my.stats.steals_remote_node
+        };
+        WorkerStats::bump(stat, 1);
+    }
+    grab
+}
+
 /// Centralized-queue mode: claim every currently-ready task of `frame` and
 /// publish it into the shared queue (insertion-time scheduling, the
 /// QUARK/libGOMP model). Called by the engine on spawn and on completion;
@@ -416,6 +439,7 @@ pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Arc<Frame>) {
     if claimed.is_empty() {
         return;
     }
+    let published = claimed.len();
     for (idx, task) in claimed {
         let item = WorkItem::task(Arc::clone(frame), idx, task);
         if let Err(item) = rt.queue.push(me, item) {
@@ -424,7 +448,7 @@ pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Arc<Frame>) {
             run_grab(rt, me, item.into_grab());
         }
     }
-    rt.signal_work();
+    rt.notify_work(published);
 }
 
 /// Execute stolen work on worker `me`.

@@ -641,7 +641,6 @@ fn builder_exposes_tunables() {
         })
         .pin_workers(true)
         .stack_size(4 << 20)
-        .steal_rounds_before_park(1)
         .max_pending(2)
         .build();
     assert_eq!(rt.steal_policy_name(), "per-thief");
@@ -649,7 +648,6 @@ fn builder_exposes_tunables() {
     assert!(!t.promotion.enabled);
     assert_eq!(t.promotion.promote_len, 5);
     assert!(t.pin_workers);
-    assert_eq!(t.steal_rounds_before_park, 1);
     assert_eq!(t.inject.max_pending, 2);
     assert_eq!(rt.num_workers(), 2);
     // still functional; pinning is best effort, so whether or not the
@@ -657,9 +655,8 @@ fn builder_exposes_tunables() {
     assert_eq!(rt.scope(|ctx| ctx.join(|_| 1, |_| 2)), (1, 2));
     let s = rt.foreach_reduce(0..1000, None, || 0u64, |a, i| *a += i as u64, |a, b| a + b);
     assert_eq!(s, 499_500);
-    // Workers park after a single idle round and admission holds at most
-    // two pending jobs, so these submits are throttled (`OnFull::Block`)
-    // and each job may have to wake a parked worker.
+    // Admission holds at most two pending jobs, so these submits are
+    // throttled (`OnFull::Block`).
     let handles: Vec<_> = (0..16u64)
         .map(|i| {
             rt.submit(move |_| i * i)
@@ -676,7 +673,6 @@ fn builder_exposes_tunables() {
         "flat combining is the default protocol"
     );
     let t = plain.tunables();
-    assert_eq!(t.steal_rounds_before_park, 32);
     assert_eq!(t.inject.max_pending, 4096);
     assert!(!t.pin_workers, "pinning defaults off");
 }

@@ -7,32 +7,67 @@
 //! ([`worker_main`]) is the engine's outermost layer:
 //!
 //! ```text
-//! queue.pop → injected root jobs → steal (policy-driven) → park
+//! queue.pop → inject → steal → search → park
 //! ```
 //!
-//! Parking is centralized in [`ParkLot`]: a worker whose *steal fail
-//! streak* (consecutive failed acquisition attempts, tracked on the
-//! [`Worker`] so the steal policy sees it too) reaches
-//! `Tunables::steal_rounds_before_park` blocks on the lot's condvar with a
-//! [`PARK_TIMEOUT`] timeout (bounding lost wake-up races), and
-//! producers call [`ParkLot::signal`] — one relaxed load when nobody
-//! sleeps.
+//! A worker that finds no work has two idle states. **Searching**: it
+//! keeps probing (spin hint, a `yield_now` every few rounds) until
+//! [`SEARCH_BUDGET`] of wall time has passed since it last acquired work;
+//! at most ⌈W/2⌉ workers (but at least two) search at once, the rest
+//! park straight away.
+//! **Parked**: it blocks in [`ParkLot`] with no timeout, so an idle
+//! runtime makes no context switches at all.
+//!
+//! Blocking without a timeout is safe because of one invariant, kept by a
+//! Dekker-style handshake: *stealable work that no awake worker will
+//! find always wakes a parked one.* A parker announces itself
+//! (`sleepers += 1`), issues a `SeqCst` fence, then makes a real
+//! acquisition attempt on every source — its queue lane, the inject
+//! lanes, and the fast lane, frames and adaptive loops of every victim
+//! the steal policy allows — and blocks only if all of them came back
+//! empty. A producer publishes its
+//! work, issues a `SeqCst` fence, then reads the sleeper count. The two
+//! fences are totally ordered, so either the parker's re-check sees the
+//! work or the producer sees the parker and hands it a wake permit. The
+//! producer sites ([`RtInner::notify_work`] and its callers):
+//!
+//! * `Ctx::join` — only when its push made the deque non-empty; a job
+//!   pushed behind another is the owner's to reclaim anyway, so fib's
+//!   join path pays no fence in the common case;
+//! * `RawCtx::spawn_common` — every data-flow spawn;
+//! * `complete_and_publish` — a completion that leaves its frame with
+//!   unfinished tasks (it may have readied some);
+//! * `foreach_run` — a loop launch, which wakes up to W−1 workers;
+//! * `publish_ready` — the centralized queues, one wake per task;
+//! * `Runtime::submit` and `Runtime::scope` — a root job.
+//!
+//! A producer wakes no one while a searcher is awake to find its work.
+//! That is why a searcher that finds work while it is the last searcher
+//! wakes one parked worker (the Tokio/Go rule): the next unit then still
+//! has someone looking for it.
 
 use crate::adaptive::Adaptive;
 use crate::ctx::RawCtx;
 use crate::frame::Frame;
-use crate::runtime::RtInner;
+use crate::runtime::{Job, RtInner};
 use crate::stats::WorkerStats;
-use crate::steal::{run_grab, try_steal_once, Request};
+use crate::steal::{run_grab, steal_exact, try_steal_once, Grab, Request};
 use crate::telemetry::{self, EventKind, WorkerTelemetry};
+use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long a parked worker sleeps before re-probing, even unsignalled:
-/// the bound on what a lost wake-up race costs.
-const PARK_TIMEOUT: Duration = Duration::from_micros(500);
+/// How long a worker keeps searching after it last acquired work before
+/// it parks. Longer than a futex wake-up (a few µs), so back-to-back
+/// submissions and loop launches find their workers awake; short enough
+/// that an idle runtime is asleep well inside a millisecond.
+const SEARCH_BUDGET: Duration = Duration::from_micros(50);
+
+/// Searching rounds between two `yield_now` calls, so that searchers
+/// timesliced on one core with a busy worker hand the core back.
+const YIELD_EVERY: u32 = 8;
 
 /// One worker: its frames (stealable task stacks), adaptive-work registry,
 /// steal point (request stack + combiner lock) and statistics.
@@ -58,9 +93,8 @@ pub(crate) struct Worker {
     /// is the ring's only producer.
     pub(crate) tele: WorkerTelemetry,
     /// Consecutive failed steal attempts (reset on any acquired work).
-    /// Read by the steal policy for victim escalation and by the idle loop
-    /// for the park decision. Only the owning worker thread writes it, so
-    /// plain load/store suffices.
+    /// Read by the steal policy for victim escalation. Only the owning
+    /// worker thread writes it, so plain load/store suffices.
     fail_streak: AtomicU32,
     /// Recycled quiescent frames.
     frame_pool: Mutex<Vec<Arc<Frame>>>,
@@ -154,48 +188,142 @@ impl Worker {
     }
 }
 
-/// The parking place idle workers block in, and producers signal.
+/// The parking place idle workers block in, and producers wake them from.
+///
+/// Holds the two idle-state counts producers read: `sleepers` (workers
+/// that announced they are about to block, or are blocked) and
+/// `searching`. A wake is a *permit* under the lock, not just a condvar
+/// notification, so a wake granted to a worker that announced but has
+/// not reached `cv.wait` yet is not lost: it finds the permit and returns.
+/// A permit left over by a parker whose re-check found work costs the
+/// next parker one extra search phase.
 pub(crate) struct ParkLot {
-    mx: Mutex<()>,
+    /// Wake permits granted and not yet taken.
+    permits: Mutex<usize>,
     cv: Condvar,
-    sleepers: AtomicUsize,
+    /// Each count on a line of its own: searchers write `searching` on
+    /// every idle stretch, and every producer reads `sleepers` — sharing
+    /// a line with each other or with the runtime's read-mostly fields
+    /// cost a 1-worker submit loop about 10 %.
+    sleepers: CachePadded<AtomicUsize>,
+    searching: CachePadded<AtomicUsize>,
+    /// ⌈W/2⌉ but at least two: more would only contend on the victims,
+    /// and with one a two-worker pool paid a futex wake on every loop
+    /// launch (the searcher that took the launching job woke the other).
+    max_searching: usize,
 }
 
 impl ParkLot {
-    pub(crate) fn new() -> ParkLot {
+    pub(crate) fn new(workers: usize) -> ParkLot {
         ParkLot {
-            mx: Mutex::new(()),
+            permits: Mutex::new(0),
             cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
+            sleepers: CachePadded::new(AtomicUsize::new(0)),
+            searching: CachePadded::new(AtomicUsize::new(0)),
+            max_searching: workers.div_ceil(2).max(2).min(workers.max(1)),
         }
     }
 
-    /// Wake parked workers because new work appeared. Cheap when nobody
-    /// sleeps (one relaxed load).
+    /// Producer side, after publishing `units` new stealable units: the
+    /// fence of the handshake (see the module docs), then
+    /// [`ParkLot::wake_if_needed`].
     #[inline]
-    pub(crate) fn signal(&self) {
-        // Relaxed: a missed wake-up is repaired by the park timeout.
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            let _g = self.mx.lock();
-            self.cv.notify_all();
+    pub(crate) fn notify(&self, units: usize) {
+        fence(Ordering::SeqCst);
+        self.wake_if_needed(units);
+    }
+
+    /// Wake one parked worker per unit no searcher is awake to take.
+    /// Without the fence of [`ParkLot::notify`] this is a best-effort
+    /// hint; one load when nobody sleeps.
+    #[inline]
+    pub(crate) fn wake_if_needed(&self, units: usize) {
+        // Acquire: a parker decrements `searching` before it announces,
+        // so seeing its announcement means seeing it leave the searchers.
+        if self.sleepers.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let searching = self.searching.load(Ordering::Acquire);
+        if units > searching {
+            self.wake(units - searching);
         }
     }
 
-    /// Wake everyone unconditionally (shutdown).
-    pub(crate) fn signal_all(&self) {
-        let _g = self.mx.lock();
+    #[cold]
+    fn wake(&self, n: usize) {
+        let mut permits = self.permits.lock();
+        let grant = n.min(
+            self.sleepers
+                .load(Ordering::Relaxed)
+                .saturating_sub(*permits),
+        );
+        *permits += grant;
+        for _ in 0..grant {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wake everyone unconditionally (shutdown: the waiters' `stop`
+    /// condition is already set).
+    pub(crate) fn wake_all(&self) {
+        let _g = self.permits.lock();
         self.cv.notify_all();
     }
 
-    /// Park unless `should_stay_awake` already holds; bounded by
-    /// [`PARK_TIMEOUT`] so a lost wake-up race costs at most one period.
-    pub(crate) fn park(&self, should_stay_awake: impl Fn() -> bool) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.mx.lock();
-        if !should_stay_awake() {
-            self.cv.wait_for(&mut g, PARK_TIMEOUT);
+    /// Enter the searching state unless `max_searching` workers already
+    /// search.
+    fn try_search(&self) -> bool {
+        let mut n = self.searching.load(Ordering::Relaxed);
+        while n < self.max_searching {
+            match self.searching.compare_exchange_weak(
+                n,
+                n + 1,
+                Ordering::SeqCst,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(cur) => n = cur,
+            }
         }
-        drop(g);
+        false
+    }
+
+    /// A searcher acquired work. If it was the last searcher, wake one
+    /// parked worker to keep looking: producers skipped their wake
+    /// because this worker was searching.
+    fn found_work(&self) {
+        if self.searching.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.notify(1);
+        }
+    }
+
+    /// A searcher gives up: it parks next.
+    fn stop_searching(&self) {
+        self.searching.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// First half of parking: announce, then fence. The caller must make
+    /// its re-check of every work source after this, and then call either
+    /// [`ParkLot::retract`] or [`ParkLot::wait`].
+    fn announce(&self) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+    }
+
+    /// The re-check found work: the worker is not parking after all.
+    fn retract(&self) {
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Block until a wake permit arrives or `stop()` holds. No timeout.
+    fn wait(&self, stop: impl Fn() -> bool) {
+        let mut permits = self.permits.lock();
+        while *permits == 0 && !stop() {
+            self.cv.wait(&mut permits);
+        }
+        if *permits > 0 {
+            *permits -= 1;
+        }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -220,19 +348,17 @@ pub(crate) fn current_worker_of(rt: &Arc<RtInner>) -> Option<usize> {
 
 // ---------------------------------------------------------------------------
 
-/// Acquire one injected root job for worker `idx` — own node's lane first,
-/// then remote lanes in ascending distance order — and run it. Any lane
-/// drain (own *or* remote) resets the steal fail streak: acquired work is
-/// acquired work, wherever the lane sat; the drain is classified under
+/// Take one injected root job for worker `idx` — own node's lane first,
+/// then remote lanes in ascending distance order. Any lane drain (own
+/// *or* remote) resets the steal fail streak: acquired work is acquired
+/// work, wherever the lane sat; the drain is classified under
 /// `inject_own_lane` / `inject_remote_lane` so the locality of the
 /// injection path stays observable.
-pub(crate) fn try_drain_inject(rt: &Arc<RtInner>, idx: usize) -> bool {
+fn pop_inject(rt: &Arc<RtInner>, idx: usize) -> Option<(Job, usize)> {
     #[cfg(feature = "fault-injection")]
     crate::fault::on_worker_boundary(rt, idx);
     let node = rt.topo.node_of(idx);
-    let Some((job, lane)) = rt.inject.pop_for(node) else {
-        return false;
-    };
+    let (job, lane) = rt.inject.pop_for(node)?;
     let my = &rt.workers[idx];
     if lane == node {
         WorkerStats::bump(&my.stats.inject_own_lane, 1);
@@ -240,6 +366,12 @@ pub(crate) fn try_drain_inject(rt: &Arc<RtInner>, idx: usize) -> bool {
         WorkerStats::bump(&my.stats.inject_remote_lane, 1);
     }
     my.reset_fail_streak();
+    Some((job, lane))
+}
+
+/// Run an injected root job taken from `lane` on worker `idx`.
+fn run_job(rt: &Arc<RtInner>, idx: usize, job: Job, lane: usize) {
+    let my = &rt.workers[idx];
     let mut raw = RawCtx::new(rt, idx);
     if rt.telemetry.enabled() {
         // Traced job span (`DESIGN.md` §9): drain instant + B/E pair, the
@@ -259,39 +391,73 @@ pub(crate) fn try_drain_inject(rt: &Arc<RtInner>, idx: usize) -> bool {
     } else {
         (job.run)(&mut raw);
     }
-    true
 }
 
-/// Run one queued/injected/stolen piece of work for worker `idx`. Returns
-/// `false` when no work could be acquired anywhere.
-pub(crate) fn acquire_and_run(rt: &Arc<RtInner>, idx: usize) -> bool {
-    // 1. Queue layer: own lane (distributed) or the shared pool (central).
+/// Take and run one injected root job; `false` when every lane is empty.
+pub(crate) fn try_drain_inject(rt: &Arc<RtInner>, idx: usize) -> bool {
+    match pop_inject(rt, idx) {
+        Some((job, lane)) => {
+            run_job(rt, idx, job, lane);
+            true
+        }
+        None => false,
+    }
+}
+
+/// Work the idle loop acquired, not yet run: the loop leaves its idle
+/// state before running it, so a long body never counts as a searcher.
+enum Work {
+    Grab(Grab),
+    Job(Job, usize),
+}
+
+impl Work {
+    fn run(self, rt: &Arc<RtInner>, idx: usize) {
+        match self {
+            Work::Grab(grab) => run_grab(rt, idx, grab),
+            Work::Job(job, lane) => run_job(rt, idx, job, lane),
+        }
+    }
+}
+
+/// One searching round for worker `idx`: queue layer (own lane, or the
+/// shared pool under a central queue), then root jobs from outside the
+/// pool (nearest lane first), then one policy-driven steal attempt.
+fn acquire(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
     if let Some(item) = rt.queue.pop(idx) {
-        run_grab(rt, idx, item.into_grab());
-        return true;
+        return Some(Work::Grab(item.into_grab()));
     }
-    // 2. Injection layer: root jobs from outside the pool, nearest lane
-    //    first.
-    if try_drain_inject(rt, idx) {
-        return true;
+    if let Some((job, lane)) = pop_inject(rt, idx) {
+        return Some(Work::Job(job, lane));
     }
-    // 3. Steal layer: policy-driven victim probing.
-    if let Some(grab) = try_steal_once(rt, idx) {
-        run_grab(rt, idx, grab);
-        return true;
-    }
-    false
+    try_steal_once(rt, idx).map(Work::Grab)
 }
 
-/// The worker idle loop: acquire work, else spin briefly, else park.
-///
-/// The park decision rides the worker's steal *fail streak* (maintained by
-/// the steal layer, reset on any acquired work): the same signal the steal
-/// policy uses to escalate from near victims to far ones, so a worker
-/// first exhausts its local node, then the remote ones, then blocks.
+/// The parker's re-check: like [`acquire`], but the steal part probes
+/// *every* victim the policy allows under its steal lock
+/// ([`steal_exact`]) rather than the policy's one pick, so `None` means
+/// no source held work this worker may take at the time of the probe.
+fn acquire_exact(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
+    if let Some(item) = rt.queue.pop(idx) {
+        return Some(Work::Grab(item.into_grab()));
+    }
+    if let Some((job, lane)) = pop_inject(rt, idx) {
+        return Some(Work::Job(job, lane));
+    }
+    let p = rt.num_workers();
+    (1..p)
+        .map(|k| (idx + k) % p)
+        .filter(|&v| rt.steal_pol.may_steal_from(idx, v, &rt.topo))
+        .find_map(|v| steal_exact(rt, idx, v).map(Work::Grab))
+}
+
+/// The worker idle loop: acquire and run work; when there is none,
+/// search for [`SEARCH_BUDGET`], then park (see the module docs for the
+/// handshake that makes the park safe without a timeout).
 pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
     set_current(&rt, idx);
     let my = &rt.workers[idx];
+    let lot = &rt.park_lot;
     if rt.tun.pin_workers {
         // Best-effort pinning to the topology's core (the detected or
         // declared machine shape). Failure keeps the nominal mapping; the
@@ -300,32 +466,54 @@ pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
             WorkerStats::bump(&my.stats.workers_pinned, 1);
         }
     }
-    loop {
-        if rt.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if acquire_and_run(&rt, idx) {
+    let mut searching = false;
+    // When the current idle stretch began (`None` while busy).
+    let mut idle_since: Option<Instant> = None;
+    let mut rounds = 0u32;
+    while !rt.shutdown.load(Ordering::Acquire) {
+        if let Some(work) = acquire(&rt, idx) {
+            if searching {
+                searching = false;
+                lot.found_work();
+            }
+            idle_since = None;
             my.reset_fail_streak();
+            work.run(&rt, idx);
             continue;
         }
-        let streak = my.fail_streak();
-        if streak < rt.tun.steal_rounds_before_park {
-            std::hint::spin_loop();
-            if streak.is_multiple_of(8) {
-                std::thread::yield_now();
-            }
-        } else {
-            // Park/unpark span events are emitted here — on the worker
-            // thread, the ring's single producer — not inside ParkLot,
-            // which has no worker identity.
-            telemetry::emit_current(&rt, idx, EventKind::Park, 0, streak);
-            let rt2 = &rt;
-            rt.park_lot.park(|| {
-                rt2.shutdown.load(Ordering::Acquire)
-                    || rt2.inject.has_pending_hint()
-                    || !rt2.queue.is_empty_hint(idx)
-            });
-            telemetry::emit_current(&rt, idx, EventKind::Unpark, 0, 0);
+        let now = Instant::now();
+        let since = *idle_since.get_or_insert(now);
+        if !searching {
+            searching = lot.try_search();
         }
+        if searching && now.duration_since(since) < SEARCH_BUDGET {
+            rounds = rounds.wrapping_add(1);
+            if rounds.is_multiple_of(YIELD_EVERY) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+            continue;
+        }
+        if searching {
+            searching = false;
+            lot.stop_searching();
+        }
+        lot.announce();
+        if let Some(work) = acquire_exact(&rt, idx) {
+            lot.retract();
+            idle_since = None;
+            my.reset_fail_streak();
+            work.run(&rt, idx);
+            continue;
+        }
+        // Park/unpark span events are emitted here — on the worker
+        // thread, the ring's single producer — not inside ParkLot,
+        // which has no worker identity.
+        telemetry::emit_current(&rt, idx, EventKind::Park, 0, my.fail_streak());
+        lot.wait(|| rt.shutdown.load(Ordering::Acquire));
+        telemetry::emit_current(&rt, idx, EventKind::Unpark, 0, 0);
+        // A woken worker searches with a fresh budget.
+        idle_since = None;
     }
 }

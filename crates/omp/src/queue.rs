@@ -136,10 +136,6 @@ impl TaskQueue for OmpCentralQueue {
             .iter()
             .find_map(|q| q.take_last_matching(|item| std::ptr::eq(item.token(), token)))
     }
-
-    fn is_empty_hint(&self, _worker: usize) -> bool {
-        self.bands.iter().all(CentralQueue::is_empty)
-    }
 }
 
 #[cfg(test)]

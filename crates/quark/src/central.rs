@@ -160,10 +160,6 @@ impl TaskQueue for QuarkCentralQueue {
             .iter()
             .find_map(|l| l.take_last_matching(|item| std::ptr::eq(item.token(), token)))
     }
-
-    fn is_empty_hint(&self, _worker: usize) -> bool {
-        self.bands.iter().all(CentralReadyList::is_empty)
-    }
 }
 
 pub(crate) type TaskClosure = Box<dyn FnOnce(usize) + Send>;
