@@ -104,36 +104,6 @@ pub enum Affinity {
     Node(usize),
 }
 
-/// Execution track of a task or root job: which threads run its body
-/// (`DESIGN.md` §10).
-///
-/// The CPU worker pool is one track; the **I/O** track runs bodies that
-/// block on external events on a small dedicated thread set so they never
-/// occupy a CPU worker. Successors of an io task become ready when its io
-/// thread publishes the completion. Routing is an attribute like
-/// [`Priority`] and [`Affinity`]: `ctx.task().track(Track::Io)` /
-/// `rt.task().wait_external()`, with the default [`Track::Cpu`] lowering
-/// to exactly the pre-track behaviour.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Track {
-    /// The CPU worker pool (the default): unchanged pre-track behaviour.
-    #[default]
-    Cpu,
-    /// The blocking-I/O thread set: bodies that wait on external events
-    /// (`IoEngine`); see also the `wait_external` builder sugar.
-    Io,
-}
-
-impl Track {
-    /// Table label (bench harnesses, trace lanes).
-    pub fn label(self) -> &'static str {
-        match self {
-            Track::Cpu => "cpu",
-            Track::Io => "io",
-        }
-    }
-}
-
 /// A shared cancellation flag, cooperatively checked by the scheduler.
 ///
 /// Cloning a token shares the flag: cancelling any clone cancels them all.
@@ -189,17 +159,12 @@ pub struct TaskAttrs {
     /// Cooperative cancellation token, if the task belongs to a cancellable
     /// cone. Inherited by child spawns (`DESIGN.md` §8).
     pub cancel: Option<CancelToken>,
-    /// Execution track: which threads run the body (`DESIGN.md` §10). The
-    /// default [`Track::Cpu`] is the worker pool; [`Track::Io`] tasks are
-    /// dispatched at the point the task would otherwise execute.
-    pub track: Track,
 }
 
 impl PartialEq for TaskAttrs {
     fn eq(&self, other: &Self) -> bool {
         self.priority == other.priority
             && self.affinity == other.affinity
-            && self.track == other.track
             && match (&self.cancel, &other.cancel) {
                 (None, None) => true,
                 (Some(a), Some(b)) => a.same_as(b),
@@ -218,7 +183,7 @@ impl TaskAttrs {
     }
 
     /// True when every field is the default (Normal band, no affinity, no
-    /// cancel token, CPU track).
+    /// cancel token).
     ///
     /// The spawn path monomorphizes on this: a default spawn takes the
     /// `#[inline]` fast lowering identical to the pre-attribute runtime,
@@ -229,7 +194,6 @@ impl TaskAttrs {
         matches!(self.priority, Priority::Normal)
             && matches!(self.affinity, Affinity::None)
             && self.cancel.is_none()
-            && matches!(self.track, Track::Cpu)
     }
 
     /// Is this task's cancel token (if any) cancelled?

@@ -33,7 +33,7 @@ use std::sync::Arc;
 pub struct RawCtx {
     /// The runtime, *borrowed*: a copy of the creator's `Arc` handle whose
     /// reference count was never taken and is never released (see
-    /// [`RawCtx::with_detached`]). A count taken per context would be
+    /// [`RawCtx::new`]). A count taken per context would be
     /// atomic read-modify-writes on the one refcount line all workers
     /// share, paid on every `Ctx::join` (`DESIGN.md` §6, "What a join may
     /// touch").
@@ -46,23 +46,11 @@ pub struct RawCtx {
     /// Cancellation token governing this execution, inherited by every
     /// child spawn so cancelling a root cancels its whole cone.
     pub(crate) cancel: Option<CancelToken>,
-    /// Running on an io thread (`Track::Io`, `DESIGN.md` §10)
-    /// rather than a pool worker. A detached context must never borrow a
-    /// worker's thief identity: its syncs spin-wait instead of stealing
-    /// and its fork-joins and loops run sequentially inline — children it
-    /// spawns are still stealable by real workers through the frame.
-    pub(crate) detached: bool,
 }
 
 impl RawCtx {
-    /// A context on worker `widx` of `rt`; detached when built on an io
-    /// thread.
+    /// A context on worker `widx` of `rt`.
     pub(crate) fn new(rt: &Arc<RtInner>, widx: usize) -> RawCtx {
-        RawCtx::with_detached(rt, widx, crate::telemetry::on_track_thread())
-    }
-
-    /// [`RawCtx::new`] for a caller that knows whether it runs detached.
-    pub(crate) fn with_detached(rt: &Arc<RtInner>, widx: usize, detached: bool) -> RawCtx {
         // SAFETY: the bitwise copy is a second handle on `rt`'s allocation
         // that takes no reference count, and `ManuallyDrop` guarantees it
         // never releases one. It stays valid while some owning `Arc`
@@ -70,9 +58,8 @@ impl RawCtx {
         // `RawCtx` is only ever built on the stack of a call that borrows
         // `rt` and handed down as `&mut`, never stored or sent, and the
         // thread building it holds an owning `Arc<RtInner>` for the whole
-        // call — the worker thread (`worker_main`), the io thread
-        // (`io_main`), or the `Runtime` handle behind
-        // `scope` / `submit`. Nested contexts borrow from their parent's
+        // call — the worker thread (`worker_main`) or the `Runtime` handle
+        // behind `scope` / `submit`. Nested contexts borrow from their parent's
         // copy, which is valid for the same reason.
         let rt = ManuallyDrop::new(unsafe { std::ptr::read(rt) });
         RawCtx {
@@ -81,7 +68,6 @@ impl RawCtx {
             frame: None,
             cur: None,
             cancel: None,
-            detached,
         }
     }
 
@@ -212,37 +198,18 @@ impl RawCtx {
                 if t.try_claim(ST_OWNER) {
                     frame.advance_cursor();
                     WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
-                    execute_claimed(rt, widx, &frame, i, Arc::clone(&t));
-                    // Io-track tasks (`DESIGN.md` §10) come back from
-                    // execute_claimed dispatched but not done — their body
-                    // runs later on an io thread. The owner FIFO walk runs
-                    // later children inline *without* a readiness proof
-                    // (sequential order is the proof), so it must not pass
-                    // an in-flight child: wait exactly like the stolen
-                    // case, helping elsewhere in the meantime.
-                    if !t.is_done() {
-                        if self.detached {
-                            wait_detached(|| t.is_done());
-                        } else {
-                            help_until(rt, widx, Some(&frame), || t.is_done());
-                        }
-                    }
+                    // The body ran inline, so the task is done: program
+                    // order alone makes the next child safe to run.
+                    execute_claimed(rt, widx, &frame, i, t);
                 } else if t.state() == ST_DONE {
                     frame.advance_cursor();
                 } else {
                     // Stolen and in flight: suspend, help elsewhere.
-                    if self.detached {
-                        wait_detached(|| t.is_done());
-                    } else {
-                        help_until(rt, widx, Some(&frame), || t.is_done());
-                    }
+                    help_until(rt, widx, Some(&frame), || t.is_done());
                     frame.advance_cursor();
                 }
             } else if frame.pending() == 0 {
                 break;
-            } else if self.detached {
-                // All claimed, some still running on thieves.
-                wait_detached(|| frame.pending() == 0);
             } else {
                 // All claimed, some still running on thieves.
                 help_until(rt, widx, Some(&frame), || frame.pending() == 0);
@@ -308,7 +275,8 @@ impl RawCtx {
 /// the completion stores (so an owner that observes `pending == 0` always
 /// finds the payload), and successors in the dataflow cone are
 /// completed-as-failed instead of run. Cancelled tasks skip their body but
-/// satisfy every dataflow obligation.
+/// satisfy every dataflow obligation. Every path returns with the task
+/// complete.
 pub(crate) fn execute_claimed(
     rt: &Arc<RtInner>,
     widx: usize,
@@ -340,49 +308,6 @@ pub(crate) fn execute_claimed(
         complete_and_publish(rt, widx, frame, idx, &task);
         return;
     }
-    // Track routing (`DESIGN.md` §10): io tasks hand off to the io
-    // threads here instead of running inline. The io engine owns the
-    // claimed task from this point — its body runs later on a dedicated
-    // blocking thread.
-    if crate::track::dispatch(rt, frame, idx, &task) {
-        return;
-    }
-    run_claimed_body(rt, widx, frame, idx, task);
-}
-
-/// Run the body of an already-claimed task and publish its completion —
-/// the tail of [`execute_claimed`] after the skip/dispatch decisions. Also
-/// the entry point the io threads use to execute a task they deferred
-/// (where `RawCtx::new` picks up detached mode and `tele_for` routes the
-/// span to the io thread's telemetry lane).
-///
-/// Never unwinds: both the body and the implicit child sync are caught,
-/// recorded (poison-before-complete, `DESIGN.md` §8) and swallowed — a
-/// requirement of the inject drain loop, which runs jobs bare.
-pub(crate) fn run_claimed_body(
-    rt: &Arc<RtInner>,
-    widx: usize,
-    frame: &Arc<Frame>,
-    idx: usize,
-    task: Arc<Task>,
-) {
-    let stats = &rt.workers[widx].stats;
-    // Re-check cancellation: the token may have been cancelled while the
-    // task sat in the io queue (a no-op on the inline CPU path,
-    // where `execute_claimed` checked moments ago).
-    if task.attrs.is_cancelled() {
-        let _ = task.take_body();
-        WorkerStats::bump(&stats.tasks_cancelled, 1);
-        crate::telemetry::emit_current(
-            rt,
-            widx,
-            crate::telemetry::EventKind::Cancel,
-            task.attrs.band(),
-            idx as u32,
-        );
-        complete_and_publish(rt, widx, frame, idx, &task);
-        return;
-    }
     let body = task.take_body();
     let mut raw = RawCtx::new(rt, widx);
     raw.cancel = task.attrs.cancel.clone();
@@ -390,9 +315,7 @@ pub(crate) fn run_claimed_body(
     // Traced task span (`DESIGN.md` §9): B/E pair around the body plus
     // the start→done delta into the band's service histogram. One relaxed
     // load when tracing is off; the inline fork-join fast lane
-    // (`Ctx::join`) is deliberately not per-event instrumented. `tele_for`
-    // resolves to the executing thread's own lane (SPSC ring safety when an
-    // io thread runs the body).
+    // (`Ctx::join`) is deliberately not per-event instrumented.
     let tracing = rt.telemetry.enabled();
     let band = task
         .attrs
@@ -400,12 +323,9 @@ pub(crate) fn run_claimed_body(
         .min(crate::attrs::PRIORITY_BANDS as u8 - 1);
     let t0 = if tracing {
         let t0 = crate::telemetry::tick();
-        crate::telemetry::tele_for(rt, widx).emit(
-            t0,
-            crate::telemetry::EventKind::TaskBegin,
-            band,
-            idx as u32,
-        );
+        rt.workers[widx]
+            .tele
+            .emit(t0, crate::telemetry::EventKind::TaskBegin, band, idx as u32);
         t0
     } else {
         0
@@ -418,7 +338,7 @@ pub(crate) fn run_claimed_body(
     let fin = catch_unwind(AssertUnwindSafe(|| raw.finish()));
     if tracing {
         let t1 = crate::telemetry::tick();
-        let tele = crate::telemetry::tele_for(rt, widx);
+        let tele = &rt.workers[widx].tele;
         tele.emit(t1, crate::telemetry::EventKind::TaskEnd, band, idx as u32);
         tele.start_to_done[band as usize].record(t1.saturating_sub(t0));
         if res.is_err() {
@@ -441,21 +361,6 @@ pub(crate) fn run_claimed_body(
         _ => {}
     }
     complete_and_publish(rt, widx, frame, idx, &task);
-}
-
-/// Spin-wait for a detached (io-thread) context: no stealing, no inject
-/// drains — io threads own no thief identity (`Worker::req`) and must
-/// not impersonate one. Progress comes from the CPU pool, which can steal
-/// from the detached frame like from any registered frame.
-fn wait_detached(done: impl Fn() -> bool) {
-    let backoff = Backoff::new();
-    while !done() {
-        if backoff.is_completed() {
-            std::thread::yield_now();
-        } else {
-            backoff.snooze();
-        }
-    }
 }
 
 /// Completion tail shared by the run/skip paths of `execute_claimed`.
@@ -697,27 +602,6 @@ impl<'scope> Ctx<'scope> {
         FB: FnOnce(&mut Ctx<'scope>) -> RB + Send,
         RB: Send,
     {
-        if self.raw().detached {
-            // Detached contexts (io threads, `DESIGN.md` §10) own no
-            // T.H.E. deque — worker `widx`'s lane is single-producer and
-            // the real owner may be pushing concurrently — so the pair
-            // runs sequentially inline, `fb` in a fresh scope like the
-            // stolen path would give it.
-            if !attrs.is_default() {
-                let raw = self.raw();
-                WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_with_attrs, 1);
-            }
-            let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
-            let rb = catch_unwind(AssertUnwindSafe(|| {
-                let raw = self.raw();
-                let mut sub = RawCtx::with_detached(&raw.rt, raw.widx, true);
-                sub.run_scoped(fb)
-            }));
-            match (ra, rb) {
-                (Ok(a), Ok(b)) => return (a, b),
-                (Err(p), _) | (_, Err(p)) => resume_unwind(p),
-            }
-        }
         use crate::fastlane::FastJob;
         const J_PENDING: u8 = 0;
         const J_DONE: u8 = 1;
@@ -735,15 +619,8 @@ impl<'scope> Ctx<'scope> {
         {
             let job = unsafe { &*(data as *const StackJob<F, R>) };
             let f = unsafe { (*job.f.get()).take().expect("fast job run twice") };
-            // Only pool workers push or steal fast jobs, so no thread-local
-            // lookup: a detached context runs its joins (above) and loops
-            // (`foreach_run`) inline, and its syncs never steal.
-            let mut raw = RawCtx::with_detached(rt, widx, false);
+            let mut raw = RawCtx::new(rt, widx);
             let run = catch_unwind(AssertUnwindSafe(|| {
-                debug_assert!(
-                    !crate::telemetry::on_track_thread(),
-                    "an io thread ran a fork-join job"
-                );
                 #[cfg(feature = "fault-injection")]
                 crate::fault::on_task_execute(rt);
                 f(&mut raw)
@@ -864,7 +741,7 @@ impl<'scope> Ctx<'scope> {
         R: Send,
     {
         let raw = self.raw();
-        let mut sub = RawCtx::with_detached(&raw.rt, raw.widx, raw.detached);
+        let mut sub = RawCtx::new(&raw.rt, raw.widx);
         sub.run_scoped(f)
     }
 
@@ -1105,22 +982,6 @@ impl<'b, 'scope> TaskBuilder<'b, 'scope> {
     pub fn cancel_token(mut self, t: &CancelToken) -> Self {
         self.attrs.cancel = Some(t.clone());
         self
-    }
-
-    /// Route the task to an execution track (default [`Track::Cpu`](crate::Track::Cpu):
-    /// today's worker pool, unchanged). `Track::Io` runs it on the
-    /// dedicated blocking thread set; its successors become ready when
-    /// the io thread publishes its completion (`DESIGN.md` §10).
-    pub fn track(mut self, t: crate::attrs::Track) -> Self {
-        self.attrs.track = t;
-        self
-    }
-
-    /// Mark the task as blocking on an external event (a file descriptor,
-    /// a channel, a remote reply): sugar for `.track(Track::Io)` — the
-    /// body runs on the io thread set and never occupies a CPU worker.
-    pub fn wait_external(self) -> Self {
-        self.track(crate::attrs::Track::Io)
     }
 
     /// Spawn the task. Non-blocking, identical semantics to

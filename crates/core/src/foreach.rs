@@ -206,11 +206,7 @@ fn process(rt: &Arc<RtInner>, widx: usize, ctl: &Arc<LoopCtl>, cell: Arc<Interva
     rt.workers[widx].deregister_adaptive(&ad);
 }
 
-/// Run a foreach to completion on worker `widx` of `rt`. A `detached`
-/// caller (a track thread borrowing index `widx`) runs the whole range
-/// inline: publishing a loop and helping until it drains would make it a
-/// thief on worker `widx`'s behalf, and a fork-join job it stole would run
-/// on that worker's lane beside the worker itself.
+/// Run a foreach to completion on worker `widx` of `rt`.
 ///
 /// # Safety contract (internal)
 /// `body` is lifetime-erased; soundness comes from this function not
@@ -218,7 +214,6 @@ fn process(rt: &Arc<RtInner>, widx: usize, ctl: &Arc<LoopCtl>, cell: Arc<Interva
 pub(crate) fn foreach_run(
     rt: &Arc<RtInner>,
     widx: usize,
-    detached: bool,
     range: Range<usize>,
     grain: Option<usize>,
     attrs: TaskAttrs,
@@ -232,7 +227,7 @@ pub(crate) fn foreach_run(
     let grain = grain
         .unwrap_or_else(|| (n / (GRAIN_FACTOR * p)).max(1))
         .max(1);
-    if p == 1 || n <= grain || detached {
+    if p == 1 || n <= grain {
         body(range, widx);
         return;
     }
@@ -333,7 +328,7 @@ impl<'scope> Ctx<'scope> {
         if attrs.cancel.is_none() {
             attrs.cancel = raw.cancel.clone();
         }
-        foreach_run(&raw.rt, raw.widx, raw.detached, range, grain, attrs, body);
+        foreach_run(&raw.rt, raw.widx, range, grain, attrs, body);
     }
 
     /// Parallel reduction: fold every index into per-worker accumulators,

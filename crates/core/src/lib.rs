@@ -104,12 +104,11 @@ mod steal;
 mod task;
 pub mod telemetry;
 pub mod topology;
-mod track;
 mod worker;
 
 pub use access::{Access, AccessMode, HandleId, Region};
 pub use adaptive::{split_even, IntervalCell};
-pub use attrs::{Affinity, CancelToken, Priority, TaskAttrs, Track, PRIORITY_BANDS};
+pub use attrs::{Affinity, CancelToken, Priority, TaskAttrs, PRIORITY_BANDS};
 pub use ctx::{with_runtime_ctx, Ctx, TaskBuilder};
 pub use dataflow::DataflowEngine;
 #[cfg(feature = "fault-injection")]

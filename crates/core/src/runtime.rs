@@ -36,7 +36,6 @@ use crate::stats::{self, StatsSnapshot};
 use crate::steal::Grab;
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
-use crate::track::IoEngine;
 use crate::worker::{current_worker_of, worker_main, ParkLot, Worker};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -297,17 +296,10 @@ impl Builder {
             .tracing
             .or_else(|| env_flag("XKAAPI_TRACE"))
             .unwrap_or(false);
-        let io = IoEngine::new();
-        // One Perfetto lane per worker, then one per io thread, in the
-        // exact order `RtInner::tele_refs` yields the bundles.
-        let lanes: Vec<String> = (0..nworkers)
-            .map(|i| format!("worker {i}"))
-            .chain(io.lane_names())
-            .collect();
         let inner = Arc::new(RtInner {
             workers,
             inject,
-            telemetry: TelemetryState::named(lanes, trace_on),
+            telemetry: TelemetryState::new(nworkers, trace_on),
             park_lot: ParkLot::new(nworkers),
             shutdown: AtomicBool::new(false),
             tun,
@@ -316,13 +308,11 @@ impl Builder {
             steal_pol,
             topo,
             threads: Mutex::new(Vec::new()),
-            io,
             #[cfg(feature = "fault-injection")]
             fault: self
                 .fault_plan
                 .map(|p| Arc::new(crate::fault::FaultState::new(p))),
         });
-        inner.io.start(&inner);
         for i in 0..nworkers {
             let rt = Arc::clone(&inner);
             let h = std::thread::Builder::new()
@@ -365,8 +355,6 @@ pub(crate) struct RtInner {
     /// Machine topology consulted by topology-aware steal policies.
     pub(crate) topo: Topology,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// The blocking-I/O thread set behind `Track::Io` (`DESIGN.md` §10).
-    pub(crate) io: IoEngine,
     /// Deterministic fault-injection plan state (chaos testing only).
     #[cfg(feature = "fault-injection")]
     pub(crate) fault: Option<Arc<crate::fault::FaultState>>,
@@ -442,15 +430,10 @@ impl RtInner {
         self.park_lot.notify(units);
     }
 
-    /// All telemetry bundles in lane order — workers first, then the
-    /// io threads (drain/merge views; parallel to the session's lane
-    /// names).
+    /// All telemetry bundles, one per worker in worker order (the
+    /// drain/merge views).
     pub(crate) fn tele_refs(&self) -> Vec<&WorkerTelemetry> {
-        self.workers
-            .iter()
-            .map(|w| &w.tele)
-            .chain(self.io.tele_refs())
-            .collect()
+        self.workers.iter().map(|w| &w.tele).collect()
     }
 
     /// The **single** stats merge path (`DESIGN.md` §9): per-worker
@@ -567,22 +550,6 @@ impl Runtime {
             return Err(SubmitError::Expired);
         }
         let state = Arc::new(JoinState::new());
-        // Blocking jobs (`JobBuilder::wait_external` / `track(Io)`) route
-        // to the io thread set — even from worker context, where the
-        // inline shortcut below would put a blocking body on the CPU
-        // pool, the one thing the io track exists to prevent. The io
-        // queue is unbounded (no lane admission slot), so no deadlock:
-        // an io thread runs the job independently of the submitter.
-        if matches!(attrs.track, crate::attrs::Track::Io) {
-            self.inner.inject.note_inline_submit();
-            let mut job = make_job(Arc::clone(&state), Some(token.clone()), deadline, f);
-            job.band = attrs.band();
-            if self.inner.telemetry.enabled() {
-                job.submit_tick = crate::telemetry::tick();
-            }
-            self.inner.io.submit_job(job);
-            return Ok(JoinHandle::new(state, &self.inner, Some(token)));
-        }
         if let Some(widx) = current_worker_of(&self.inner) {
             // Worker context: run inline (a queued job could deadlock a
             // 1-worker pool whose only worker then waits on the handle).
@@ -845,11 +812,6 @@ impl Drop for Runtime {
         for t in threads {
             let _ = t.join();
         }
-        // The io threads stop after the CPU workers: a worker mid-task may
-        // still dispatch to them (the shutdown check in `dispatch` is
-        // advisory), but once workers are joined nothing submits anymore.
-        // Queued-but-unstarted io work is dropped like queued inject jobs.
-        self.inner.io.stop();
         // Final telemetry drain: every ring's tail events land in the
         // accumulated session (worker threads are gone, so the producer
         // side is quiescent). Only observable through an outstanding
@@ -907,23 +869,6 @@ impl<'rt> JobBuilder<'rt> {
     pub fn cancel_token(mut self, t: &CancelToken) -> Self {
         self.attrs.cancel = Some(t.clone());
         self
-    }
-
-    /// Route the job to an execution track. [`Track::Io`](crate::Track)
-    /// runs the body on the dedicated blocking thread set instead of a CPU
-    /// worker (`DESIGN.md` §10); the default `Track::Cpu` keeps the inject
-    /// path. Tasks spawned inside the job route per task via
-    /// [`TaskBuilder::track`](crate::TaskBuilder::track).
-    pub fn track(mut self, t: crate::attrs::Track) -> Self {
-        self.attrs.track = t;
-        self
-    }
-
-    /// Mark the job as blocking on an external event: sugar for
-    /// `.track(Track::Io)` — it runs on the io thread set and never
-    /// occupies a CPU worker while blocked.
-    pub fn wait_external(self) -> Self {
-        self.track(crate::attrs::Track::Io)
     }
 
     /// Admission deadline, measured from the `submit` call: a job still

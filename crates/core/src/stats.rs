@@ -138,9 +138,6 @@ counters! {
     /// promotion sweep (`Tunables::promote_low_after`). Maintained
     /// globally by the inject lanes, merged in by `Runtime::stats`.
     inject_promotions,
-    /// Tasks and root jobs executed on the dedicated blocking-I/O thread
-    /// set (`Track::Io` / `wait_external`), never occupying a CPU worker.
-    tasks_io,
 }
 
 impl WorkerStats {
@@ -153,20 +150,13 @@ impl WorkerStats {
     /// stats on the fork-join fast path: a relaxed load plus store, no
     /// locked read-modify-write. Only for `Ctx::join`'s two counters
     /// (`tasks_spawned`, `tasks_executed_own`); every other site keeps
-    /// `fetch_add`, because an io thread shares the `WorkerStats` of the
-    /// worker whose index it borrows. The price is that these two counters
-    /// are exact only while nothing else writes them, and two writers can:
-    ///
-    /// * an io thread borrows worker index `k % n`, and its detached
-    ///   data-flow spawns and syncs `bump` the same two counters — every
-    ///   such increment that lands between the owner's load and store is
-    ///   lost, so both undercount while the io track runs beside joins;
-    /// * [`Runtime::reset_stats`](crate::runtime::Runtime::reset_stats) stores 0
-    ///   from another thread, and an owner that loaded before the reset
-    ///   stores its old count plus one after it, undoing the reset for
-    ///   this counter. Resets are exact only at quiescence.
-    ///
-    /// Either way only statistics go wrong, never scheduling.
+    /// `fetch_add`, which no join pays for and which keeps a concurrent
+    /// reset exact. The price is that these two counters have a second
+    /// writer: [`Runtime::reset_stats`](crate::runtime::Runtime::reset_stats)
+    /// stores 0 from another thread, and an owner that loaded before the
+    /// reset stores its old count plus one after it, undoing the reset for
+    /// this counter. Resets of these two are exact only at quiescence;
+    /// only statistics go wrong, never scheduling.
     #[inline]
     pub(crate) fn bump_owned(counter: &CachePadded<AtomicU64>, n: u64) {
         counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);

@@ -111,11 +111,6 @@ pub enum EventKind {
     Cancel = 12,
     /// A job was shed at drain time (deadline expired or cancelled).
     Shed = 13,
-    /// An I/O-track body started blocking on its external event
-    /// (`arg` = io thread index).
-    IoBlockB = 14,
-    /// The matching end of [`EventKind::IoBlockB`].
-    IoBlockE = 15,
 }
 
 impl EventKind {
@@ -136,8 +131,6 @@ impl EventKind {
             11 => EventKind::Panic,
             12 => EventKind::Cancel,
             13 => EventKind::Shed,
-            14 => EventKind::IoBlockB,
-            15 => EventKind::IoBlockE,
             _ => {
                 // Only `push` writes the byte, from a typed kind.
                 debug_assert!(false, "unknown telemetry event kind {v}");
@@ -160,12 +153,11 @@ impl EventKind {
             EventKind::Panic => "panic",
             EventKind::Cancel => "cancel",
             EventKind::Shed => "shed",
-            EventKind::IoBlockB | EventKind::IoBlockE => "io_block",
         }
     }
 
     /// Span classification: `Some((name, is_begin))` for begin/end pairs
-    /// (`task`, `job`, `park`, `io_block`), `None` for instant events.
+    /// (`task`, `job`, `park`), `None` for instant events.
     pub fn span(self) -> Option<(&'static str, bool)> {
         match self {
             EventKind::TaskBegin => Some(("task", true)),
@@ -174,8 +166,6 @@ impl EventKind {
             EventKind::JobEnd => Some(("job", false)),
             EventKind::Park => Some(("park", true)),
             EventKind::Unpark => Some(("park", false)),
-            EventKind::IoBlockB => Some(("io_block", true)),
-            EventKind::IoBlockE => Some(("io_block", false)),
             _ => None,
         }
     }
@@ -518,33 +508,19 @@ pub(crate) struct TelemetryState {
     enabled: AtomicBool,
     epoch_instant: Instant,
     epoch_tick: u64,
-    /// Perfetto lane names, one per drained ring: the CPU workers first,
-    /// then each io thread (`io-0`, `io-1`).
-    lanes: Vec<String>,
-    /// Drained-but-not-yet-taken raw events, one vec per lane. The lock
+    /// Drained-but-not-yet-taken raw events, one vec per worker. The lock
     /// also serializes the consumer side of every ring.
     session: Mutex<Vec<Vec<RawEvent>>>,
 }
 
 impl TelemetryState {
-    #[cfg(test)]
+    /// One drained ring per worker.
     pub(crate) fn new(workers: usize, enabled: bool) -> TelemetryState {
-        TelemetryState::named(
-            (0..workers).map(|w| format!("worker {w}")).collect(),
-            enabled,
-        )
-    }
-
-    /// One explicit Perfetto lane name per drained ring (CPU workers
-    /// followed by io threads).
-    pub(crate) fn named(lanes: Vec<String>, enabled: bool) -> TelemetryState {
-        let n = lanes.len();
         TelemetryState {
             enabled: AtomicBool::new(enabled),
             epoch_instant: Instant::now(),
             epoch_tick: tick(),
-            lanes,
-            session: Mutex::new((0..n).map(|_| Vec::new()).collect()),
+            session: Mutex::new((0..workers).map(|_| Vec::new()).collect()),
         }
     }
 
@@ -609,7 +585,6 @@ impl TelemetryState {
             .collect();
         TraceSession {
             workers,
-            lanes: self.lanes.clone(),
             dropped: tele.iter().map(|t| t.ring.dropped()).sum(),
         }
     }
@@ -666,55 +641,8 @@ pub(crate) fn emit_current(
     arg: u32,
 ) {
     if rt.telemetry.enabled() {
-        tele_for(rt, widx).emit(tick(), kind, band, arg);
+        rt.workers[widx].tele.emit(tick(), kind, band, arg);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Track-thread lane override
-//
-// Event rings are SPSC: one producer — the owning thread. Io threads
-// (`Track::Io`, `DESIGN.md` §10) therefore each own a telemetry
-// bundle of their own and register it here at startup; every shared
-// emission site resolves through `tele_for` so a task body executing on an
-// io thread lands on that thread's lane, never on worker `widx`'s ring
-// (whose producer is a live CPU thread). The same thread-local doubles as
-// the detached-context marker (`RawCtx::detached`).
-
-thread_local! {
-    static TRACK_LANE: std::cell::Cell<*const WorkerTelemetry> =
-        const { std::cell::Cell::new(std::ptr::null()) };
-}
-
-/// Register `tele` as the calling thread's telemetry lane. Called once per
-/// io thread at startup; `tele` must stay alive for the thread's whole
-/// life (it lives in `RtInner::io`, and the thread holds the
-/// `Arc<RtInner>`).
-pub(crate) fn set_track_lane(tele: &WorkerTelemetry) {
-    TRACK_LANE.with(|c| c.set(tele as *const WorkerTelemetry));
-}
-
-/// Is the calling thread a track thread (an io thread)?
-#[inline]
-pub(crate) fn on_track_thread() -> bool {
-    TRACK_LANE.with(|c| !c.get().is_null())
-}
-
-/// The telemetry bundle the calling thread may emit to: its own lane if
-/// it is an io thread, worker `widx`'s otherwise.
-#[inline]
-pub(crate) fn tele_for(rt: &crate::runtime::RtInner, widx: usize) -> &WorkerTelemetry {
-    TRACK_LANE.with(|c| {
-        let p = c.get();
-        if p.is_null() {
-            &rt.workers[widx].tele
-        } else {
-            // Safety: set only by io threads, pointing into `rt.io`,
-            // which outlives every io thread (they are joined before
-            // `RtInner` drops).
-            unsafe { &*p }
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -726,25 +654,18 @@ pub(crate) fn tele_for(rt: &crate::runtime::RtInner, widx: usize) -> &WorkerTele
 /// export with [`to_chrome_trace`](TraceSession::to_chrome_trace).
 pub struct TraceSession {
     workers: Vec<Vec<TelemetryEvent>>,
-    /// Perfetto lane names, parallel to `workers`; missing entries fall
-    /// back to `worker {w}`.
-    lanes: Vec<String>,
     dropped: u64,
 }
 
 impl TraceSession {
-    /// Number of timelines (CPU workers plus io threads).
+    /// Number of timelines, one per worker.
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
-    /// The Perfetto lane name of timeline `w` (`worker {w}` for CPU
-    /// workers, `io-0` and `io-1` for the io threads).
+    /// The Perfetto lane name of timeline `w`: `worker {w}`.
     pub fn lane_name(&self, w: usize) -> String {
-        self.lanes
-            .get(w)
-            .cloned()
-            .unwrap_or_else(|| format!("worker {w}"))
+        format!("worker {w}")
     }
 
     /// The drained events of worker `w`, in recording order.
@@ -784,8 +705,7 @@ impl TraceSession {
             let _ = write!(
                 out,
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{w},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                crate::record::json_escape(&self.lane_name(w))
+                 \"args\":{{\"name\":\"worker {w}\"}}}}"
             );
         }
         for (w, evs) in self.workers.iter().enumerate() {
@@ -987,7 +907,7 @@ mod tests {
     }
 
     /// Every kind, in discriminant order.
-    const ALL_KINDS: [EventKind; 16] = [
+    const ALL_KINDS: [EventKind; 14] = [
         EventKind::TaskBegin,
         EventKind::TaskEnd,
         EventKind::JobBegin,
@@ -1002,8 +922,6 @@ mod tests {
         EventKind::Panic,
         EventKind::Cancel,
         EventKind::Shed,
-        EventKind::IoBlockB,
-        EventKind::IoBlockE,
     ];
 
     #[test]
@@ -1098,7 +1016,6 @@ mod tests {
                     arg: 0,
                 }],
             ],
-            lanes: vec!["worker 0".into(), "io-0".into()],
             dropped: 0,
         };
         let j = session.to_chrome_trace();
@@ -1107,7 +1024,7 @@ mod tests {
         assert!(j.contains("\"tid\":0"));
         assert!(j.contains("\"tid\":1"));
         assert!(j.contains("\"name\":\"worker 0\""));
-        assert!(j.contains("\"name\":\"io-0\""));
+        assert!(j.contains("\"name\":\"worker 1\""));
         assert!(j.contains("\"ph\":\"B\""));
         assert!(j.contains("\"ph\":\"E\""));
         assert!(j.contains("\"ph\":\"i\""));

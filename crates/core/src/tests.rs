@@ -327,6 +327,30 @@ fn scope_body_panic_waits_children() {
     assert_eq!(done.load(Ordering::Relaxed), 10);
 }
 
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "was not declared by this task")]
+fn reading_an_undeclared_handle_panics() {
+    let rt = rt(1);
+    let (a, b) = (Shared::new(0u64), Shared::new(0u64));
+    rt.scope(|ctx| {
+        let (aw, br) = (a.clone(), b.clone());
+        ctx.spawn([a.write()], move |t| *t.write(&aw) = *t.read(&br));
+    });
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "was not declared by this task")]
+fn writing_a_read_only_handle_panics() {
+    let rt = rt(1);
+    let h = Shared::new(0u64);
+    rt.scope(|ctx| {
+        let hw = h.clone();
+        ctx.spawn([h.read()], move |t| *t.write(&hw) = 1);
+    });
+}
+
 #[test]
 fn stats_count_tasks() {
     let rt = rt(2);

@@ -23,7 +23,7 @@
 //!   execution lanes and successors are released by the asynchronous
 //!   completion stream. This is the repository's only accelerator model:
 //!   the runtime has no device, so launch latency, batch size and transfer
-//!   cost are studied here as parameters (`DESIGN.md` §10).
+//!   cost are studied here as parameters (`DESIGN.md` §1).
 
 use crate::platform::Platform;
 use std::cmp::Reverse;

@@ -23,14 +23,13 @@
 //! `task_server_trace.json`, a Perfetto-loadable chrome trace with one
 //! lane per worker (CI uploads it next to the bench artifacts).
 //!
-//! Since PR 10 the server also demonstrates the **io track** (DESIGN.md
-//! §10): request handlers that block on an external event — a database
-//! reply, an upstream socket — are submitted with `.wait_external()`
-//! and run on the dedicated io thread set instead of a CPU worker. The
-//! demo parks one blocking stage per CPU worker behind a gate, re-runs
-//! the CPU flood while they sit blocked, and asserts the flood's
-//! throughput is unharmed — the proof that blockers never occupy the
-//! compute pool.
+//! The server also shows where blocking work goes: request handlers
+//! that block on an external event — a database reply, an upstream
+//! socket — wait on plain threads the server owns, never on a worker,
+//! and hand their result to the pool through `submit` once the event
+//! arrives. The demo parks one blocking stage per CPU worker behind a
+//! gate, re-runs the CPU flood while they sit blocked, and asserts the
+//! flood's throughput is unharmed.
 //!
 //! ```bash
 //! cargo run --release --example task_server
@@ -221,13 +220,13 @@ fn main() {
         snap.inject_own_lane, snap.inject_remote_lane
     );
 
-    // --- blocking-stage demo (PR 10): Track::Io vs the CPU pool --------
+    // --- blocking-stage demo: blockers on threads the server owns ------
     // A request that blocks on an external event must never occupy a CPU
     // worker. Measure a pure-CPU flood, then park one blocking stage per
-    // worker on the io track (gated on a condvar, i.e. blocked for the
-    // whole measurement) and measure the same flood again: with the
-    // blockers on the io thread set, CPU throughput is unharmed. Were
-    // they on the CPU track, all eight workers would sit in the wait.
+    // worker on a plain thread (gated on a condvar, i.e. blocked for the
+    // whole measurement) and measure the same flood again: the pool never
+    // sees the wait, so CPU throughput is unharmed. Once released, each
+    // stage hands its result to the pool through `submit`.
     let cpu_flood = |rt: &Arc<Runtime>, n: u64| -> Duration {
         let t0 = Instant::now();
         let hs: Vec<_> = (0..n)
@@ -241,22 +240,25 @@ fn main() {
         }
         t0.elapsed()
     };
-    let io_before = rt.stats().tasks_io;
     let baseline = cpu_flood(&rt, 20_000);
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let blockers: Vec<_> = (0..workers)
-        .map(|_| {
-            let gate = Arc::clone(&gate);
-            rt.task()
-                .wait_external()
-                .submit(move |_ctx| {
+    let blockers: Vec<_> = (0..workers as u64)
+        .map(|k| {
+            let (gate, rt) = (Arc::clone(&gate), Arc::clone(&rt));
+            std::thread::Builder::new()
+                .name(format!("blocking-stage-{k}"))
+                .spawn(move || {
                     let (mx, cv) = &*gate;
                     let mut open = mx.lock().unwrap();
                     while !*open {
                         open = cv.wait(open).unwrap();
                     }
+                    drop(open);
+                    rt.submit(move |_ctx| handle_request(k))
+                        .expect("Block policy never rejects")
+                        .wait()
                 })
-                .expect("io submits bypass the bounded CPU admission window")
+                .expect("spawn blocking stage")
         })
         .collect();
     let blocked = cpu_flood(&rt, 20_000);
@@ -265,24 +267,20 @@ fn main() {
         *mx.lock().unwrap() = true;
         cv.notify_all();
     }
-    for h in blockers {
-        h.wait();
+    for (k, b) in blockers.into_iter().enumerate() {
+        let reply = b.join().expect("blocking stage panicked");
+        assert_eq!(reply, handle_request(k as u64), "blocking stage {k}");
     }
-    let io_served = rt.stats().tasks_io - io_before;
-    assert_eq!(
-        io_served, workers as u64,
-        "every blocking stage ran on the io thread set"
-    );
     let ratio = blocked.as_secs_f64() / baseline.as_secs_f64().max(1e-9);
     println!(
-        "io track: {workers} blocked stages held off-pool; CPU flood {:.1} ms \
+        "{workers} blocked stages held off-pool; CPU flood {:.1} ms \
          baseline vs {:.1} ms alongside blockers ({ratio:.2}x)",
         baseline.as_secs_f64() * 1e3,
         blocked.as_secs_f64() * 1e3,
     );
     assert!(
         ratio < 3.0,
-        "CPU throughput collapsed with io-track blockers in flight ({ratio:.2}x)"
+        "CPU throughput collapsed with blockers in flight ({ratio:.2}x)"
     );
 
     // Shutdown trace export: everything the workers recorded over the

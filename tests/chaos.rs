@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xkaapi::core::{
     AggregatedStealing, CancelToken, Ctx, FaultPlan, PerThiefStealing, Runtime, Shared,
-    StatsSnapshot, StealPolicy, TaskQueue, Track,
+    StatsSnapshot, StealPolicy, TaskQueue,
 };
 use xkaapi::omp::OmpCentralQueue;
 
@@ -268,15 +268,12 @@ fn chaos_planned_cancellation_drains() {
     }
 }
 
-/// Seeded fault on io-track tasks (DESIGN.md §10): the task-execute hook
-/// runs in `run_claimed_body`, which for an io task runs on the io thread,
-/// so a planned panic lands off every CPU worker. The invariants are the
-/// same as a CPU-side fault: no hang (the scope returns, rethrowing the
-/// planned payload), the chain before the fault completed, the cone after
-/// it is poisoned instead of computing garbage, and both the pool and the
-/// io threads serve clean work afterwards.
+/// A planned fault in the middle of a dependency chain: no hang (the scope
+/// returns, rethrowing the planned payload), the chain before the fault
+/// completed, the cone after it is poisoned instead of computing garbage,
+/// and the pool serves clean work afterwards.
 #[test]
-fn chaos_io_track_fault_poisons_cone() {
+fn chaos_chain_fault_poisons_cone() {
     let chain = 24u64;
     for &nth in &[2u64, 5, 11] {
         for (combo, name) in COMBO_NAMES.iter().enumerate() {
@@ -286,10 +283,7 @@ fn chaos_io_track_fault_poisons_cone() {
                 rt.scope(|ctx| {
                     for _ in 0..chain {
                         let hw = h.clone();
-                        ctx.task()
-                            .access(h.exclusive())
-                            .track(Track::Io)
-                            .spawn(move |t| *t.write(&hw) += 1);
+                        ctx.spawn([h.exclusive()], move |t| *t.write(&hw) += 1);
                     }
                 });
             }));
@@ -320,27 +314,16 @@ fn chaos_io_track_fault_poisons_cone() {
                 chain - nth,
                 "[{name} nth={nth}] the cone downstream of the fault is poisoned"
             );
-            assert_eq!(
-                snap.tasks_io, nth,
-                "[{name} nth={nth}] the faulted task ran on an io thread"
-            );
-            // Pool and io threads alive: a clean io round on the same rt.
+            // Pool alive: a clean chain on the same rt.
             let probe = Shared::new(0u64);
             rt.scope(|ctx| {
                 for _ in 0..4 {
                     let pw = probe.clone();
-                    ctx.task()
-                        .access(probe.exclusive())
-                        .track(Track::Io)
-                        .spawn(move |t| *t.write(&pw) += 1);
+                    ctx.spawn([probe.exclusive()], move |t| *t.write(&pw) += 1);
                 }
             });
-            assert_eq!(
-                *probe.get(),
-                4,
-                "[{name} nth={nth}] io threads alive after fault"
-            );
-            drop(rt); // a dead io thread would hang the join here
+            assert_eq!(*probe.get(), 4, "[{name} nth={nth}] pool alive after fault");
+            drop(rt); // a dead worker would hang the join here
         }
     }
 }

@@ -406,6 +406,30 @@ fn cancelled_cone_skips_foreach_chunks() {
     assert_eq!(hits.load(Ordering::SeqCst), 0);
 }
 
+/// A token cancelled before the spawn and attached through the task
+/// builder skips every body; the scope still drains and the pool serves
+/// the next scope.
+#[test]
+fn cancelled_builder_token_skips_spawned_bodies() {
+    for (name, rt) in all_policies(2) {
+        let tok = CancelToken::new();
+        tok.cancel();
+        let h = Shared::new(0u64);
+        rt.scope(|ctx| {
+            for _ in 0..8 {
+                let hw = h.clone();
+                ctx.task()
+                    .access(h.exclusive())
+                    .cancel_token(&tok)
+                    .spawn(move |t| *t.write(&hw) += 1);
+            }
+        });
+        assert_eq!(*h.get(), 0, "[{name}] cancelled bodies must not run");
+        assert_eq!(rt.stats().tasks_cancelled, 8, "[{name}]");
+        assert_eq!(rt.scope(|c| c.join(|_| 2, |_| 3)), (2, 3), "[{name}]");
+    }
+}
+
 /// Deadline admission: an already-expired deadline sheds immediately; a
 /// live one expires at drain time if the job is still queued.
 #[test]

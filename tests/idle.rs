@@ -1,13 +1,14 @@
 //! An idle runtime is asleep: once its workers have parked they make no
-//! context switches at all (no park timeout, no polling).
+//! context switches at all (no park timeout, no polling). And a runtime of
+//! W workers starts exactly W threads, all of them workers.
 //!
 //! One test in its own file, so it runs in a process of its own and no
 //! other test's runtime shares the counters it reads.
 
-/// `voluntary_ctxt_switches` of every live `xkaapi-worker-*` thread of
+/// Name and `voluntary_ctxt_switches` of every live `xkaapi-*` thread of
 /// this process, keyed by thread id.
 #[cfg(target_os = "linux")]
-fn worker_switches() -> std::collections::BTreeMap<String, u64> {
+fn runtime_threads() -> std::collections::BTreeMap<String, (String, u64)> {
     let mut out = std::collections::BTreeMap::new();
     for entry in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let tid = entry.expect("task entry").file_name();
@@ -23,11 +24,12 @@ fn worker_switches() -> std::collections::BTreeMap<String, u64> {
                 .unwrap_or_default()
                 .to_owned()
         };
-        if field("Name:").starts_with("xkaapi-worker") {
+        let name = field("Name:");
+        if name.starts_with("xkaapi-") {
             let n = field("voluntary_ctxt_switches:")
                 .parse()
                 .expect("switch count");
-            out.insert(tid, n);
+            out.insert(tid, (name, n));
         }
     }
     out
@@ -41,10 +43,16 @@ fn idle_workers_make_no_context_switches() {
         let rt = xkaapi::core::Runtime::new(workers);
         assert_eq!(rt.scope(|c| c.join(|_| 1, |_| 2)), (1, 2));
         std::thread::sleep(Duration::from_millis(20));
-        let before = worker_switches();
-        assert_eq!(before.len(), workers, "worker threads found: {before:?}");
+        let before = runtime_threads();
+        assert!(
+            before
+                .values()
+                .all(|(name, _)| name.starts_with("xkaapi-worker-")),
+            "a runtime thread that is not a worker: {before:?}"
+        );
+        assert_eq!(before.len(), workers, "runtime threads found: {before:?}");
         std::thread::sleep(Duration::from_millis(200));
-        let after = worker_switches();
+        let after = runtime_threads();
         assert_eq!(
             before, after,
             "an idle W={workers} runtime woke its workers (voluntary context switches per thread)"

@@ -120,6 +120,11 @@ fn every_begin_span_has_a_matching_end_on_all_policies() {
         // event has a matching end once the pool quiesces.
         let (lanes, dropped) = drain_balanced(&rt, &format!("{policy:?}"));
         assert_eq!(
+            rt.take_trace().worker_count(),
+            4,
+            "[{policy:?}] one trace lane per worker, and no other"
+        );
+        assert_eq!(
             dropped, 0,
             "[{policy:?}] this workload must fit the rings; drops would \
              make span balance vacuous"
