@@ -23,6 +23,7 @@ use crate::runtime::{RtInner, Runtime};
 use crate::stats::WorkerStats;
 use crate::steal::{run_grab, try_steal_once};
 use crate::task::{Task, TaskBody, ST_DONE, ST_OWNER};
+use crate::worker::Near;
 use crossbeam_utils::Backoff;
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
@@ -157,7 +158,7 @@ impl RawCtx {
             crate::steal::publish_ready(&self.rt, self.widx, &frame);
         }
         if self.rt.num_workers() > 1 {
-            self.rt.notify_work(1);
+            self.rt.notify_work(Near::Worker(self.widx), 1);
         }
         (frame, idx, task)
     }
@@ -377,7 +378,7 @@ pub(crate) fn complete_and_publish(
     if rt.queue.centralized() {
         crate::steal::publish_ready(rt, widx, frame);
     } else if frame.pending() > 0 && rt.num_workers() > 1 {
-        rt.notify_work(1);
+        rt.notify_work(Near::Worker(widx), 1);
     }
 }
 
@@ -683,9 +684,9 @@ impl<'scope> Ctx<'scope> {
                     // another is ours to take back if no thief comes, so
                     // a missed wake costs parallelism, never progress.
                     if was_empty {
-                        rt.notify_work(1);
+                        rt.notify_work(Near::Worker(widx), 1);
                     } else {
-                        rt.park_lot.wake_if_needed(1);
+                        rt.park_lot.wake_if_needed(rt, Near::Worker(widx), 1);
                     }
                 }
             }

@@ -17,6 +17,8 @@ use crate::ctx::{help_until, Ctx, RawCtx, TaskBuilder};
 use crate::runtime::RtInner;
 use crate::stats::WorkerStats;
 use crate::steal::Grab;
+use crate::worker::Near;
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::ops::Range;
@@ -259,7 +261,7 @@ pub(crate) fn foreach_run(
         ctl: Arc::clone(&ctl),
     });
     rt.workers[widx].register_adaptive(Arc::clone(&master));
-    rt.notify_work(p - 1);
+    rt.notify_work(Near::Worker(widx), p - 1);
 
     // Work through our reserved slice, then any slice nobody started.
     let mut next = ctl.claim_untouched(widx);
@@ -348,7 +350,11 @@ impl<'scope> Ctx<'scope> {
         COMB: Fn(T, T) -> T + Send + Sync,
     {
         let p = self.num_workers();
-        let slots: Vec<Mutex<Option<T>>> = (0..p).map(|_| Mutex::new(None)).collect();
+        // One line per worker: every fold writes its slot, and two slots
+        // on one line made a two-worker reduction run no faster than one
+        // worker, or not, depending on where the allocator put the array.
+        let slots: Vec<CachePadded<Mutex<Option<T>>>> =
+            (0..p).map(|_| CachePadded::new(Mutex::new(None))).collect();
         self.foreach_worker_chunks(range, grain, &|r: Range<usize>, w: usize| {
             let mut g = slots[w].lock();
             let acc = g.get_or_insert_with(identity);
@@ -358,7 +364,7 @@ impl<'scope> Ctx<'scope> {
         });
         let mut acc = identity();
         for s in slots {
-            if let Some(v) = s.into_inner() {
+            if let Some(v) = s.into_inner().into_inner() {
                 acc = combine(acc, v);
             }
         }

@@ -42,7 +42,8 @@
 //!   immediately (wait / poll / `on_complete` callback, and an
 //!   `impl Future` behind the default-on `future` feature), with an
 //!   [`InjectPolicy`] admission layer that throttles or sheds a flood of
-//!   submissions (`DESIGN.md` §4); [`Runtime::scope`] is submit + wait;
+//!   submissions (`DESIGN.md` §4); [`Runtime::scope`] runs its root on
+//!   the calling thread, in the seat of a parked worker (`DESIGN.md` §3);
 //! * **task attributes**: every front door lowers to one [`TaskAttrs`]
 //!   descriptor via the [`Ctx::task`] / [`Runtime::task`] builders
 //!   (`DESIGN.md` §5) — [`Priority`] bands order queue pops, ready lists,

@@ -162,6 +162,15 @@ pub trait TaskQueue: Send + Sync {
     /// [`WorkItem::token`]) if it is still queued for `worker`. The
     /// fork-join fast path uses this to reclaim its own stack job.
     fn take(&self, worker: usize, token: *mut ()) -> Option<WorkItem>;
+
+    /// Could `pop(worker)` return an item right now? A hint, read when a
+    /// scope caller hands a borrowed worker back: `true` wakes that
+    /// worker. The default `true` is always correct, at the cost of that
+    /// wake.
+    fn may_pop(&self, worker: usize) -> bool {
+        let _ = worker;
+        true
+    }
 }
 
 /// A non-default band's side deque: a mutexed FIFO/LIFO with an atomic
@@ -406,6 +415,11 @@ impl TaskQueue for DistributedLanes {
             }
         }
         None
+    }
+
+    fn may_pop(&self, worker: usize) -> bool {
+        let lane = &self.lanes[worker];
+        lane.has_side_jobs() || !lane.normal.is_empty_hint()
     }
 
     fn steal(&self, _thief: usize, victim: usize) -> Option<WorkItem> {

@@ -17,9 +17,10 @@
 //!   per-thief steals via [`Builder::steal_policy`];
 //! * the **dependency layer** ([`crate::frame`]) is shared by every policy.
 //!
-//! External callers inject root jobs without parking a thread per scope:
-//! [`Runtime::submit`] returns a [`JoinHandle`] immediately, and
-//! [`Runtime::scope`] is submit followed by an immediate wait.
+//! External callers reach the pool in two ways: [`Runtime::submit`]
+//! injects a root job and returns a [`JoinHandle`] immediately, and
+//! [`Runtime::scope`] runs its root on the calling thread, in the seat of
+//! a parked worker (an inject job plus a wait only when none is parked).
 
 use crate::access::Access;
 use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs, NORMAL_BAND};
@@ -36,7 +37,7 @@ use crate::stats::{self, StatsSnapshot};
 use crate::steal::Grab;
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
-use crate::worker::{current_worker_of, worker_main, ParkLot, Worker};
+use crate::worker::{current_worker_of, run_on_seat, worker_main, Near, ParkLot, Worker};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -226,7 +227,10 @@ impl Builder {
     }
 
     /// Worker thread stack size in bytes (default 16 MiB — recursive
-    /// fork-join work runs on worker stacks).
+    /// fork-join work runs on worker stacks). The root of an external
+    /// [`Runtime::scope`] that takes a parked worker's seat runs on the
+    /// calling thread's stack instead; what thieves take from it still
+    /// runs on worker stacks.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self
@@ -354,7 +358,7 @@ pub(crate) struct RtInner {
     pub(crate) steal_pol: Arc<dyn StealPolicy>,
     /// Machine topology consulted by topology-aware steal policies.
     pub(crate) topo: Topology,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    pub(crate) threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Deterministic fault-injection plan state (chaos testing only).
     #[cfg(feature = "fault-injection")]
     pub(crate) fault: Option<Arc<crate::fault::FaultState>>,
@@ -424,10 +428,10 @@ impl RtInner {
     }
 
     /// Producer side of the park handshake (`crate::worker`): `units`
-    /// new stealable units were just published.
+    /// new stealable units were just published `near` some place.
     #[inline]
-    pub(crate) fn notify_work(&self, units: usize) {
-        self.park_lot.notify(units);
+    pub(crate) fn notify_work(&self, near: Near, units: usize) {
+        self.park_lot.notify(self, near, units);
     }
 
     /// All telemetry bundles, one per worker in worker order (the
@@ -575,21 +579,30 @@ impl Runtime {
             job.submit_tick = crate::telemetry::tick();
         }
         self.inner.inject.push(admission, lane, attrs.band(), job);
-        self.inner.notify_work(1);
+        self.inner.notify_work(Near::Node(lane), 1);
         Ok(JoinHandle::new(state, &self.inner, Some(token)))
     }
 
     /// Run `f` with a task context, blocking until every task spawned inside
     /// (transitively) has completed. Panics raised by tasks are propagated
-    /// after all siblings finished.
+    /// after all siblings finished. Because the caller outlives the root,
+    /// the closure may borrow from the caller's stack (no `'static` bound
+    /// — the rayon-style scope contract).
     ///
-    /// This is sugar for [`Runtime::submit`] + [`JoinHandle::wait`] on the
-    /// same machinery (same inject lanes, same completion state), with two
-    /// scope-specific guarantees: admission always *blocks* (a scope
-    /// caller parks until completion anyway, so it is never rejected, even
-    /// under [`crate::OnFull::Reject`]), and because the caller provably
-    /// outlives the job, the closure may borrow from the caller's stack
-    /// (no `'static` bound — the rayon-style scope contract).
+    /// The root runs on the **calling thread**. Called on a worker of
+    /// this pool, it runs inline with a fresh frame. Called from outside
+    /// the pool while a worker is parked, the caller takes that worker's
+    /// seat and runs the root as that worker — its lane, frames, trace
+    /// lane and statistics — while the worker stays asleep; other workers
+    /// steal from the caller as from any worker. At most W threads run
+    /// tasks either way. A panic unwinds on the caller.
+    ///
+    /// Only when no worker is parked (every one is busy or searching)
+    /// does the root become an inject job that the caller blocks on,
+    /// admitted at the Normal band. Admission then always *blocks*: a
+    /// scope is never rejected, even under [`crate::OnFull::Reject`].
+    /// Each external scope counts once in `jobs_submitted`, whichever way
+    /// it ran.
     pub fn scope<'scope, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&mut Ctx<'scope>) -> R + Send,
@@ -599,6 +612,13 @@ impl Runtime {
             // Already on a worker of this pool: run inline with a fresh frame.
             let mut raw = RawCtx::new(&self.inner, widx);
             return raw.run_scoped(f);
+        }
+        if let Some(seat) = self.inner.park_lot.lend() {
+            self.inner.inject.note_inline_submit();
+            return match run_on_seat(&self.inner, seat, f) {
+                Ok(v) => v,
+                Err(p) => std::panic::resume_unwind(p),
+            };
         }
         let state = Arc::new(JoinState::<R>::new());
         let st = Arc::clone(&state);
@@ -621,7 +641,7 @@ impl Runtime {
             job.submit_tick = crate::telemetry::tick();
         }
         self.inner.inject.push(admission, lane, NORMAL_BAND, job);
-        self.inner.notify_work(1);
+        self.inner.notify_work(Near::Node(lane), 1);
         state.wait_blocking();
         match state
             .take_result()

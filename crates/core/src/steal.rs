@@ -24,6 +24,7 @@ use crate::frame::Frame;
 use crate::queue::WorkItem;
 use crate::runtime::RtInner;
 use crate::stats::WorkerStats;
+use crate::worker::Near;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -448,7 +449,7 @@ pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Arc<Frame>) {
             run_grab(rt, me, item.into_grab());
         }
     }
-    rt.notify_work(published);
+    rt.notify_work(Near::Node(rt.topo.node_of(me)), published);
 }
 
 /// Execute stolen work on worker `me`.

@@ -913,3 +913,46 @@ fn mixed_fastlane_and_dataflow_in_one_scope() {
     assert_eq!(total, (0..20).map(|i| 3 * i).sum::<u64>());
     assert_eq!(*h.get(), (0..20).sum::<u64>());
 }
+
+/// Seat rule: a shutdown while a seat is lent leaves the lent worker
+/// blocked, so it never touches the lane the holder is using (its trace
+/// lane stays silent); it exits once the seat is handed back.
+#[test]
+fn shutdown_while_a_seat_is_lent_waits_for_the_hand_back() {
+    use std::time::{Duration, Instant};
+    let rt = Runtime::builder().workers(1).tracing(true).build();
+    let inner = Arc::clone(&rt.inner);
+    let t0 = Instant::now();
+    let seat = loop {
+        if let Some(seat) = inner.park_lot.lend() {
+            break seat;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the worker never parked"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    drop(rt.take_trace());
+    inner.shutdown.store(true, Ordering::Release);
+    inner.park_lot.wake_all();
+    std::thread::sleep(Duration::from_millis(50));
+    let threads = std::mem::take(&mut *inner.threads.lock());
+    assert!(!threads[0].is_finished(), "a lent worker left at shutdown");
+    assert!(
+        rt.take_trace().events(seat).is_empty(),
+        "a lent worker wrote to its lane at shutdown"
+    );
+    inner.park_lot.hand_back(&inner, seat);
+    let t0 = Instant::now();
+    while !threads[0].is_finished() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the handed-back worker did not exit"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for t in threads {
+        t.join().unwrap();
+    }
+}

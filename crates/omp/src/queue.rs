@@ -128,6 +128,10 @@ impl TaskQueue for OmpCentralQueue {
         self.bands.iter().find_map(CentralQueue::pop_front)
     }
 
+    fn may_pop(&self, _worker: usize) -> bool {
+        !self.bands.iter().all(CentralQueue::is_empty)
+    }
+
     fn take(&self, _worker: usize, token: *mut ()) -> Option<WorkItem> {
         if token.is_null() {
             return None;

@@ -152,6 +152,10 @@ impl TaskQueue for QuarkCentralQueue {
         self.bands.iter().find_map(CentralReadyList::pop)
     }
 
+    fn may_pop(&self, _worker: usize) -> bool {
+        !self.bands.iter().all(CentralReadyList::is_empty)
+    }
+
     fn take(&self, _worker: usize, token: *mut ()) -> Option<WorkItem> {
         if token.is_null() {
             return None;

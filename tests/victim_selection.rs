@@ -13,8 +13,11 @@
 //!    on the thief's own node, observed through the exact
 //!    `steals_local_node` / `steals_remote_node` counters.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use xkaapi::core::{
-    AggregatedStealing, HierarchicalVictim, LocalityFirst, Runtime, Shared, StealPolicy, Topology,
+    Affinity, AggregatedStealing, EventKind, HierarchicalVictim, LocalityFirst, Runtime, Shared,
+    StealPolicy, Topology,
 };
 
 /// Seeded xorshift64* closure: the same seed replays the same choices.
@@ -208,4 +211,65 @@ fn hierarchical_without_escalation_never_steals_off_node() {
     );
     assert!(s.steals_local_node > 0, "no steal was classified: {s:?}");
     assert_eq!(s.victim_escalations, 0, "the policy never escalates: {s:?}");
+}
+
+/// A wake goes to a worker that may take the work (`crates/core/src/worker.rs`,
+/// `Near`). With a never-escalating hierarchical policy on two nodes, only
+/// node-1 workers may steal a node-1 worker's spawn, and node-1 workers
+/// drain node 1's inject lane first. So when the only work in the pool is
+/// a root job homed on node 1 that spawns a child and waits for a thief,
+/// every wake lands on node 1: no node-0 worker ever unparks. Read from
+/// the trace's per-worker `Unpark` events.
+#[test]
+fn wakes_for_node_1_work_land_on_node_1() {
+    let workers = 8;
+    let topo = Topology::two_level(workers, 4); // nodes {0..3} and {4..7}
+    let rt = Runtime::builder()
+        .workers(workers)
+        .steal_policy(std::sync::Arc::new(HierarchicalVictim {
+            escalate_after: u32::MAX,
+            ..HierarchicalVictim::default()
+        }))
+        .topology(topo.clone())
+        .tracing(true)
+        .build();
+    for round in 0..20 {
+        // Long past the search budget: every worker is parked.
+        std::thread::sleep(Duration::from_millis(5));
+        drop(rt.take_trace());
+        let (owner, thief) = rt
+            .task()
+            .affinity(Affinity::Node(1))
+            .submit(|c| {
+                let thief = std::sync::Arc::new(AtomicUsize::new(usize::MAX));
+                let slot = std::sync::Arc::clone(&thief);
+                c.spawn([], move |t| slot.store(t.worker_index(), Ordering::Release));
+                // A push on this worker: only a woken same-node worker
+                // can start it while the owner waits here.
+                let t0 = Instant::now();
+                while thief.load(Ordering::Acquire) == usize::MAX
+                    && t0.elapsed() < Duration::from_millis(100)
+                {
+                    std::thread::yield_now();
+                }
+                (c.worker_index(), thief.load(Ordering::Acquire))
+            })
+            .unwrap()
+            .wait();
+        let trace = rt.take_trace();
+        for w in topo.workers_on_node(0) {
+            let unparks = trace
+                .events(*w)
+                .iter()
+                .filter(|e| e.kind == EventKind::Unpark)
+                .count();
+            assert_eq!(
+                unparks, 0,
+                "round {round}: node-0 worker {w} was woken for node-1 work \
+                 (job ran on {owner}, child on {thief})"
+            );
+        }
+        assert_eq!(topo.node_of(owner), 1, "round {round}: job left node 1");
+        assert_eq!(topo.node_of(thief), 1, "round {round}: child left node 1");
+    }
 }
