@@ -632,7 +632,7 @@ fn main() {
     // The tiled Cholesky both ways on the same runtime: online re-spawns
     // and re-analyzes the full DAG every iteration; the recorded path pays
     // dependency analysis once at record time and replays the optimized
-    // DAG (critical-path bands, fused chains, continuation spawning).
+    // DAG (critical-path bands, fused chains, per-worker replay drivers).
     // Asserted: per-replay dependency-analysis cost is exactly zero (the
     // `dataflow_pushes` counter stays flat across replays), and from
     // iteration 2 on the replay beats online scheduling.

@@ -47,6 +47,11 @@ pub struct RawCtx {
     /// Cancellation token governing this execution, inherited by every
     /// child spawn so cancelling a root cancels its whole cone.
     pub(crate) cancel: Option<CancelToken>,
+    /// A replay driver's context (`record.rs`): debug-mode data-access
+    /// checking is off, because the recorded bodies it runs declared
+    /// their accesses at record time. Only read by the debug-mode checker.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    pub(crate) replay: bool,
 }
 
 impl RawCtx {
@@ -69,7 +74,16 @@ impl RawCtx {
             frame: None,
             cur: None,
             cancel: None,
+            replay: false,
         }
+    }
+
+    /// Run one recorded body on this context.
+    pub(crate) fn run_recorded(&mut self, body: &dyn for<'s> Fn(&mut Ctx<'s>)) {
+        body(&mut Ctx {
+            raw: self,
+            _inv: PhantomData,
+        })
     }
 
     fn ensure_frame(&mut self) -> Arc<Frame> {
@@ -121,18 +135,6 @@ impl RawCtx {
         }
         WorkerStats::bump(&self.rt.workers[self.widx].stats.tasks_with_attrs, 1);
         self.spawn_common(Arc::new(Task::new(body, accesses, attrs)))
-    }
-
-    /// Replay lowering (`record.rs`): push a pre-analyzed task — no
-    /// declared accesses, so `Frame::push` runs no dependency analysis —
-    /// whose ordering is enforced by the recorded DAG's continuation
-    /// spawning. Data-access checking is disabled for the task (its member
-    /// bodies' accesses were validated at record time).
-    pub(crate) fn spawn_replay(&mut self, attrs: TaskAttrs, body: TaskBody) {
-        if !attrs.is_default() {
-            WorkerStats::bump(&self.rt.workers[self.widx].stats.tasks_with_attrs, 1);
-        }
-        self.spawn_common(Arc::new(Task::new_unchecked(body, attrs)));
     }
 
     /// Shared spawn lowering (all paths land here; semantics are
@@ -549,26 +551,6 @@ impl<'scope> Ctx<'scope> {
         self.raw_mut().spawn_raw(accesses, attrs, body);
     }
 
-    /// Spawn a pre-analyzed replay group (`record.rs`): no declared
-    /// accesses, no dependency analysis — ordering is the recorded DAG's
-    /// continuation spawning, and data-access checking is disabled for the
-    /// group body (validated at record time).
-    pub(crate) fn spawn_replay_body<F>(&mut self, attrs: TaskAttrs, f: F)
-    where
-        F: FnOnce(&mut Ctx<'scope>) + Send + 'scope,
-    {
-        let body: Box<dyn FnOnce(&mut RawCtx) + Send + 'scope> = Box::new(move |raw| {
-            let mut ctx = Ctx {
-                raw,
-                _inv: PhantomData,
-            };
-            f(&mut ctx)
-        });
-        // Safety: same as `spawn_with` — the scope's sync outlives 'scope.
-        let body: TaskBody = unsafe { std::mem::transmute(body) };
-        self.raw_mut().spawn_replay(attrs, body);
-    }
-
     /// Wait until every task spawned so far in this context completed
     /// (the `#pragma kaapi sync` of the paper). Rethrows child panics.
     pub fn sync(&mut self) {
@@ -750,17 +732,16 @@ impl<'scope> Ctx<'scope> {
 
     #[cfg(debug_assertions)]
     fn check_granted(&self, id: crate::access::HandleId, write: bool) {
-        let Some(cur) = self.raw().cur.as_ref() else {
+        let raw = self.raw();
+        if raw.replay {
+            return;
+        }
+        let Some(cur) = raw.cur.as_ref() else {
             panic!(
                 "xkaapi: data access outside a task with declared accesses; \
                  spawn a task declaring the access, or use Shared::get after the scope"
             );
         };
-        if cur.unchecked_data {
-            // Recorded-DAG replay group: member accesses were validated at
-            // record time; the group task itself declares none.
-            return;
-        }
         let ok = cur
             .accesses
             .iter()

@@ -22,10 +22,12 @@
 //!   throttles submitters ([`OnFull::Block`]) or sheds load
 //!   ([`OnFull::Reject`]) instead of growing unboundedly.
 //!
-//! [`Runtime::scope`](crate::Runtime::scope) is re-expressed on top of the
-//! same machinery: submit (always admitted with blocking semantics — the
-//! caller is about to park anyway, which *is* the backpressure) followed by
-//! an immediate wait.
+//! [`Runtime::scope`](crate::Runtime::scope) from outside the pool first
+//! tries to take a parked worker's seat and run its root on the calling
+//! thread, with no job at all. Only when no worker is parked does it fall
+//! back to this machinery: submit (always admitted with blocking
+//! semantics — the caller is about to block anyway, which *is* the
+//! backpressure) followed by an immediate wait.
 
 use crate::attrs::{CancelToken, NORMAL_BAND, PRIORITY_BANDS};
 use crate::ctx::{help_until, RawCtx};

@@ -15,40 +15,50 @@
 //!
 //! 1. **Critical-path priorities**: tasks on a longest source-to-sink path
 //!    are stamped [`Priority::High`], tasks with large slack
-//!    [`Priority::Low`], so the banded queues and steal scans drain the
+//!    [`Priority::Low`], so replay drivers and their splitters run the
 //!    critical path first.
 //! 2. **Affinity clustering**: tasks inherit the dominant home NUMA node
 //!    of the data they touch (writes weigh double), or their predecessors'
-//!    node, as an [`Affinity::Node`] stamp — replay lands work on the
-//!    data-owning node's lanes.
+//!    node, as an [`Affinity::Node`] stamp — a replay splitter hands a
+//!    thief the groups of its own node first.
 //! 3. **Fusion**: straight-line chains of same-band, same-affinity tasks
 //!    collapse into one replay group, cutting per-task push/steal overhead
 //!    on fine-grained DAGs.
 //!
-//! [`RecordedDag::replay`] executes the groups through the normal
-//! worker/steal engine by *continuation spawning*: ready groups are pushed
-//! as bare, pre-analyzed tasks (no declared accesses — no dependency
-//! analysis, the `dataflow_pushes` stat stays flat), and each group's last
-//! act is to decrement its successors' predecessor counters and spawn the
-//! newly ready ones. Recording binds with renaming **disabled**: replayed
-//! bodies read and write the handles' committed storage, so WAR/WAW edges
-//! must be kept — that is the fusion/replay legality rule.
+//! [`RecordedDag::replay`] runs the groups as one adaptive task: each
+//! participating worker runs a *driver* that takes ready groups from a
+//! local list (highest band first, oldest first within a band), runs
+//! their members in chain order, and appends the successors whose
+//! predecessor countdown hit zero to the same list. Thieves reach a
+//! driver through its splitter, which hands them the oldest half of the
+//! list to start a driver of their own. Nothing is spawned per group and
+//! nothing is analyzed: the `dataflow_pushes` stat stays flat. Recording
+//! binds with renaming **disabled**: replayed bodies read and write the
+//! handles' committed storage, so WAR/WAW edges must be kept — that is
+//! the fusion/replay legality rule.
 //!
 //! Both the recorded schedule and an executed replay can be exported as
 //! graphviz DOT and chrome-trace JSON (`about:tracing` /
 //! `ui.perfetto.dev`), making schedules inspectable artifacts.
 
 use crate::access::Access;
-use crate::attrs::{Affinity, Priority, TaskAttrs};
-use crate::ctx::Ctx;
+use crate::adaptive::Adaptive;
+use crate::attrs::{Affinity, Priority, TaskAttrs, PRIORITY_BANDS};
+use crate::ctx::{help_until, Ctx, RawCtx};
 use crate::dataflow::DataflowEngine;
 use crate::handle::Shared;
 use crate::policy::RenamePolicy;
-use crate::runtime::Runtime;
+use crate::runtime::{RtInner, Runtime};
+use crate::stats::WorkerStats;
+use crate::steal::Grab;
+use crate::telemetry::EventKind;
+use crate::worker::Near;
 use parking_lot::Mutex;
+use std::any::Any;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -224,7 +234,7 @@ struct RecTask {
 struct Group {
     /// Member task indices, in program (= chain) order.
     members: Vec<u32>,
-    /// Attributes the group task is spawned with.
+    /// Band and affinity of the group (its first member's).
     attrs: TaskAttrs,
     /// Distinct predecessor groups.
     npred: u32,
@@ -482,10 +492,12 @@ impl RecordedDag {
         &self.inner.preds[i]
     }
 
-    /// Execute the recorded DAG once on `rt` through the normal
-    /// worker/steal engine — **without re-running dependency analysis**
-    /// (the `dataflow_pushes` stat does not grow). Blocks until every
-    /// task completed; replay any number of times, and bodies observe the
+    /// Execute the recorded DAG once on `rt` — **without re-running
+    /// dependency analysis** (the `dataflow_pushes` stat does not grow).
+    /// The caller enters through [`Runtime::scope`] and runs groups
+    /// itself; idle workers take part through the adaptive-task splitter.
+    /// Blocks until every task completed, and re-raises the first panic
+    /// of a member body. Replay any number of times: bodies observe the
     /// handles' *current* data (handles are re-read, not snapshotted).
     pub fn replay(&self, rt: &Runtime) {
         self.replay_impl(rt, false);
@@ -503,27 +515,37 @@ impl RecordedDag {
         if dag.tasks.is_empty() {
             return traced.then(ReplayTrace::default);
         }
+        let mut roots = Ready::default();
+        for (i, g) in dag.groups.iter().enumerate() {
+            if g.npred == 0 {
+                roots[g.attrs.band() as usize].push_back(i as u32);
+            }
+        }
+        let topo = rt.topology();
         let run = Arc::new(ReplayRun {
             counters: dag.groups.iter().map(|g| AtomicU32::new(g.npred)).collect(),
+            remaining: AtomicUsize::new(dag.groups.len()),
+            node_of: (!topo.is_flat())
+                .then(|| (0..topo.workers()).map(|w| topo.node_of(w)).collect()),
             epoch: Instant::now(),
             trace: traced.then(|| Mutex::new(Vec::new())),
             poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
             dag,
         });
-        let roots: Vec<u32> = run
-            .dag
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.npred == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let inner = Arc::clone(&run);
-        rt.scope(move |ctx| {
-            for &g in &roots {
-                spawn_group(&inner, ctx, g);
-            }
+        rt.scope(|ctx| {
+            let raw = ctx.as_raw();
+            let (rt, widx) = (&*raw.rt, raw.widx);
+            drive(rt, widx, &run, roots, false);
+            // Thieves' drivers may still hold groups: help until the last
+            // one finished, like a foreach caller.
+            help_until(rt, widx, None, || {
+                run.remaining.load(Ordering::Acquire) == 0
+            });
         });
+        if let Some(p) = run.panic.lock().take() {
+            resume_unwind(p);
+        }
         run.trace.as_ref().map(|t| ReplayTrace {
             events: std::mem::take(&mut *t.lock()),
         })
@@ -696,74 +718,191 @@ struct ReplayRun {
     dag: Arc<DagInner>,
     /// Remaining predecessor groups, initialized from `Group::npred`.
     counters: Box<[AtomicU32]>,
+    /// Groups not finished yet: the replay returns when it reaches zero.
+    remaining: AtomicUsize,
+    /// NUMA node of each worker, `None` on a flat topology.
+    node_of: Option<Box<[usize]>>,
     epoch: Instant,
     trace: Option<Mutex<Vec<TraceEvent>>>,
     /// Set after any member body panicked: the rest of this replay's
     /// groups skip their bodies but keep the countdown protocol running,
-    /// so the root scope unblocks and rethrows instead of hanging.
+    /// so every driver drains and the caller rethrows instead of hanging.
     poisoned: AtomicBool,
+    /// The first member panic, re-raised by the replay caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Spawn replay group `gi` as a bare pre-analyzed task. Its body runs the
-/// member bodies in chain order, then decrements each successor group's
-/// counter and spawns the ones that became ready (continuation spawning —
-/// the spawned child joins this task's frame, so the whole replay is
-/// covered by the root scope's completion).
-fn spawn_group<'s>(run: &Arc<ReplayRun>, ctx: &mut Ctx<'s>, gi: u32) {
-    let st = Arc::clone(run);
-    let attrs = run.dag.groups[gi as usize].attrs.clone();
-    ctx.spawn_replay_body(attrs, move |t| {
-        let g = &st.dag.groups[gi as usize];
-        {
-            // Telemetry instant: replay group start on the live worker
-            // timeline (the enclosing task span carries begin/end).
-            let raw = t.as_raw();
-            let widx = raw.widx;
-            crate::telemetry::emit_current(
-                &raw.rt,
-                widx,
-                crate::telemetry::EventKind::ReplayGroup,
-                g.attrs.band(),
-                gi,
-            );
-        }
-        let t0 = st.trace.as_ref().map(|_| st.epoch.elapsed());
-        // Panic isolation (`DESIGN.md` §8): a member panic poisons the
-        // replay — downstream groups skip their bodies — but every group
-        // still runs the countdown/spawn protocol below, so the root scope
-        // always unblocks; the first payload is re-raised after that.
-        let mut payload = None;
-        if st.poisoned.load(Ordering::Acquire) {
-            let raw = t.as_raw();
-            crate::stats::WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_poisoned, 1);
-        } else {
-            for &m in &g.members {
-                let body = &st.dag.tasks[m as usize].body;
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| body(t))) {
-                    st.poisoned.store(true, Ordering::Release);
-                    payload = Some(p);
-                    break;
+/// Ready group ids, one queue per priority band, oldest first.
+type Ready = [VecDeque<u32>; PRIORITY_BANDS];
+
+/// One worker's part of a replay, registered as adaptive work while it
+/// runs: the owner pops its ready groups, and a thief's splitter call
+/// takes some of them to start a driver of its own.
+struct Driver {
+    run: Arc<ReplayRun>,
+    /// Taken only by the owner and by the elected combiner thief.
+    ready: Mutex<Ready>,
+}
+
+impl Adaptive for Driver {
+    fn band(&self) -> u8 {
+        let ready = self.ready.lock();
+        ready
+            .iter()
+            .position(|b| !b.is_empty())
+            .unwrap_or(PRIORITY_BANDS - 1) as u8
+    }
+
+    /// Each thief takes the oldest half of the pending groups (at least
+    /// one), the highest band first; groups stamped with the thief's NUMA
+    /// node go before any other.
+    fn split(&self, thieves: &[usize], out: &mut Vec<Grab>) {
+        let mut ready = self.ready.lock();
+        for &thief in thieves {
+            let pending: usize = ready.iter().map(VecDeque::len).sum();
+            if pending == 0 {
+                return;
+            }
+            let mut quota = (pending / 2).max(1);
+            let mut share = Ready::default();
+            if let Some(node_of) = &self.run.node_of {
+                let home = Affinity::Node(node_of[thief]);
+                let groups = &self.run.dag.groups;
+                for (band, mine) in ready.iter_mut().zip(share.iter_mut()) {
+                    band.retain(|&g| {
+                        let take = quota > 0 && groups[g as usize].attrs.affinity == home;
+                        if take {
+                            mine.push_back(g);
+                            quota -= 1;
+                        }
+                        !take
+                    });
                 }
             }
+            for (band, mine) in ready.iter_mut().zip(share.iter_mut()) {
+                let n = quota.min(band.len());
+                mine.extend(band.drain(..n));
+                quota -= n;
+            }
+            let run = Arc::clone(&self.run);
+            out.push(Grab::Run(Box::new(
+                move |rt: &Arc<RtInner>, widx: usize| {
+                    drive(rt, widx, &run, share, true);
+                },
+            )));
         }
-        if let (Some(tr), Some(start)) = (&st.trace, t0) {
-            let end = st.epoch.elapsed();
-            tr.lock().push(TraceEvent {
-                group: gi,
-                start_us: start.as_micros() as u64,
-                dur_us: end.saturating_sub(start).as_micros() as u64,
-                worker: t.worker_index() as u32,
-            });
-        }
+    }
+}
+
+/// Run a driver on worker `widx` until its ready list is empty. Each group
+/// runs its members in chain order on one context, then counts down its
+/// successors and pushes the ones that became ready onto this list; a
+/// group moves between workers only through the splitter.
+fn drive(rt: &Arc<RtInner>, widx: usize, run: &Arc<ReplayRun>, ready: Ready, stolen: bool) {
+    let driver = Arc::new(Driver {
+        run: Arc::clone(run),
+        ready: Mutex::new(ready),
+    });
+    let ad: Arc<dyn Adaptive> = driver.clone();
+    let worker = &rt.workers[widx];
+    worker.register_adaptive(Arc::clone(&ad));
+    let mut raw = RawCtx::new(rt, widx);
+    raw.replay = true;
+    let pop = |ready: &mut Ready| ready.iter_mut().find_map(VecDeque::pop_front);
+    let (mut ran, mut with_attrs) = (0, 0);
+    let mut next = pop(&mut driver.ready.lock());
+    while let Some(gi) = next {
+        let g = &run.dag.groups[gi as usize];
+        ran += 1;
+        with_attrs += u64::from(!g.attrs.is_default());
+        run_group(rt, widx, &mut raw, run, gi);
+        let mut ready = driver.ready.lock();
+        let mut pushed = 0;
         for &s in &g.succs {
-            if st.counters[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                spawn_group(&st, t, s);
+            if run.counters[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                ready[run.dag.groups[s as usize].attrs.band() as usize].push_back(s);
+                pushed += 1;
             }
         }
-        if let Some(p) = payload {
-            resume_unwind(p);
+        next = pop(&mut ready);
+        let stealable: usize = ready.iter().map(VecDeque::len).sum();
+        drop(ready);
+        if pushed > 0 && stealable > 0 && rt.num_workers() > 1 {
+            rt.notify_work(Near::Worker(widx), pushed.min(stealable));
         }
+    }
+    worker.deregister_adaptive(&ad);
+    // Each group counts as one task, spawned and executed by its owner or
+    // by a thief. The counts and `remaining` move once per driver, not per
+    // group: the caller reads neither before `remaining` reaches zero.
+    let stats = &worker.stats;
+    WorkerStats::bump(&stats.tasks_spawned, ran);
+    WorkerStats::bump(&stats.tasks_with_attrs, with_attrs);
+    let executed = if stolen {
+        &stats.tasks_executed_stolen
+    } else {
+        &stats.tasks_executed_own
+    };
+    WorkerStats::bump(executed, ran);
+    run.remaining.fetch_sub(ran as usize, Ordering::AcqRel);
+}
+
+/// Run replay group `gi` on the driver context `raw`.
+fn run_group(rt: &Arc<RtInner>, widx: usize, raw: &mut RawCtx, run: &ReplayRun, gi: u32) {
+    let g = &run.dag.groups[gi as usize];
+    let (band, worker) = (g.attrs.band(), &rt.workers[widx]);
+    let stats = &worker.stats;
+    // Traced, a group is a task span (`DESIGN.md` §9) with a ReplayGroup
+    // instant inside it.
+    let tele_t0 = rt.telemetry.enabled().then(|| {
+        let t0 = crate::telemetry::tick();
+        worker.tele.emit(t0, EventKind::TaskBegin, band, gi);
+        worker.tele.emit(t0, EventKind::ReplayGroup, band, gi);
+        t0
     });
+    let t0 = run.trace.as_ref().map(|_| run.epoch.elapsed());
+    // Panic isolation (`DESIGN.md` §8): a member panic poisons the
+    // replay, and later groups skip their bodies but still count down
+    // their successors, so every driver drains; the caller re-raises the
+    // first payload.
+    if run.poisoned.load(Ordering::Acquire) {
+        WorkerStats::bump(&stats.tasks_poisoned, 1);
+    } else {
+        for &m in &g.members {
+            let body = &*run.dag.tasks[m as usize].body;
+            let res = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "fault-injection")]
+                crate::fault::on_task_execute(rt);
+                raw.run_recorded(body)
+            }));
+            if res.is_err() {
+                WorkerStats::bump(&stats.tasks_panicked, 1);
+                crate::telemetry::emit_current(rt, widx, EventKind::Panic, band, gi);
+            }
+            // A body that spawned children syncs them here, before the
+            // next member or any successor group can run.
+            let fin = catch_unwind(AssertUnwindSafe(|| raw.finish()));
+            if let Err(p) = res.and(fin) {
+                run.panic.lock().get_or_insert(p);
+                run.poisoned.store(true, Ordering::Release);
+                break;
+            }
+        }
+    }
+    if let (Some(tr), Some(start)) = (&run.trace, t0) {
+        let end = run.epoch.elapsed();
+        tr.lock().push(TraceEvent {
+            group: gi,
+            start_us: start.as_micros() as u64,
+            dur_us: end.saturating_sub(start).as_micros() as u64,
+            worker: widx as u32,
+        });
+    }
+    if let Some(t0) = tele_t0 {
+        let t1 = crate::telemetry::tick();
+        worker.tele.emit(t1, EventKind::TaskEnd, band, gi);
+        worker.tele.start_to_done[band as usize].record(t1.saturating_sub(t0));
+    }
 }
 
 impl Runtime {

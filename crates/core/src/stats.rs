@@ -110,7 +110,7 @@ counters! {
     inject_banded_drains,
     /// Frame pushes that carried declared accesses — i.e. spawns that ran
     /// data-flow dependency analysis (`DataflowEngine::bind`). Recorded-DAG
-    /// replays (`RecordedDag::replay`) spawn bare pre-analyzed tasks, so
+    /// replays (`RecordedDag::replay`) push no tasks for their groups, so
     /// this counter stays flat across replay iterations — the invariant
     /// the record-then-replay benchmarks assert.
     dataflow_pushes,

@@ -43,14 +43,6 @@ pub(crate) struct Task {
     /// `Frame::push` (under the frame lock, before the task is claimable)
     /// and read-only afterwards.
     binding: UnsafeCell<Box<[SlotBinding]>>,
-    /// Debug-mode data-access checking is disabled for this task. Set only
-    /// for recorded-DAG replay groups (`record.rs`): their member bodies'
-    /// accesses were validated when the DAG was recorded, and the group
-    /// task itself declares none (that is what keeps replay free of
-    /// dependency analysis), so `Ctx::check_granted` must not reject them.
-    /// Only read by the debug-mode checker.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub(crate) unchecked_data: bool,
 }
 
 // Safety: `body` is only touched by the thread that won the claim CAS,
@@ -68,21 +60,6 @@ impl Task {
             accesses,
             attrs,
             binding: UnsafeCell::new(Box::new([])),
-            unchecked_data: false,
-        }
-    }
-
-    /// A pre-analyzed replay task (`record.rs`): no declared accesses —
-    /// its ordering comes from the recorded DAG's continuation spawning —
-    /// and data-access checking disabled (see [`Task::unchecked_data`]).
-    pub(crate) fn new_unchecked(body: TaskBody, attrs: TaskAttrs) -> Task {
-        Task {
-            state: AtomicU8::new(ST_INIT),
-            body: UnsafeCell::new(Some(body)),
-            accesses: Box::new([]),
-            attrs,
-            binding: UnsafeCell::new(Box::new([])),
-            unchecked_data: true,
         }
     }
 
