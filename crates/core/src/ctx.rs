@@ -8,26 +8,29 @@
 //! before the function that introduced `'scope` returns.
 //!
 //! Execution follows the paper's model: spawns are non-blocking pushes into
-//! the current frame; at a sync (explicit or the implicit one when a task
-//! body ends) the owner claims its children in FIFO order — a valid
-//! sequential order, so no dependency is ever computed on this path. When
-//! the owner meets a task a thief claimed, it suspends and works as a thief
-//! itself until the task completes.
+//! the current frame (which bind their dependencies, see `crate::frame`);
+//! at a sync (explicit or the implicit one when a task body ends) the owner
+//! claims its children in FIFO order — a valid sequential order, so the
+//! owner never consults a dependency on this path. When the owner meets a
+//! task a thief claimed, it suspends and works as a thief itself until the
+//! task completes: first from its own ready list, then by stealing.
 
 use crate::access::{Access, AccessMode, HandleId};
 use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs};
 use crate::dataflow::SlotBinding;
 use crate::frame::Frame;
 use crate::handle::{PartView, Partitioned, Reduction, Ref, RefMut, Shared};
+use crate::queue::WorkItem;
 use crate::runtime::{RtInner, Runtime};
 use crate::stats::WorkerStats;
 use crate::steal::{run_grab, try_steal_once};
-use crate::task::{Task, TaskBody, ST_DONE, ST_OWNER};
-use crate::worker::Near;
+use crate::task::{Task, TaskBody, ST_DONE, ST_OWNER, ST_STOLEN};
+use crate::worker::{Near, ReadyBatch};
 use crossbeam_utils::Backoff;
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// Internal, lifetime-free execution context of one worker running one task.
@@ -42,11 +45,27 @@ pub struct RawCtx {
     pub(crate) widx: usize,
     /// Child frame, created lazily on the first spawn.
     frame: Option<Arc<Frame>>,
+    /// What this context runs under.
+    pub(crate) under: Under,
+}
+
+/// What a context runs under: the task it executes and the cancel token
+/// governing it, both *borrowed* from the context's creator (no reference
+/// count taken), and the replay flag. `Copy`, so the forked branch of a
+/// `Ctx::join` runs under exactly its parent's task, token and flag.
+///
+/// The pointers stay valid for the same reason [`RawCtx::rt`] does: a
+/// context lives on the stack of the call that owns (or waits for) the
+/// task and the token — `execute_claimed` holds the task's `Arc`, a root
+/// job holds its token, and a join does not return before its forked
+/// branch finished.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Under {
     /// The task being executed (its declared accesses), `None` at a root.
-    cur: Option<Arc<Task>>,
+    task: Option<NonNull<Task>>,
     /// Cancellation token governing this execution, inherited by every
     /// child spawn so cancelling a root cancels its whole cone.
-    pub(crate) cancel: Option<CancelToken>,
+    cancel: Option<NonNull<CancelToken>>,
     /// A replay driver's context (`record.rs`): debug-mode data-access
     /// checking is off, because the recorded bodies it runs declared
     /// their accesses at record time. Only read by the debug-mode checker.
@@ -72,10 +91,30 @@ impl RawCtx {
             rt,
             widx,
             frame: None,
-            cur: None,
-            cancel: None,
-            replay: false,
+            under: Under::default(),
         }
+    }
+
+    /// The task this context executes, if any.
+    #[inline]
+    fn cur(&self) -> Option<&Task> {
+        // Safety: see `Under`.
+        self.under.task.map(|t| unsafe { &*t.as_ptr() })
+    }
+
+    /// The cancel token governing this context, if any.
+    #[inline]
+    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
+        // Safety: see `Under`.
+        self.under.cancel.map(|t| unsafe { &*t.as_ptr() })
+    }
+
+    /// Run under `token` (borrowed).
+    ///
+    /// # Safety
+    /// `token` must outlive this context, or be replaced before it dies.
+    pub(crate) unsafe fn set_cancel(&mut self, token: Option<&CancelToken>) {
+        self.under.cancel = token.map(NonNull::from);
     }
 
     /// Run one recorded body on this context.
@@ -89,7 +128,10 @@ impl RawCtx {
     fn ensure_frame(&mut self) -> Arc<Frame> {
         if self.frame.is_none() {
             let worker = &self.rt.workers[self.widx];
-            let f = worker.pop_pooled_frame().unwrap_or_else(Frame::new);
+            let f = worker.pop_pooled_frame().unwrap_or_else(|| {
+                WorkerStats::bump(&worker.stats.frames_created, 1);
+                Frame::new(self.widx)
+            });
             worker.register_frame(Arc::clone(&f));
             self.frame = Some(f);
         }
@@ -113,7 +155,7 @@ impl RawCtx {
         attrs: TaskAttrs,
         body: TaskBody,
     ) -> (Arc<Frame>, usize, Arc<Task>) {
-        if attrs.is_default() && self.cancel.is_none() {
+        if attrs.is_default() && self.under.cancel.is_none() {
             self.spawn_common(Arc::new(Task::new(body, accesses, TaskAttrs::default())))
         } else {
             self.spawn_attributed(accesses, attrs, body)
@@ -131,7 +173,7 @@ impl RawCtx {
         body: TaskBody,
     ) -> (Arc<Frame>, usize, Arc<Task>) {
         if attrs.cancel.is_none() {
-            attrs.cancel = self.cancel.clone();
+            attrs.cancel = self.cancel().cloned();
         }
         WorkerStats::bump(&self.rt.workers[self.widx].stats.tasks_with_attrs, 1);
         self.spawn_common(Arc::new(Task::new(body, accesses, attrs)))
@@ -142,7 +184,7 @@ impl RawCtx {
     #[inline]
     fn spawn_common(&mut self, task: Arc<Task>) -> (Arc<Frame>, usize, Arc<Task>) {
         let frame = self.ensure_frame();
-        let out = frame.push(Arc::clone(&task), &self.rt.tun.rename);
+        let out = frame.push(&task, &self.rt.tun.rename);
         let idx = out.idx;
         let stats = &self.rt.workers[self.widx].stats;
         WorkerStats::bump(&stats.tasks_spawned, 1);
@@ -154,12 +196,18 @@ impl RawCtx {
         if out.renames > 0 {
             WorkerStats::bump(&stats.renames, out.renames as u64);
         }
-        if self.rt.queue.centralized() {
+        if out.promoted {
+            // Only a released task is stealable work; the release wakes.
+            if out.released {
+                let mut release = Release::to(&self.rt, self.widx, self.widx);
+                release.push(Arc::clone(&task));
+                release.finish();
+            }
+        } else if self.rt.queue.centralized() {
             // Insertion-time scheduling: ready tasks go straight to the
             // shared queue (QUARK/libGOMP model), even with one worker.
             crate::steal::publish_ready(&self.rt, self.widx, &frame);
-        }
-        if self.rt.num_workers() > 1 {
+        } else if self.rt.num_workers() > 1 {
             self.rt.notify_work(Near::Worker(self.widx), 1);
         }
         (frame, idx, task)
@@ -203,19 +251,19 @@ impl RawCtx {
                     WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
                     // The body ran inline, so the task is done: program
                     // order alone makes the next child safe to run.
-                    execute_claimed(rt, widx, &frame, i, t);
+                    execute_claimed(rt, widx, &frame, t);
                 } else if t.state() == ST_DONE {
                     frame.advance_cursor();
                 } else {
                     // Stolen and in flight: suspend, help elsewhere.
-                    help_until(rt, widx, Some(&frame), || t.is_done());
+                    help_until(rt, widx, || t.is_done());
                     frame.advance_cursor();
                 }
             } else if frame.pending() == 0 {
                 break;
             } else {
                 // All claimed, some still running on thieves.
-                help_until(rt, widx, Some(&frame), || frame.pending() == 0);
+                help_until(rt, widx, || frame.pending() == 0);
             }
         }
         if let Some(p) = frame.take_panic() {
@@ -230,6 +278,11 @@ impl RawCtx {
             let frame = self.frame.take().unwrap();
             let worker = &self.rt.workers[self.widx];
             worker.deregister_frame(&frame);
+            if frame.promoted() {
+                // The FIFO walk ran most of this frame's listed tasks
+                // itself: drop their stale entries now.
+                worker.ready.purge();
+            }
             if res.is_ok() {
                 worker.recycle_frame(frame);
             }
@@ -271,7 +324,7 @@ impl RawCtx {
     }
 }
 
-/// Execute a task already claimed by this worker at `frame[idx]`.
+/// Execute a task already claimed by this worker, pushed at `frame`.
 ///
 /// Failure model (`DESIGN.md` §8): a panicking body never unwinds past this
 /// function — the worker survives, the frame records the failure *before*
@@ -280,21 +333,16 @@ impl RawCtx {
 /// completed-as-failed instead of run. Cancelled tasks skip their body but
 /// satisfy every dataflow obligation. Every path returns with the task
 /// complete.
-pub(crate) fn execute_claimed(
-    rt: &Arc<RtInner>,
-    widx: usize,
-    frame: &Arc<Frame>,
-    idx: usize,
-    task: Arc<Task>,
-) {
+pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, task: Arc<Task>) {
     let stats = &rt.workers[widx].stats;
+    let idx = task.idx();
     // Poisoned cone: a dataflow predecessor panicked. Complete-as-failed
-    // without running the body so npred countdowns still drain.
+    // without running the body so the countdowns still drain.
     if frame.has_failed_pred(idx) {
         let _ = task.take_body();
         frame.mark_failed(idx);
         WorkerStats::bump(&stats.tasks_poisoned, 1);
-        complete_and_publish(rt, widx, frame, idx, &task);
+        complete_and_publish(rt, widx, frame, &task);
         return;
     }
     // Cancelled cone: elide the body, keep the dataflow honest.
@@ -308,13 +356,17 @@ pub(crate) fn execute_claimed(
             task.attrs.band(),
             idx as u32,
         );
-        complete_and_publish(rt, widx, frame, idx, &task);
+        complete_and_publish(rt, widx, frame, &task);
         return;
     }
     let body = task.take_body();
     let mut raw = RawCtx::new(rt, widx);
-    raw.cancel = task.attrs.cancel.clone();
-    raw.cur = Some(Arc::clone(&task));
+    // `task` outlives `raw`: both borrows in `Under` stay valid.
+    raw.under = Under {
+        task: Some(NonNull::from(&*task)),
+        cancel: task.attrs.cancel.as_ref().map(NonNull::from),
+        replay: false,
+    };
     // Traced task span (`DESIGN.md` §9): B/E pair around the body plus
     // the start→done delta into the band's service histogram. One relaxed
     // load when tracing is off; the inline fork-join fast lane
@@ -363,59 +415,135 @@ pub(crate) fn execute_claimed(
         }
         _ => {}
     }
-    complete_and_publish(rt, widx, frame, idx, &task);
+    complete_and_publish(rt, widx, frame, &task);
 }
 
-/// Completion tail shared by the run/skip paths of `execute_claimed`.
-pub(crate) fn complete_and_publish(
-    rt: &Arc<RtInner>,
-    widx: usize,
-    frame: &Arc<Frame>,
-    idx: usize,
-    task: &Task,
-) {
+/// Completion tail shared by the run/skip paths of `execute_claimed`. The
+/// frame is not touched after `complete_task`: that may have been the
+/// frame's last completion.
+pub(crate) fn complete_and_publish(rt: &Arc<RtInner>, widx: usize, frame: &Frame, task: &Task) {
     task.complete();
-    frame.complete_task(idx, task);
-    // Completion may have released successors.
-    if rt.queue.centralized() {
+    let central = rt.queue.centralized();
+    if central && !frame.promoted() {
+        // Completion may have made successors ready.
         crate::steal::publish_ready(rt, widx, frame);
-    } else if frame.pending() > 0 && rt.num_workers() > 1 {
+    }
+    let mut release = None;
+    let done = frame.complete_task(task, |t| {
+        release
+            .get_or_insert_with(|| Release::to(rt, widx, widx))
+            .push(t)
+    });
+    if let Some(release) = release {
+        release.finish();
+    }
+    if !done.promoted && !central && done.left > 0 && rt.num_workers() > 1 {
+        // An unpromoted frame's successors are found by steal scans.
         rt.notify_work(Near::Worker(widx), 1);
     }
 }
 
-/// Execute a task at `frame[idx]` (steal path: already claimed `ST_STOLEN`).
-pub(crate) fn execute_task_at(
-    rt: &Arc<RtInner>,
-    widx: usize,
-    frame: &Arc<Frame>,
-    idx: usize,
-    task: Arc<Task>,
-    stolen: bool,
-) {
-    if stolen {
-        WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_stolen, 1);
-    }
-    execute_claimed(rt, widx, frame, idx, task);
+/// Execute a task claimed from a ready list, a queue or a steal. It runs
+/// as the owner's (`tasks_executed_own`) on its frame's owner, as stolen
+/// anywhere else.
+pub(crate) fn execute_task(rt: &Arc<RtInner>, widx: usize, task: Arc<Task>) {
+    // Safety: the task is claimed and not completed yet.
+    let frame = unsafe { task.frame() };
+    let stats = &rt.workers[widx].stats;
+    let executed = if frame.owner() == widx {
+        &stats.tasks_executed_own
+    } else {
+        &stats.tasks_executed_stolen
+    };
+    WorkerStats::bump(executed, 1);
+    execute_claimed(rt, widx, frame, task);
 }
 
-/// Suspended-owner help loop: until `done()` holds, prefer ready tasks from
-/// `own` (graph-mode pop), then steal from random victims, then back off.
-pub(crate) fn help_until(
-    rt: &Arc<RtInner>,
+/// Where the tasks a worker releases go (`DESIGN.md` §2, "Ready lists"):
+/// onto a worker's ready list, or — under a centralized queue — claimed
+/// and into the shared queue. One list lock for the whole batch; one
+/// notification for it in [`Release::finish`].
+pub(crate) struct Release<'a> {
+    rt: &'a Arc<RtInner>,
+    /// The releasing worker (the queue lane a centralized push uses).
     widx: usize,
-    own: Option<&Arc<Frame>>,
-    done: impl Fn() -> bool,
-) {
+    /// The worker whose ready list receives the tasks.
+    target: usize,
+    list: ReadyBatch<'a>,
+    listed: usize,
+    queued: usize,
+    /// Claimed tasks the queue refused: they run in `finish`.
+    refused: Vec<WorkItem>,
+}
+
+impl<'a> Release<'a> {
+    /// Tasks released by worker `widx` onto worker `target`'s list.
+    pub(crate) fn to(rt: &'a Arc<RtInner>, widx: usize, target: usize) -> Release<'a> {
+        Release {
+            rt,
+            widx,
+            target,
+            list: rt.workers[target].ready.batch(),
+            listed: 0,
+            queued: 0,
+            refused: Vec::new(),
+        }
+    }
+
+    /// Release a ready, unclaimed task.
+    pub(crate) fn push(&mut self, task: Arc<Task>) {
+        if !self.rt.queue.centralized() {
+            self.list.push(task);
+            self.listed += 1;
+        } else if task.try_claim(ST_STOLEN) {
+            self.push_claimed(task);
+        }
+    }
+
+    /// Publish a task already claimed into the centralized queue.
+    pub(crate) fn push_claimed(&mut self, task: Arc<Task>) {
+        match self.rt.queue.push(self.widx, WorkItem::task(task)) {
+            Ok(()) => self.queued += 1,
+            Err(item) => self.refused.push(item),
+        }
+    }
+
+    /// Unlock the list, wake for what was published, and run what the
+    /// queue refused (claimed already, so it runs now or never).
+    pub(crate) fn finish(self) {
+        let Release {
+            rt,
+            widx,
+            target,
+            list,
+            listed,
+            queued,
+            refused,
+        } = self;
+        drop(list);
+        if listed > 0 && rt.num_workers() > 1 {
+            rt.notify_work(Near::Worker(target), listed);
+        }
+        if queued > 0 {
+            rt.notify_work(Near::Node(rt.topo.node_of(widx)), queued);
+        }
+        for item in refused {
+            run_grab(rt, widx, item.into_grab());
+        }
+    }
+}
+
+/// Suspended-owner help loop: until `done()` holds, run tasks from this
+/// worker's own ready list, then steal from random victims, then back off.
+pub(crate) fn help_until(rt: &Arc<RtInner>, widx: usize, done: impl Fn() -> bool) {
     let backoff = Backoff::new();
+    let my = &rt.workers[widx];
     while !done() {
-        if let Some(frame) = own {
-            if let Some((idx, t)) = frame.pop_ready_owner() {
-                execute_task_at(rt, widx, frame, idx, t, true);
-                rt.workers[widx].reset_fail_streak();
-                backoff.reset();
-                continue;
-            }
+        if let Some(task) = my.ready.pop() {
+            execute_task(rt, widx, task);
+            my.reset_fail_streak();
+            backoff.reset();
+            continue;
         }
         // Centralized queue: the shared pool is where every published task
         // lives (and the only progress source at 1 worker). Distributed
@@ -426,7 +554,7 @@ pub(crate) fn help_until(
         if rt.queue.centralized() {
             if let Some(item) = rt.queue.pop(widx) {
                 run_grab(rt, widx, item.into_grab());
-                rt.workers[widx].reset_fail_streak();
+                my.reset_fail_streak();
                 backoff.reset();
                 continue;
             }
@@ -495,16 +623,13 @@ impl<'scope> Ctx<'scope> {
     /// tasks not yet started are skipped by the scheduler itself.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        match &self.raw().cancel {
-            None => false,
-            Some(t) => t.is_cancelled(),
-        }
+        self.raw().cancel().is_some_and(CancelToken::is_cancelled)
     }
 
     /// The token governing this task's cone, if any (clone it to hand
     /// cancellation authority elsewhere).
     pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.raw().cancel.clone()
+        self.raw().cancel().cloned()
     }
 
     /// Create a task. Non-blocking: the caller continues immediately; the
@@ -591,6 +716,9 @@ impl<'scope> Ctx<'scope> {
         const J_PANIC: u8 = 2;
         struct StackJob<F, R> {
             state: std::sync::atomic::AtomicU8,
+            /// The joining context's task, token and replay flag: the
+            /// forked branch runs under them, like the inline one.
+            under: Under,
             f: std::cell::UnsafeCell<Option<F>>,
             result: std::cell::UnsafeCell<Option<R>>,
             panic: std::cell::UnsafeCell<Option<Box<dyn std::any::Any + Send>>>,
@@ -603,6 +731,8 @@ impl<'scope> Ctx<'scope> {
             let job = unsafe { &*(data as *const StackJob<F, R>) };
             let f = unsafe { (*job.f.get()).take().expect("fast job run twice") };
             let mut raw = RawCtx::new(rt, widx);
+            // The joining context outlives the job (see `Under`).
+            raw.under = job.under;
             let run = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
                 crate::fault::on_task_execute(rt);
@@ -635,6 +765,7 @@ impl<'scope> Ctx<'scope> {
         };
         let job = StackJob {
             state: std::sync::atomic::AtomicU8::new(J_PENDING),
+            under: self.raw().under,
             f: std::cell::UnsafeCell::new(Some(fb_raw)),
             result: std::cell::UnsafeCell::new(None),
             panic: std::cell::UnsafeCell::new(None),
@@ -687,7 +818,7 @@ impl<'scope> Ctx<'scope> {
             } else {
                 // Taken by another worker (or consumed while helping): work
                 // as a thief until it completes.
-                help_until(rt, widx, None, || {
+                help_until(rt, widx, || {
                     job.state.load(std::sync::atomic::Ordering::Acquire) != J_PENDING
                 });
             }
@@ -733,10 +864,10 @@ impl<'scope> Ctx<'scope> {
     #[cfg(debug_assertions)]
     fn check_granted(&self, id: crate::access::HandleId, write: bool) {
         let raw = self.raw();
-        if raw.replay {
+        if raw.under.replay {
             return;
         }
-        let Some(cur) = raw.cur.as_ref() else {
+        let Some(cur) = raw.cur() else {
             panic!(
                 "xkaapi: data access outside a task with declared accesses; \
                  spawn a task declaring the access, or use Shared::get after the scope"
@@ -762,7 +893,7 @@ impl<'scope> Ctx<'scope> {
     /// `None` when there is no current bound task (scope root, fork-join
     /// fast lane) — callers then route to the handle's committed slot.
     fn slot_binding(&self, id: HandleId, write: bool) -> Option<SlotBinding> {
-        let cur = self.raw().cur.as_ref()?;
+        let cur = self.raw().cur()?;
         let pos = if write {
             cur.accesses
                 .iter()
@@ -837,7 +968,7 @@ impl<'scope> Ctx<'scope> {
             // First-touch is a *write* policy: a read-only view scheduled
             // before the first writer must not claim the home node.
             let raw = self.raw();
-            let writes = raw.cur.as_ref().is_some_and(|cur| {
+            let writes = raw.cur().is_some_and(|cur| {
                 cur.accesses
                     .iter()
                     .any(|a| a.handle == p.id() && a.mode.writes())

@@ -13,8 +13,8 @@
 //! * **scan mode** answers "is task *i* ready?" by checking that every
 //!   recorded predecessor completed — an incremental check that replaced
 //!   the seed's O(n²) pairwise `tasks_conflict` scan;
-//! * **graph mode** (the promoted ready-list) derives its `npred`/`succ`
-//!   counters from the same predecessor sets.
+//! * a **promoted** frame links each task behind the same predecessors:
+//!   per-task countdowns and successor cells (`crate::task`).
 //!
 //! On top of the chains the engine implements **renaming** (`DESIGN.md` §2):
 //! a write-only access on a full version of a renameable handle is granted a

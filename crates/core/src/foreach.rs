@@ -271,9 +271,7 @@ pub(crate) fn foreach_run(
         next = ctl.claim_untouched(widx);
     }
     // Help until the last chunk (possibly on a thief) completes.
-    help_until(rt, widx, None, || {
-        ctl.remaining.load(Ordering::Acquire) == 0
-    });
+    help_until(rt, widx, || ctl.remaining.load(Ordering::Acquire) == 0);
     rt.workers[widx].deregister_adaptive(&master);
 
     let panic = ctl.panic.lock().take();
@@ -328,7 +326,7 @@ impl<'scope> Ctx<'scope> {
         // Cancellation is inherited scope-wide: a loop inside a
         // cancellable cone is cancellable with it.
         if attrs.cancel.is_none() {
-            attrs.cancel = raw.cancel.clone();
+            attrs.cancel = raw.cancel().cloned();
         }
         foreach_run(&raw.rt, raw.widx, range, grain, attrs, body);
     }

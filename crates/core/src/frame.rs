@@ -1,43 +1,49 @@
 //! Frames: per-parent task sequences over the versioned data-flow core,
-//! with the ready-list ("graph mode") acceleration.
+//! with promotion to per-task readiness.
 //!
 //! A frame holds the children one task (or one scope) spawned, in program
 //! order. Pushing a task *binds* it into the frame's [`DataflowEngine`]
 //! (version chains, see [`crate::dataflow`]): this records its predecessor
-//! set and its version-slot routing once, and both execution strategies
-//! read that single source of truth:
+//! set and its version-slot routing once, and every execution strategy
+//! reads that single source of truth:
 //!
 //! * the owner executes FIFO without consulting dependencies at all
 //!   (work-first: program order is always valid);
-//! * a thief proves a task ready with an incremental check — every recorded
-//!   predecessor completed (replacing the seed's O(n²) pairwise conflict
-//!   scan);
-//! * when steal scans become frequent the frame is *promoted*: a dependency
-//!   graph with per-task predecessor counts and a ready list is derived
-//!   from the same predecessor sets, then updated incrementally on
-//!   push/completion, and steals degrade to a near-constant-time pop — the
-//!   paper's "accelerating data structure for steal operations".
+//! * while the frame is unpromoted, a thief proves a task ready with an
+//!   incremental check — every recorded predecessor completed — under the
+//!   frame lock;
+//! * when steal scans become frequent the frame is *promoted*: every task
+//!   gets a countdown of its live predecessors and links into their
+//!   successor cells ([`crate::task`]), and from then on readiness moves
+//!   with the tasks, not through the frame. A completion seals its cell and
+//!   counts its successors down; a task whose count reaches zero, or that
+//!   is pushed or promoted with no live predecessor, is *released* onto
+//!   the ready list of the worker that released it (`crate::worker`), or
+//!   into the shared queue under a centralized one. Thieves take work from
+//!   those lists and never lock the frame — the paper's "accelerating data
+//!   structure for steal operations".
+//!
+//! After promotion only the owner's push (binding), the release of renamed
+//! version slots and `mark_failed` take the frame lock.
 
 use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
 use crate::dataflow::DataflowEngine;
 use crate::policy::RenamePolicy;
-use crate::smallvec::InlineVec;
-use crate::task::{Task, ST_INIT, ST_STOLEN};
+use crate::task::{task_arc, Task, ST_DONE, ST_INIT, ST_STOLEN};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Knobs controlling promotion to graph mode; part of the runtime tunables
-/// so ablation benchmarks can disable the optimisation.
+/// Knobs controlling promotion to per-task readiness; part of the runtime
+/// tunables so ablation benchmarks can disable the optimisation.
 #[derive(Clone, Copy, Debug)]
 pub struct PromotionPolicy {
     /// Promote when a steal scan visits a frame with at least this many tasks.
     pub promote_len: usize,
     /// Promote after this many steal scans of the same frame.
     pub promote_scans: usize,
-    /// Master switch; `false` forces O(n²) scan-based steals forever.
+    /// Master switch; `false` keeps scan-based steals forever.
     pub enabled: bool,
 }
 
@@ -51,104 +57,9 @@ impl Default for PromotionPolicy {
     }
 }
 
-/// The promoted dependency graph of a frame.
-///
-/// A thin readiness-propagation layer (`npred` counters, successor lists,
-/// a ready list) over the predecessor sets the frame's [`DataflowEngine`]
-/// computed at push time — the graph holds no dependency logic of its own,
-/// so it can never disagree with the scan path.
-pub(crate) struct DepGraph {
-    npred: Vec<usize>,
-    /// Successor lists; inline capacity covers the typical fan-out so
-    /// integrating a task allocates nothing in the common case.
-    succ: Vec<InlineVec<usize, 4>>,
-    /// Completion already propagated (or task was done at promotion time).
-    accounted: Vec<bool>,
-    /// Indices of tasks believed ready (state `ST_INIT`, `npred == 0`),
-    /// one list per priority band — thieves drain high bands first, FIFO
-    /// within a band (the default band reproduces the unbanded order).
-    /// May contain stale entries (claimed by the owner FIFO path); poppers
-    /// re-validate with the claim CAS.
-    ready: [VecDeque<usize>; PRIORITY_BANDS],
-}
-
-impl DepGraph {
-    fn new() -> Self {
-        DepGraph {
-            npred: Vec::new(),
-            succ: Vec::new(),
-            accounted: Vec::new(),
-            ready: std::array::from_fn(|_| VecDeque::new()),
-        }
-    }
-
-    /// Integrate task `idx` with the predecessor set the version-chain
-    /// engine recorded for it (must be called in program order). `band` is
-    /// the task's priority band (ready-list routing).
-    fn integrate(&mut self, idx: usize, preds: &[u32], already_done: bool, band: u8) {
-        debug_assert_eq!(self.npred.len(), idx);
-        self.npred.push(0);
-        self.succ.push(InlineVec::new());
-        self.accounted.push(already_done);
-        let mut np = 0;
-        for &p in preds {
-            let p = p as usize;
-            debug_assert!(p < idx);
-            if !self.accounted[p] {
-                self.succ[p].push(idx);
-                np += 1;
-            }
-        }
-        self.npred[idx] = np;
-        if np == 0 && !already_done {
-            self.ready[band as usize].push_back(idx);
-        }
-    }
-
-    /// Propagate the completion of task `idx`.
-    fn on_complete(&mut self, idx: usize, tasks: &[Arc<Task>]) {
-        if idx >= self.accounted.len() || self.accounted[idx] {
-            return;
-        }
-        self.accounted[idx] = true;
-        let succs = std::mem::take(&mut self.succ[idx]);
-        for &s in succs.as_slice() {
-            self.npred[s] -= 1;
-            if self.npred[s] == 0 && tasks[s].state() == ST_INIT {
-                self.ready[tasks[s].band() as usize].push_back(s);
-            }
-        }
-    }
-
-    /// Pop a ready task index whose claim CAS succeeds for a thief,
-    /// highest priority band first. `banded` is the frame's lazy
-    /// band-activation flag: while false, only the default band's deque
-    /// can hold entries, so the pop touches exactly one list.
-    fn pop_ready_claimed(&mut self, tasks: &[Arc<Task>], banded: bool) -> Option<usize> {
-        if !banded {
-            let band = &mut self.ready[NORMAL_BAND as usize];
-            while let Some(idx) = band.pop_front() {
-                if tasks[idx].try_claim(ST_STOLEN) {
-                    return Some(idx);
-                }
-            }
-            return None;
-        }
-        for band in self.ready.iter_mut() {
-            while let Some(idx) = band.pop_front() {
-                if tasks[idx].try_claim(ST_STOLEN) {
-                    return Some(idx);
-                }
-            }
-        }
-        None
-    }
-}
-
 struct FrameInner {
     tasks: Vec<Arc<Task>>,
-    graph: Option<DepGraph>,
-    /// The single dependency implementation both modes read: version
+    /// The single dependency implementation every mode reads: version
     /// chains, predecessor sets, slot routing — filled at push time.
     engine: DataflowEngine,
     /// Any pushed task outside the default priority band? When false the
@@ -167,11 +78,29 @@ pub(crate) struct PushOutcome {
     pub(crate) idx: usize,
     /// Accesses of the task that were renamed (fresh version slots).
     pub(crate) renames: u32,
+    /// The frame is promoted: readiness travels through releases.
+    pub(crate) promoted: bool,
+    /// The push released the task (promoted, no live predecessor): the
+    /// caller must put it on a ready list.
+    pub(crate) released: bool,
+}
+
+/// What `Frame::complete_task` tells the caller. The frame must not be
+/// touched after that call: the completion may have been its last.
+pub(crate) struct Completion {
+    /// The frame was promoted (successors, if any, were released).
+    pub(crate) promoted: bool,
+    /// Tasks of the frame not completed yet.
+    pub(crate) left: usize,
 }
 
 /// A frame: the ordered children of one parent task (or scope).
 pub(crate) struct Frame {
     inner: Mutex<FrameInner>,
+    /// The worker whose contexts push into this frame (frames are pooled
+    /// per worker, so this never changes). A task of the frame run by any
+    /// other worker counts as stolen.
+    owner: usize,
     /// Mirror of `inner.tasks.len()` readable without the lock.
     len: AtomicUsize,
     /// Tasks created minus tasks completed.
@@ -193,15 +122,16 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    pub(crate) fn new() -> Arc<Frame> {
+    /// A frame whose tasks worker `owner` pushes.
+    pub(crate) fn new(owner: usize) -> Arc<Frame> {
         Arc::new(Frame {
             inner: Mutex::new(FrameInner {
                 tasks: Vec::new(),
-                graph: None,
                 engine: DataflowEngine::new(),
                 banded: false,
                 failed: Vec::new(),
             }),
+            owner,
             len: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
@@ -213,6 +143,12 @@ impl Frame {
         })
     }
 
+    /// The worker that owns this frame.
+    #[inline]
+    pub(crate) fn owner(&self) -> usize {
+        self.owner
+    }
+
     /// Number of pushed tasks (racy snapshot).
     #[inline]
     pub(crate) fn len(&self) -> usize {
@@ -222,6 +158,12 @@ impl Frame {
     #[inline]
     pub(crate) fn pending(&self) -> usize {
         self.pending.load(Ordering::Acquire)
+    }
+
+    /// Has the frame been promoted to per-task readiness?
+    #[inline]
+    pub(crate) fn promoted(&self) -> bool {
+        self.graph_on.load(Ordering::Acquire)
     }
 
     /// Owner FIFO cursor.
@@ -244,12 +186,13 @@ impl Frame {
 
     /// Append a task (owner only): bind it into the version-chain engine
     /// (recording its predecessor set and slot routing), then publish it.
-    pub(crate) fn push(&self, task: Arc<Task>, rename: &RenamePolicy) -> PushOutcome {
+    /// In a promoted frame the task also links behind its live
+    /// predecessors; `released` says the caller must release it.
+    pub(crate) fn push(&self, task: &Arc<Task>, rename: &RenamePolicy) -> PushOutcome {
         self.pending.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
         let FrameInner {
             tasks,
-            graph,
             engine,
             banded,
             ..
@@ -260,18 +203,31 @@ impl Frame {
         let renames = binding.renames;
         // Safety: the task only becomes reachable by claimants through
         // `tasks` below; the frame lock publishes the binding first.
-        unsafe { task.set_binding(binding.slots) };
+        unsafe {
+            task.set_binding(binding.slots);
+            task.set_home(self, idx);
+        }
         if task.band() != NORMAL_BAND {
             *banded = true;
         }
-        if let Some(g) = graph.as_mut() {
-            // Graph already promoted: integrate incrementally. The task was
-            // just created, it cannot be done.
-            g.integrate(idx, engine.preds(idx), false, task.band());
+        // Promotion happens under this lock, so the flag is stable here.
+        let promoted = self.graph_on.load(Ordering::Relaxed);
+        if promoted {
+            for &p in engine.preds(idx) {
+                tasks[p as usize].succ.link(task);
+            }
         }
-        tasks.push(task);
+        tasks.push(Arc::clone(task));
         self.len.store(tasks.len(), Ordering::Release);
-        PushOutcome { idx, renames }
+        drop(inner);
+        // Drop the link guard only now that the task is fully published.
+        let released = promoted && task.count_down();
+        PushOutcome {
+            idx,
+            renames,
+            promoted,
+            released,
+        }
     }
 
     /// Clone of the task at `idx`.
@@ -289,27 +245,38 @@ impl Frame {
         out.extend(inner.tasks[start.min(inner.tasks.len())..].iter().cloned());
     }
 
-    /// Record completion of the task at `idx` (claimant side, after the
-    /// task's `complete()`). Propagates readiness if the frame is promoted
-    /// and releases the task's version slots if it holds any. Tasks bound
-    /// only to slot 0 skip the lock entirely in scan mode — the owner's
-    /// hot completion path stays lock-free even in frames that rename.
-    pub(crate) fn complete_task(&self, idx: usize, task: &Task) {
-        let holds_slots = task.binding().iter().any(|b| b.slot != 0);
-        if self.graph_on.load(Ordering::SeqCst) || holds_slots {
-            let mut inner = self.inner.lock();
-            let FrameInner {
-                tasks,
-                graph,
-                engine,
-                ..
-            } = &mut *inner;
-            if let Some(g) = graph.as_mut() {
-                g.on_complete(idx, tasks);
-            }
-            engine.complete(idx);
+    /// Record the completion of `task` (claimant side, after the task's
+    /// `complete()`). A task holding renamed version slots releases them
+    /// under the frame lock. In a promoted frame the task then seals its
+    /// successor cell and counts its successors down, handing each one
+    /// that became ready to `release` — no frame lock (and none held while
+    /// `release` lists tasks). The frame must not be touched after this
+    /// returns: `pending` drops last, and the owner may then finish and
+    /// recycle the frame.
+    pub(crate) fn complete_task(
+        &self,
+        task: &Task,
+        mut release: impl FnMut(Arc<Task>),
+    ) -> Completion {
+        if task.binding().iter().any(|b| b.slot != 0) {
+            self.inner.lock().engine.complete(task.idx());
         }
-        self.pending.fetch_sub(1, Ordering::AcqRel);
+        // SeqCst pairs with the promotion's `graph_on` store: either this
+        // load sees the flag, or the promoter saw this task done and
+        // sealed its cell itself (see `promote`).
+        let promoted = self.graph_on.load(Ordering::SeqCst);
+        if promoted {
+            for &s in task.succ.seal().as_slice() {
+                // Safety: a successor is not complete before its count
+                // reached zero, and it is held by `tasks` until `reset`.
+                let s = unsafe { s.as_ref() };
+                if s.count_down() {
+                    release(unsafe { task_arc(s.into()) });
+                }
+            }
+        }
+        let left = self.pending.fetch_sub(1, Ordering::AcqRel) - 1;
+        Completion { promoted, left }
     }
 
     /// Store the first child panic.
@@ -363,82 +330,49 @@ impl Frame {
             .any(|&p| inner.failed.get(p as usize).copied().unwrap_or(false))
     }
 
-    /// Steal scan: claim up to `max` ready tasks for thieves.
+    /// Steal scan of an unpromoted frame: claim up to `max` ready tasks
+    /// into `out` (cloned under the lock already held, so callers never
+    /// re-lock the frame to look a claimed task up again).
     ///
-    /// Applies the promotion policy: scan-based readiness while the frame is
-    /// small/rarely scanned, ready-list pops afterwards. Appends claimed
-    /// `(frame-index, task)` pairs — the `Arc<Task>` is cloned here, under
-    /// the lock already held, so callers never re-lock the frame to look a
-    /// claimed task up again.
-    ///
-    /// `promotions` is bumped when this call performs the promotion.
+    /// Applies the promotion policy first. A call that promotes hands
+    /// every task it finds ready to `release` (unclaimed, for a ready
+    /// list) instead, and returns `true`. A promoted frame is not scanned
+    /// at all: its ready tasks are on ready lists.
     pub(crate) fn steal_scan(
         &self,
         max: usize,
         policy: &PromotionPolicy,
-        out: &mut Vec<(usize, Arc<Task>)>,
-        promotions: &mut u64,
-    ) {
-        if max == 0 || self.pending.load(Ordering::Acquire) == 0 {
-            return;
+        out: &mut Vec<Arc<Task>>,
+        release: impl FnMut(Arc<Task>),
+    ) -> bool {
+        if max == 0 || self.pending.load(Ordering::Acquire) == 0 || self.promoted() {
+            return false;
         }
         let scans = self.scans.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut inner = self.inner.lock();
-        let promote = policy.enabled
-            && inner.graph.is_none()
-            && (inner.tasks.len() >= policy.promote_len || scans >= policy.promote_scans);
-        if promote {
-            *promotions += 1;
-            // Derive the graph from the predecessor sets the engine
-            // recorded at push time (one source of truth for both modes).
-            let mut g = DepGraph::new();
-            let FrameInner { tasks, engine, .. } = &mut *inner;
-            for (idx, task) in tasks.iter().enumerate() {
-                g.integrate(idx, engine.preds(idx), false, task.band());
-            }
-            // SeqCst promotion protocol: publish `graph_on` *before*
-            // reading task states for done-accounting, so any completion
-            // not observed here will observe `graph_on == true` and take
-            // the lock (see `Task::complete` + `complete_task`).
-            self.graph_on.store(true, Ordering::SeqCst);
-            let done: Vec<usize> = tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.is_done())
-                .map(|(i, _)| i)
-                .collect();
-            inner.graph = Some(g);
-            let FrameInner { tasks, graph, .. } = &mut *inner;
-            let g = graph.as_mut().unwrap();
-            for idx in done {
-                g.on_complete(idx, tasks);
-            }
+        let inner = self.inner.lock();
+        if self.graph_on.load(Ordering::Relaxed) {
+            return false; // promoted while we took the lock
         }
-
-        let FrameInner {
-            tasks,
-            graph,
-            engine,
-            banded,
-            ..
-        } = &mut *inner;
-        if let Some(g) = graph.as_mut() {
-            while out.len() < max {
-                match g.pop_ready_claimed(tasks, *banded) {
-                    Some(idx) => out.push((idx, Arc::clone(&tasks[idx]))),
-                    None => break,
-                }
-            }
-            return;
+        if policy.enabled
+            && (inner.tasks.len() >= policy.promote_len || scans >= policy.promote_scans)
+        {
+            self.promote(&inner, release);
+            return true;
         }
 
         // Scan mode: oldest-first incremental readiness against the version
         // chains — a task is ready when every predecessor the engine
-        // recorded for it has completed (same edges graph mode uses). The
+        // recorded for it has completed (the edges promotion links). The
         // band check is hoisted out of the loop: a frame that never saw a
         // non-default band (the hot case) runs one branch-free oldest-first
         // pass; only banded frames pay one pass per band (highest first) so
         // high-priority ready tasks are claimed before low-priority ones.
+        let FrameInner {
+            tasks,
+            engine,
+            banded,
+            ..
+        } = &*inner;
         let n = tasks.len();
         if !*banded {
             for i in 0..n {
@@ -453,10 +387,10 @@ impl Frame {
                     continue;
                 }
                 if t.try_claim(ST_STOLEN) {
-                    out.push((i, Arc::clone(t)));
+                    out.push(Arc::clone(t));
                 }
             }
-            return;
+            return false;
         }
         for pass in 0..PRIORITY_BANDS {
             if out.len() >= max {
@@ -477,8 +411,44 @@ impl Frame {
                     continue;
                 }
                 if t.try_claim(ST_STOLEN) {
-                    out.push((i, Arc::clone(t)));
+                    out.push(Arc::clone(t));
                 }
+            }
+        }
+        false
+    }
+
+    /// Promote (under the frame lock): switch readiness to the per-task
+    /// countdowns and successor cells, and release every task that is
+    /// ready now.
+    ///
+    /// Completions race with this. `graph_on` is stored `SeqCst` before
+    /// any task state is read (`SeqCst` too), and a completion swaps its
+    /// state `SeqCst` before it loads `graph_on`. So a task read here as
+    /// not done will see the flag when it completes, and seal its cell and
+    /// count its successors down itself; a task read as done may have
+    /// missed the flag, so its cell is sealed here, and nothing links
+    /// behind it. Tasks are visited in program order, so a task's
+    /// predecessors have been visited (sealed if done) before it links.
+    fn promote(&self, inner: &FrameInner, mut release: impl FnMut(Arc<Task>)) {
+        self.graph_on.store(true, Ordering::SeqCst);
+        let FrameInner { tasks, engine, .. } = inner;
+        for (i, t) in tasks.iter().enumerate() {
+            match t.state_sc() {
+                ST_DONE => {
+                    t.succ.seal();
+                }
+                ST_INIT => {
+                    for &p in engine.preds(i) {
+                        tasks[p as usize].succ.link(t);
+                    }
+                    if t.count_down() {
+                        release(Arc::clone(t));
+                    }
+                }
+                // Claimed and running: never needs a release; its cell
+                // stays open for the tasks that depend on it.
+                _ => {}
             }
         }
     }
@@ -490,7 +460,6 @@ impl Frame {
         debug_assert_eq!(self.pending.load(Ordering::Relaxed), 0);
         let mut inner = self.inner.lock();
         inner.tasks.clear(); // keeps the Vec capacity
-        inner.graph = None;
         inner.engine.clear();
         inner.banded = false;
         inner.failed.clear();
@@ -502,32 +471,6 @@ impl Frame {
         self.has_panic.store(false, Ordering::Relaxed);
         self.any_failed.store(false, Ordering::Relaxed);
         debug_assert!(self.panic.lock().is_none());
-    }
-
-    /// Owner-side ready pop (used while the owner is suspended on a stolen
-    /// task): only available in graph mode, claims as `ST_STOLEN`. Returns
-    /// the claimed index together with its task (cloned under the same
-    /// lock, saving the caller a re-lock).
-    pub(crate) fn pop_ready_owner(&self) -> Option<(usize, Arc<Task>)> {
-        if !self.graph_on.load(Ordering::Acquire) {
-            return None;
-        }
-        let mut inner = self.inner.lock();
-        let FrameInner {
-            tasks,
-            graph,
-            banded,
-            ..
-        } = &mut *inner;
-        graph
-            .as_mut()
-            .and_then(|g| g.pop_ready_claimed(tasks, *banded))
-            .map(|idx| (idx, Arc::clone(&tasks[idx])))
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_promoted(&self) -> bool {
-        self.graph_on.load(Ordering::SeqCst)
     }
 }
 
@@ -545,10 +488,41 @@ mod tests {
         ))
     }
 
+    /// A frame plus the test's stand-in for a worker's ready list: every
+    /// task the frame releases (at promotion, at a push, at a completion)
+    /// lands in `ready`, and `scan` claims from it as a thief would.
+    struct Probe {
+        f: Arc<Frame>,
+        ready: std::cell::RefCell<std::collections::VecDeque<Arc<Task>>>,
+    }
+
+    impl Probe {
+        fn new() -> Probe {
+            Probe {
+                f: Frame::new(0),
+                ready: Default::default(),
+            }
+        }
+    }
+
+    impl std::ops::Deref for Probe {
+        type Target = Frame;
+        fn deref(&self) -> &Frame {
+            &self.f
+        }
+    }
+
+    fn push_with(f: &Probe, accs: &[Access], rp: &RenamePolicy) {
+        let t = task_with(accs);
+        if f.f.push(&t, rp).released {
+            f.ready.borrow_mut().push_back(t);
+        }
+    }
+
     /// Push with default renaming knobs (renaming applies only to accesses
     /// flagged renameable, so plain tests are unaffected).
-    fn push(f: &Frame, accs: &[Access]) {
-        f.push(task_with(accs), &RenamePolicy::default());
+    fn push(f: &Probe, accs: &[Access]) {
+        push_with(f, accs, &RenamePolicy::default());
     }
 
     fn acc(h: u64, mode: AccessMode) -> Access {
@@ -556,16 +530,27 @@ mod tests {
     }
 
     /// Steal-scan returning claimed indices only (tests compare index sets;
-    /// the carried `Arc<Task>`s are exercised by the engine paths).
-    fn scan(f: &Frame, max: usize, pol: &PromotionPolicy, promos: &mut u64) -> Vec<usize> {
+    /// the carried `Arc<Task>`s are exercised by the engine paths). A
+    /// promoted frame's ready tasks are claimed from the probe's ready
+    /// list, oldest first, stale entries skipped.
+    fn scan(f: &Probe, max: usize, pol: &PromotionPolicy, promos: &mut u64) -> Vec<usize> {
         let mut out = Vec::new();
-        f.steal_scan(max, pol, &mut out, promos);
-        out.into_iter().map(|(idx, _)| idx).collect()
+        let promoted =
+            f.f.steal_scan(max, pol, &mut out, |t| f.ready.borrow_mut().push_back(t));
+        *promos += u64::from(promoted);
+        let mut ready = f.ready.borrow_mut();
+        while out.len() < max {
+            let Some(t) = ready.pop_front() else { break };
+            if t.try_claim(ST_STOLEN) {
+                out.push(t);
+            }
+        }
+        out.into_iter().map(|t| t.idx()).collect()
     }
 
     #[test]
     fn fifo_indices_in_program_order() {
-        let f = Frame::new();
+        let f = Probe::new();
         for _ in 0..4 {
             push(&f, &[]);
         }
@@ -575,7 +560,7 @@ mod tests {
 
     #[test]
     fn scan_finds_independent_tasks_ready() {
-        let f = Frame::new();
+        let f = Probe::new();
         push(&f, &[]);
         push(&f, &[]);
         let mut promos = 0;
@@ -593,7 +578,7 @@ mod tests {
 
     #[test]
     fn scan_respects_raw_dependency() {
-        let f = Frame::new();
+        let f = Probe::new();
         let w = acc(9, AccessMode::Write);
         let r = acc(9, AccessMode::Read);
         push(&f, &[w]);
@@ -606,16 +591,13 @@ mod tests {
         // only the writer is ready
         assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
         // finish the writer; now the reader becomes ready
-        let t0 = f.task(0);
-        let _ = t0.take_body();
-        t0.complete();
-        f.complete_task(0, &t0);
+        finish(&f, 0);
         assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
     }
 
     #[test]
     fn readers_run_concurrently_writers_serialize() {
-        let f = Frame::new();
+        let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         push(&f, &[acc(1, AccessMode::Read)]);
         push(&f, &[acc(1, AccessMode::Read)]);
@@ -631,11 +613,42 @@ mod tests {
         assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1, 2]);
     }
 
-    fn finish(f: &Frame, idx: usize) {
+    fn finish(f: &Probe, idx: usize) {
         let t = f.task(idx);
         let _ = t.take_body();
         t.complete();
-        f.complete_task(idx, &t);
+        f.f.complete_task(&t, |s| f.ready.borrow_mut().push_back(s));
+    }
+
+    #[test]
+    fn promoted_frame_takes_no_frame_lock_to_complete() {
+        let pol = PromotionPolicy {
+            promote_len: 1,
+            promote_scans: 1,
+            enabled: true,
+        };
+        let f = Probe::new();
+        push(&f, &[acc(1, AccessMode::Write)]);
+        push(&f, &[acc(1, AccessMode::Read)]);
+        let mut promos = 0;
+        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
+        let t0 = f.task(0);
+        let _ = t0.take_body();
+        t0.complete();
+        // Complete on another thread while this one holds the frame lock.
+        let guard = f.inner.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (frame, task) = (Arc::clone(&f.f), Arc::clone(&t0));
+        let h = std::thread::spawn(move || {
+            let mut released = Vec::new();
+            let done = frame.complete_task(&task, |s| released.push(s.idx()));
+            tx.send((done.promoted, done.left, released)).unwrap();
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(30));
+        drop(guard);
+        h.join().unwrap();
+        let got = got.expect("a promoted completion waited for the frame lock");
+        assert_eq!(got, (true, 1, vec![1]), "task 1 released, no lock taken");
     }
 
     #[test]
@@ -645,14 +658,14 @@ mod tests {
             promote_scans: 1,
             enabled: true,
         };
-        let f = Frame::new();
+        let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         push(&f, &[acc(1, AccessMode::Read)]);
         push(&f, &[acc(2, AccessMode::Write)]);
         let mut promos = 0;
         let mut out = scan(&f, 8, &pol, &mut promos);
         assert_eq!(promos, 1);
-        assert!(f.is_promoted());
+        assert!(f.promoted());
         out.sort_unstable();
         assert_eq!(out, vec![0, 2]); // h1 writer + h2 writer; reader blocked
         finish(&f, 0);
@@ -668,15 +681,12 @@ mod tests {
             promote_scans: 1,
             enabled: true,
         };
-        let f = Frame::new();
+        let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         push(&f, &[acc(1, AccessMode::Read)]);
         // Owner runs task 0 before any steal.
-        let t0 = f.task(0);
-        assert!(t0.try_claim(ST_OWNER));
-        let _ = t0.take_body();
-        t0.complete();
-        f.complete_task(0, &t0);
+        assert!(f.task(0).try_claim(ST_OWNER));
+        finish(&f, 0);
         let mut promos = 0;
         // reader ready because writer already done
         assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
@@ -689,7 +699,7 @@ mod tests {
             promote_scans: 1,
             enabled: true,
         };
-        let f = Frame::new();
+        let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         let mut promos = 0;
         // max=0: no-op (pending>0, but max==0 short-circuits)
@@ -709,7 +719,7 @@ mod tests {
             promote_scans: 1,
             enabled: true,
         };
-        let f = Frame::new();
+        let f = Probe::new();
         push(&f, &[acc(3, AccessMode::CumulWrite)]);
         push(&f, &[acc(3, AccessMode::CumulWrite)]);
         push(&f, &[acc(3, AccessMode::Read)]);
@@ -724,7 +734,7 @@ mod tests {
 
     #[test]
     fn keyed_regions_independent() {
-        let f = Frame::new();
+        let f = Probe::new();
         let p = |i, j, m| Access::new(HandleId(7), Region::key2(i, j), m);
         push(&f, &[p(0, 0, AccessMode::Write)]);
         push(&f, &[p(1, 1, AccessMode::Write)]);
@@ -740,7 +750,7 @@ mod tests {
                 enabled: true,
             },
         ] {
-            let f2 = Frame::new();
+            let f2 = Probe::new();
             push(&f2, &[p(0, 0, AccessMode::Write)]);
             push(&f2, &[p(1, 1, AccessMode::Write)]);
             push(
@@ -762,7 +772,7 @@ mod tests {
             promote_scans: 1,
             enabled: true,
         };
-        let f = Frame::new();
+        let f = Probe::new();
         let p = |i, j, m| Access::new(HandleId(7), Region::key2(i, j), m);
         push(&f, &[p(0, 0, AccessMode::Write)]);
         push(
@@ -781,7 +791,7 @@ mod tests {
 
     #[test]
     fn panic_slot_keeps_first() {
-        let f = Frame::new();
+        let f = Probe::new();
         f.set_panic(Box::new("first"));
         f.set_panic(Box::new("second"));
         let p = f.take_panic().unwrap();
@@ -805,9 +815,9 @@ mod tests {
                 enabled,
                 ..Default::default()
             };
-            let f = Frame::new();
+            let f = Probe::new();
             for a in [w, r, w, r] {
-                f.push(task_with(&[a]), &rp);
+                push_with(&f, &[a], &rp);
             }
             let mut promos = 0;
             let mut out = scan(&f, 8, &pol, &mut promos);
@@ -816,7 +826,7 @@ mod tests {
         }
     }
 
-    /// Property: scan mode and graph mode claim identical ready sets on
+    /// Property: scan mode and promoted mode claim identical ready sets on
     /// random access programs, with renaming both on and off — they share
     /// one dependency engine, so they cannot disagree.
     #[test]
@@ -884,11 +894,11 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let fs = Frame::new();
-            let fg = Frame::new();
+            let fs = Probe::new();
+            let fg = Probe::new();
             for accs in &tasks {
-                fs.push(task_with(accs), &rp);
-                fg.push(task_with(accs), &rp);
+                push_with(&fs, accs, &rp);
+                push_with(&fg, accs, &rp);
             }
             let mut promos = 0;
             let mut done = 0usize;

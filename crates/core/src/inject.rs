@@ -380,7 +380,7 @@ impl<R: Send> JoinHandle<R> {
             Some(rt) => match crate::worker::current_worker_of(&rt) {
                 Some(widx) => {
                     let st = &self.state;
-                    help_until(&rt, widx, None, || st.is_done());
+                    help_until(&rt, widx, || st.is_done());
                 }
                 None => self.state.wait_blocking(),
             },
@@ -924,9 +924,10 @@ where
             drop(guard);
             return;
         }
-        raw.cancel = cancel;
+        // Safety: `cancel` outlives the call that uses it.
+        unsafe { raw.set_cancel(cancel.as_ref()) };
         let r = raw.run_scoped_catch(f);
-        raw.cancel = None;
+        unsafe { raw.set_cancel(None) };
         guard.state.complete(Some(&raw.rt), r);
         drop(guard); // completed: the guard's drop sees `done` and no-ops
     }))

@@ -15,13 +15,16 @@
 //! Scheduling follows the paper's design decisions:
 //!
 //! * **work-first**: the owner executes children in FIFO (program) order and
-//!   never computes dependencies on the local fast path;
+//!   never consults dependencies on that path — they are bound once, when
+//!   a task is pushed;
 //! * **lazy readiness**: a thief proves a task ready by scanning the victim
 //!   frame from the oldest task;
 //! * **ready-list acceleration**: frames whose scans get expensive are
-//!   promoted to a dependency graph with a ready list — steals become pops;
-//! * **one dependency engine**: scan-mode readiness and the promoted graph
-//!   are both derived from the same versioned data-flow core
+//!   promoted to per-task readiness — countdowns and successor cells
+//!   release ready tasks onto per-worker ready lists, completions take no
+//!   frame lock, and one steal moves half a victim's list (`DESIGN.md` §2);
+//! * **one dependency engine**: scan-mode readiness and the promoted
+//!   countdowns are both derived from the same versioned data-flow core
 //!   ([`dataflow`]), so the two modes can never disagree;
 //! * **renaming**: a write-only access on a renameable handle gets a fresh
 //!   version of the data instead of serializing behind earlier

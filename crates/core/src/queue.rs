@@ -36,7 +36,6 @@
 
 use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
 use crate::fastlane::{FastJob, FastLane};
-use crate::frame::Frame;
 use crate::steal::Grab;
 use crate::task::Task;
 use crossbeam_utils::CachePadded;
@@ -75,10 +74,10 @@ impl WorkItem {
 
     /// A claimed data-flow task; the band comes straight from the carried
     /// `Arc<Task>` — no frame lock on this path.
-    pub(crate) fn task(frame: Arc<Frame>, idx: usize, task: Arc<Task>) -> WorkItem {
+    pub(crate) fn task(task: Arc<Task>) -> WorkItem {
         let band = task.band();
         WorkItem {
-            grab: Grab::Task { frame, idx, task },
+            grab: Grab::Task(task),
             band,
         }
     }
@@ -111,7 +110,7 @@ impl std::fmt::Debug for WorkItem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.grab {
             Grab::Fast(_) => "fast",
-            Grab::Task { .. } => "task",
+            Grab::Task(_) => "task",
             Grab::Run(_) => "run",
         };
         f.debug_struct("WorkItem")

@@ -539,9 +539,7 @@ impl RecordedDag {
             drive(rt, widx, &run, roots, false);
             // Thieves' drivers may still hold groups: help until the last
             // one finished, like a foreach caller.
-            help_until(rt, widx, None, || {
-                run.remaining.load(Ordering::Acquire) == 0
-            });
+            help_until(rt, widx, || run.remaining.load(Ordering::Acquire) == 0);
         });
         if let Some(p) = run.panic.lock().take() {
             resume_unwind(p);
@@ -807,7 +805,7 @@ fn drive(rt: &Arc<RtInner>, widx: usize, run: &Arc<ReplayRun>, ready: Ready, sto
     let worker = &rt.workers[widx];
     worker.register_adaptive(Arc::clone(&ad));
     let mut raw = RawCtx::new(rt, widx);
-    raw.replay = true;
+    raw.under.replay = true;
     let pop = |ready: &mut Ready| ready.iter_mut().find_map(VecDeque::pop_front);
     let (mut ran, mut with_attrs) = (0, 0);
     let mut next = pop(&mut driver.ready.lock());

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 /// tunable: [`Runtime::steal_policy_name`] names the one installed.
 #[derive(Clone, Copy, Debug)]
 pub struct Tunables {
-    /// Ready-list ("graph mode") promotion policy.
+    /// Promotion policy (per-task readiness and ready lists).
     pub promotion: PromotionPolicy,
     /// Write-only renaming (WAR/WAW elimination) policy.
     pub rename: RenamePolicy,
@@ -563,7 +563,8 @@ impl Runtime {
                 state.complete(Some(&self.inner), Err(Box::new(SubmitError::Cancelled)));
             } else {
                 let mut raw = RawCtx::new(&self.inner, widx);
-                raw.cancel = Some(token.clone());
+                // Safety: `token` outlives `raw`.
+                unsafe { raw.set_cancel(Some(&token)) };
                 let r = raw.run_scoped_catch(f);
                 state.complete(Some(&self.inner), r);
             }

@@ -1,13 +1,12 @@
 //! A hand-rolled inline-capacity vector for the scheduling hot paths.
 //!
-//! The dependency graph keeps one successor list per task; almost every
-//! list holds a handful of indices (a task rarely has more than a few
-//! direct successors), yet a `Vec` per list is one heap allocation per
-//! task on the spawn/promotion path. [`InlineVec`] stores up to `N`
-//! elements inline and only spills to the heap beyond that — the common
-//! case allocates nothing. Restricted to `Copy` elements, which keeps the
-//! implementation free of drop bookkeeping (the only users store task
-//! indices).
+//! A promoted frame keeps one successor list per task (its successor
+//! cell); most lists hold one or two entries, yet a `Vec` per list is
+//! one heap allocation per task on the spawn/promotion path.
+//! [`InlineVec`] stores up to `N` elements inline and only spills to the
+//! heap beyond that — the common case allocates nothing. Restricted to
+//! `Copy` elements, which keeps the implementation free of drop
+//! bookkeeping (the only user stores task pointers).
 
 use std::mem::MaybeUninit;
 

@@ -2,7 +2,7 @@
 //!
 //! The counters exist for two reasons: tests assert scheduler behaviours
 //! (e.g. "aggregation served several thieves in one combine", "the frame was
-//! promoted to graph mode"), and the figure harnesses report them next to
+//! promoted"), and the figure harnesses report them next to
 //! timings, mirroring the paper's discussion of steal-request counts.
 
 use crossbeam_utils::CachePadded;
@@ -65,8 +65,11 @@ counters! {
     aggregated_requests,
     /// Adaptive-task splitter invocations that produced work.
     splits,
-    /// Frames promoted to graph mode (ready-list acceleration).
+    /// Frames promoted to per-task readiness (ready-list acceleration).
     promotions,
+    /// Frames allocated because the worker's frame pool was empty. Flat
+    /// once the pools are warm, as long as finished frames are recycled.
+    frames_created,
     /// Write-only accesses renamed to a fresh version slot (WAR/WAW
     /// ordering edges eliminated).
     renames,

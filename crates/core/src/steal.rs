@@ -7,11 +7,13 @@
 //! by one ready-task detection, the paper's reduction of steal overhead
 //! ([Hendler et al.] flat combining, [Tchiboukdjian et al.] analysis).
 //!
-//! The combiner first scans the victim's frames from the oldest for ready
-//! data-flow tasks (claiming them with the task-state CAS), then invokes the
-//! splitters of the victim's adaptive tasks. Because splitters only run
-//! under the victim's steal lock, at most one thief splits any adaptive task
-//! at a time — the synchronisation contract the adaptive model relies on.
+//! The combiner first scans the victim's unpromoted frames from the oldest
+//! for ready data-flow tasks (claiming them with the task-state CAS), then
+//! moves the oldest half of the victim's ready list into each thief's own
+//! list (`DESIGN.md` §2, "Ready lists"), then invokes the splitters of the
+//! victim's adaptive tasks. Because splitters only run under the victim's
+//! steal lock, at most one thief splits any adaptive task at a time — the
+//! synchronisation contract the adaptive model relies on.
 //!
 //! *Which* victim a thief probes, how many drained requests a combiner
 //! serves per pass and in what order are all delegated to the
@@ -19,12 +21,11 @@
 //! bounded near-first batches — DESIGN.md §3); requests beyond a bounded
 //! batch are re-queued onto the victim's stack while it still has work.
 
-use crate::ctx::execute_task_at;
+use crate::ctx::{execute_task, Release};
 use crate::frame::Frame;
-use crate::queue::WorkItem;
 use crate::runtime::RtInner;
 use crate::stats::WorkerStats;
-use crate::worker::Near;
+use crate::task::{Task, ST_STOLEN};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -36,14 +37,10 @@ pub(crate) type RunFn = Box<dyn FnOnce(&Arc<RtInner>, usize) + Send>;
 pub(crate) enum Grab {
     /// A stack job stolen from the fork-join fast lane.
     Fast(crate::fastlane::FastJob),
-    /// A claimed data-flow task (state already `ST_STOLEN`). Carries the
-    /// `Arc<Task>` so downstream inspection (band, affinity) and execution
-    /// never re-lock the frame to look the task up again.
-    Task {
-        frame: Arc<Frame>,
-        idx: usize,
-        task: Arc<crate::task::Task>,
-    },
+    /// A claimed data-flow task (state already `ST_STOLEN`). The task
+    /// knows its frame and index, so inspection (band, affinity) and
+    /// execution never lock the frame to look it up.
+    Task(Arc<Task>),
     /// A closure to run (typically a stolen slice of an adaptive loop).
     Run(RunFn),
 }
@@ -127,9 +124,10 @@ fn drain_requests(victim: &crate::worker::Worker) -> Vec<&Request> {
     out
 }
 
-/// Serve `reqs` against `victim`: claim ready tasks (frames, oldest first),
-/// then split adaptive work. Returns grabs (≤ `reqs.len()`), in an order
-/// matching `reqs` as far as it goes.
+/// Serve `reqs` against `victim`: claim ready tasks (unpromoted frames,
+/// oldest first), move ready-list halves, then split adaptive work.
+/// Returns grabs (≤ `reqs.len()`), in an order matching `reqs` as far as
+/// it goes.
 fn serve(
     rt: &Arc<RtInner>,
     me: usize,
@@ -150,43 +148,60 @@ fn serve(
         }
     }
 
-    // 1. Ready data-flow tasks from the victim's frames. One scratch Vec
-    // for the whole pass — cleared per frame, not reallocated.
-    let frames: Vec<Arc<Frame>> = victim.frames.lock().clone();
+    // 1. Ready data-flow tasks from the victim's unpromoted frames, under
+    // the victim's frame-list lock: no handle on a frame outlives the
+    // scan, so none keeps a finished frame out of its owner's pool. A
+    // promotion releases the frame's ready tasks onto the victim's ready
+    // list, where step 2 finds them. One scratch Vec for the whole pass.
+    let frames = victim.frames.lock();
     let mut promotions = 0u64;
-    let mut claimed: Vec<(usize, Arc<crate::task::Task>)> = Vec::new();
-    for f in frames {
+    let mut claimed: Vec<Arc<Task>> = Vec::new();
+    for f in frames.iter().filter(|f| !f.promoted()) {
         if grabs.len() >= k {
             break;
         }
-        claimed.clear();
-        f.steal_scan(
-            k - grabs.len(),
-            &rt.tun.promotion,
-            &mut claimed,
-            &mut promotions,
-        );
-        for (idx, task) in claimed.drain(..) {
-            if task.attrs.is_cancelled() {
-                // Steal-grab cancellation boundary: a cancelled task is
-                // never worth shipping to a thief. Retire it on the
-                // combiner instead (body skipped, countdowns drained) and
-                // keep the grab slot for live work.
-                execute_task_at(rt, me, &f, idx, task, /*stolen=*/ true);
-                continue;
-            }
-            grabs.push(Grab::Task {
-                frame: Arc::clone(&f),
-                idx,
-                task,
-            });
+        let mut release = Release::to(rt, me, victim_idx);
+        let promoted = f.steal_scan(k - grabs.len(), &rt.tun.promotion, &mut claimed, |t| {
+            release.push(t)
+        });
+        release.finish();
+        promotions += u64::from(promoted);
+        for task in claimed.drain(..) {
+            ship(rt, me, task, &mut grabs);
         }
     }
+    drop(frames);
     if promotions > 0 {
         WorkerStats::bump(&my_stats.promotions, promotions);
     }
 
-    // 2. Adaptive tasks: invoke splitters for the still-unserved thieves,
+    // 2. Ready lists: each unserved thief takes the oldest half of the
+    // victim's list. It runs the first task it can claim and lists the
+    // rest as its own, so one served request carries a batch.
+    let nodes = rt.topo.nodes();
+    while grabs.len() < k {
+        let thief = reqs[grabs.len()].thief;
+        let home = (!rt.topo.is_flat()).then(|| rt.topo.node_of(thief));
+        claimed.clear();
+        victim.ready.steal_half(home, nodes, &mut claimed);
+        if claimed.is_empty() {
+            break;
+        }
+        let before = grabs.len();
+        let mut rest = claimed.drain(..);
+        for task in rest.by_ref() {
+            if task.try_claim(ST_STOLEN) {
+                ship(rt, me, task, &mut grabs);
+                if grabs.len() > before {
+                    break;
+                }
+            }
+        }
+        let mut mine = rt.workers[thief].ready.batch();
+        rest.for_each(|t| mine.push(t));
+    }
+
+    // 3. Adaptive tasks: invoke splitters for the still-unserved thieves,
     //    higher-priority adaptives first (stable: registration order within
     //    one band — attribute-free loops keep the historical order).
     if grabs.len() < k {
@@ -208,6 +223,18 @@ fn serve(
     grabs
 }
 
+/// Hand a task claimed for a thief over as a grab. Steal-grab
+/// cancellation boundary: a cancelled task is never worth shipping to a
+/// thief, so the combiner retires it instead (body skipped, countdowns
+/// drained) and the grab slot stays free for live work.
+fn ship(rt: &Arc<RtInner>, me: usize, task: Arc<Task>, grabs: &mut Vec<Grab>) {
+    if task.attrs.is_cancelled() {
+        execute_task(rt, me, task);
+    } else {
+        grabs.push(Grab::Task(task));
+    }
+}
+
 /// Data-affine grab assignment (the placement half of `DESIGN.md` §5):
 /// `distribute` hands `grabs[i]` to `reqs[i]`, so before it runs, reorder
 /// the grabs so a claimed task whose [`Affinity`](crate::Affinity)
@@ -221,7 +248,7 @@ fn place_affine(rt: &Arc<RtInner>, reqs: &[&Request], grabs: &mut [Grab], my_sta
     let nodes = rt.topo.nodes();
     let target_of = |g: &Grab| -> Option<usize> {
         match g {
-            Grab::Task { task, .. } => task.target_node(nodes),
+            Grab::Task(task) => task.target_node(nodes),
             _ => None,
         }
     };
@@ -425,31 +452,25 @@ pub(crate) fn steal_exact(rt: &Arc<RtInner>, me: usize, victim: usize) -> Option
     grab
 }
 
-/// Centralized-queue mode: claim every currently-ready task of `frame` and
-/// publish it into the shared queue (insertion-time scheduling, the
-/// QUARK/libGOMP model). Called by the engine on spawn and on completion;
-/// a no-op under distributed queues (thieves discover frames lazily).
-pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Arc<Frame>) {
+/// Centralized-queue mode, unpromoted frame: claim every currently-ready
+/// task of `frame` and publish it into the shared queue (insertion-time
+/// scheduling, the QUARK/libGOMP model). Called by the engine on spawn and
+/// on completion; a promoted frame publishes through its releases instead
+/// (a released task goes straight to the queue).
+pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Frame) {
     debug_assert!(rt.queue.centralized());
-    let mut claimed: Vec<(usize, Arc<crate::task::Task>)> = Vec::new();
-    let mut promotions = 0u64;
-    frame.steal_scan(usize::MAX, &rt.tun.promotion, &mut claimed, &mut promotions);
-    if promotions > 0 {
-        WorkerStats::bump(&rt.workers[me].stats.promotions, promotions);
+    let mut claimed: Vec<Arc<Task>> = Vec::new();
+    let mut release = Release::to(rt, me, me);
+    let promoted = frame.steal_scan(usize::MAX, &rt.tun.promotion, &mut claimed, |t| {
+        release.push(t)
+    });
+    for task in claimed {
+        release.push_claimed(task);
     }
-    if claimed.is_empty() {
-        return;
+    release.finish();
+    if promoted {
+        WorkerStats::bump(&rt.workers[me].stats.promotions, 1);
     }
-    let published = claimed.len();
-    for (idx, task) in claimed {
-        let item = WorkItem::task(Arc::clone(frame), idx, task);
-        if let Err(item) = rt.queue.push(me, item) {
-            // The queue refused the task; it is already claimed, so it must
-            // run now or never.
-            run_grab(rt, me, item.into_grab());
-        }
-    }
-    rt.notify_work(Near::Node(rt.topo.node_of(me)), published);
 }
 
 /// Execute stolen work on worker `me`.
@@ -461,9 +482,7 @@ pub(crate) fn run_grab(rt: &Arc<RtInner>, me: usize, grab: Grab) {
             // state we are about to set; the record is alive.
             unsafe { job.execute(rt, me) };
         }
-        Grab::Task { frame, idx, task } => {
-            execute_task_at(rt, me, &frame, idx, task, /*stolen=*/ true);
-        }
+        Grab::Task(task) => execute_task(rt, me, task),
         Grab::Run(f) => f(rt, me),
     }
 }

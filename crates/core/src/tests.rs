@@ -191,6 +191,93 @@ fn join_borrows_locals() {
     assert_eq!((a, b), (6, 3));
 }
 
+/// The forked branch of a join runs under the joining task: a declared
+/// exclusive access is granted there too.
+#[test]
+fn join_branch_writes_under_the_joining_task() {
+    let rt = rt(2);
+    let h = Shared::new(0u64);
+    rt.scope(|ctx| {
+        let (a, b) = (h.clone(), h.clone());
+        ctx.spawn([h.exclusive()], move |t| {
+            t.join(|_| (), |c| *c.write(&a) += 7);
+            *t.write(&b) *= 6;
+        });
+    });
+    assert_eq!(*h.get(), 42);
+}
+
+/// A renamed write made in the forked branch lands in the task's renamed
+/// version slot, where the next reader looks, not in the committed one.
+#[test]
+fn join_branch_writes_the_renamed_slot() {
+    let rt = rt(2);
+    let h = Shared::renameable(0u64);
+    let out = Shared::new(0u64);
+    rt.scope(|ctx| {
+        let (w1, w2, r, o) = (h.clone(), h.clone(), h.clone(), out.clone());
+        ctx.spawn([h.write()], move |t| *t.write(&w1) = 1);
+        ctx.spawn([h.read()], |_| {});
+        // Write-only after a reader: renamed to a fresh slot.
+        ctx.spawn([h.write()], move |t| {
+            t.join(|_| (), |c| *c.write(&w2) = 42);
+        });
+        ctx.spawn([h.read(), out.exclusive()], move |t| {
+            *t.write(&o) = *t.read(&r);
+        });
+    });
+    assert!(rt.stats().renames >= 1, "the second write was renamed");
+    assert_eq!(*out.get(), 42, "the reader saw the branch's write");
+    assert_eq!(*h.get(), 42, "the renamed version committed");
+}
+
+/// The forked branch of a join inside a cancelled cone sees the
+/// cancellation, and what it spawns inherits the token.
+#[test]
+fn join_branch_stays_in_the_cancelled_cone() {
+    let rt = rt(2);
+    let token = CancelToken::new();
+    let seen = std::sync::atomic::AtomicBool::new(false);
+    let ran = AtomicUsize::new(0);
+    rt.scope(|ctx| {
+        let (token, seen, ran) = (&token, &seen, &ran);
+        ctx.task().cancel_token(token).spawn(move |t| {
+            token.cancel();
+            t.join(
+                |_| (),
+                |c| {
+                    seen.store(c.is_cancelled(), Ordering::Relaxed);
+                    c.spawn([], |_| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                },
+            );
+        });
+    });
+    assert!(
+        seen.load(Ordering::Relaxed),
+        "the branch saw the cancellation"
+    );
+    assert_eq!(ran.load(Ordering::Relaxed), 0, "its spawn was skipped");
+}
+
+/// A recorded body that joins replays: its forked branch is a replay
+/// context too, so its data accesses are not re-checked.
+#[test]
+fn join_branch_of_a_recorded_body_replays() {
+    let rt = rt(2);
+    let h = Shared::new(0u64);
+    let dag = rt.record(|rec| {
+        let h1 = h.clone();
+        rec.spawn([h.exclusive()], move |t| {
+            t.join(|_| (), |c| *c.write(&h1) += 1);
+        });
+    });
+    dag.replay(&rt);
+    dag.replay(&rt);
+    assert_eq!(*h.get(), 2);
+}
+
 #[test]
 fn sync_then_more_tasks() {
     let rt = rt(4);

@@ -2,12 +2,13 @@
 //!
 //! One OS thread per configured worker ("one thread per core" in the
 //! paper). Each [`Worker`] owns the engine-side state thieves interact
-//! with — active frames, adaptive-work registry, the steal point (request
-//! stack + combiner lock) and statistics. The idle loop
-//! ([`worker_main`]) is the engine's outermost layer:
+//! with — active frames, the ready list of released data-flow tasks,
+//! adaptive-work registry, the steal point (request stack + combiner
+//! lock) and statistics. The idle loop ([`worker_main`]) is the engine's
+//! outermost layer:
 //!
 //! ```text
-//! queue.pop → inject → steal → search → park
+//! ready list → queue.pop → inject → steal → search → park
 //! ```
 //!
 //! A worker that finds no work has two idle states. **Searching**: it
@@ -32,10 +33,10 @@
 //! Dekker-style handshake: *stealable work that no awake worker will
 //! find always wakes a parked one.* A parker announces itself (it joins
 //! the idle set, `sleepers += 1`), runs a `SeqCst` fence, then makes a
-//! real acquisition attempt on every source — its queue lane, the inject
-//! lanes, and the fast lane, frames and adaptive loops of every victim
-//! the steal policy allows — and blocks only if all of them came back
-//! empty. A producer publishes its
+//! real acquisition attempt on every source — its queue lane and ready
+//! list, the inject lanes, and the fast lane, frames, ready list and
+//! adaptive loops of every victim the steal policy allows — and blocks
+//! only if all of them came back empty. A producer publishes its
 //! work, issues a `SeqCst` fence, then reads the sleeper count. The two
 //! fences are totally ordered, so either the parker's re-check sees the
 //! work or the producer sees the parker and wakes a parked worker that
@@ -46,16 +47,20 @@
 //! * `Ctx::join` — only when its push made the deque non-empty; a job
 //!   pushed behind another is the owner's to reclaim anyway, so fib's
 //!   join path pays no fence in the common case;
-//! * `RawCtx::spawn_common` — every data-flow spawn;
-//! * `complete_and_publish` — a completion that leaves its frame with
-//!   unfinished tasks (it may have readied some);
+//! * `RawCtx::spawn_common` — every data-flow spawn into an unpromoted
+//!   frame;
+//! * `complete_and_publish` — a completion that leaves its unpromoted
+//!   frame with unfinished tasks (it may have readied some);
+//! * `Release::finish` — a push, promotion or completion in a promoted
+//!   frame that released tasks onto a ready list, up to one wake per
+//!   listed task;
 //! * `foreach_run` — a loop launch, which wakes up to W−1 workers;
 //! * `publish_ready` — the centralized queues, one wake per task;
 //! * `Runtime::submit` and the inject path of `Runtime::scope` — a root
 //!   job;
 //! * the seat's hand-back ([`ParkLot::hand_back`]) — it parks the lent
 //!   worker again, so it re-checks the inject lanes and the seat's own
-//!   lane, and wakes that worker if they hold work.
+//!   lane and ready list, and wakes that worker if they hold work.
 //!
 //! A producer wakes no one while a searcher is awake to find its work.
 //! That is why a searcher that finds work while it is the last searcher
@@ -80,12 +85,12 @@
 //!   [`ParkLot::wake_one`], where a wake marks the slot).
 //! * **The hand-back is a park.** The caller puts the worker back in the
 //!   idle set, fences, then re-checks the inject lanes and the seat's
-//!   own lane. If they hold work it wakes that worker; it never runs the
-//!   work itself (the caller's scope is over). A job submitted while the
-//!   only worker was lent saw no sleeper and woke no one; this re-check
-//!   is what runs it. Work published on another worker's deque or frames
-//!   during the lend is that worker's to reclaim, as for a join pushed
-//!   behind another.
+//!   own lane and ready list. If they hold work it wakes that worker;
+//!   it never runs the work itself (the caller's scope is over). A job
+//!   submitted while the only worker was lent saw no sleeper and woke no
+//!   one; this re-check is what runs it. Work published on another
+//!   worker's deque or frames during the lend is that worker's to
+//!   reclaim, as for a join pushed behind another.
 //! * **Shutdown never touches a lent lane.** A lent worker ignores the
 //!   shutdown flag until its seat is handed back; it then exits without
 //!   acquiring anything.
@@ -102,15 +107,17 @@
 //!   pinned worker never moves. Wakes from anyone else are unchanged.
 
 use crate::adaptive::Adaptive;
-use crate::attrs::NORMAL_BAND;
+use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
 use crate::ctx::{Ctx, RawCtx};
 use crate::frame::Frame;
 use crate::runtime::{Job, RtInner};
 use crate::stats::WorkerStats;
 use crate::steal::{run_grab, steal_exact, try_steal_once, Grab, Request};
+use crate::task::{Task, ST_INIT, ST_STOLEN};
 use crate::telemetry::{self, EventKind, WorkerTelemetry};
 use crossbeam_utils::CachePadded;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,6 +161,9 @@ pub(crate) struct Worker {
     fail_streak: AtomicU32,
     /// Recycled quiescent frames.
     frame_pool: Mutex<Vec<Arc<Frame>>>,
+    /// Data-flow tasks this worker released (or was handed by a steal),
+    /// on a line of its own: the owner and combiner thieves write it.
+    pub(crate) ready: CachePadded<ReadyList>,
     rng: AtomicU64,
 }
 
@@ -170,6 +180,7 @@ impl Worker {
             tele: WorkerTelemetry::new(),
             fail_streak: AtomicU32::new(0),
             frame_pool: Mutex::new(Vec::new()),
+            ready: CachePadded::new(ReadyList::new()),
             rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15 ^ ((idx as u64 + 1) << 17)),
         }
     }
@@ -241,6 +252,138 @@ impl Worker {
         if let Some(pos) = ads.iter().rposition(|x| Arc::ptr_eq(x, a)) {
             ads.remove(pos);
         }
+    }
+}
+
+/// Ready entries, one FIFO per priority band.
+type Bands = [VecDeque<Arc<Task>>; PRIORITY_BANDS];
+
+/// One worker's ready list: released data-flow tasks of promoted frames
+/// (`DESIGN.md` §2, "Ready lists"), banded, oldest first within a band.
+///
+/// Entries are *hints*. A task is claimed with its state CAS when it is
+/// popped, not when it is listed, so the owner's FIFO walk may run a
+/// listed task first; the pop then skips the stale entry. An entry holds
+/// the task, never its frame, so a stale one pins no frame.
+pub(crate) struct ReadyList {
+    /// Entries listed, stale ones included: the lock-free emptiness hint.
+    len: AtomicUsize,
+    bands: Mutex<Bands>,
+}
+
+impl ReadyList {
+    fn new() -> ReadyList {
+        ReadyList {
+            len: AtomicUsize::new(0),
+            bands: Mutex::new(std::array::from_fn(|_| VecDeque::new())),
+        }
+    }
+
+    /// One relaxed load. A parker reads it after the fence of its
+    /// announcement, a producer's listing is followed by the fence of
+    /// its notification, so one of the two sees the other.
+    #[inline]
+    pub(crate) fn is_empty_hint(&self) -> bool {
+        self.len.load(Ordering::Relaxed) == 0
+    }
+
+    fn recount(&self, bands: &Bands) {
+        let n = bands.iter().map(VecDeque::len).sum();
+        self.len.store(n, Ordering::Relaxed);
+    }
+
+    /// List tasks under one lock acquisition, taken at the first push.
+    pub(crate) fn batch(&self) -> ReadyBatch<'_> {
+        ReadyBatch {
+            list: self,
+            bands: None,
+        }
+    }
+
+    /// Pop and claim the oldest listed task, highest band first; stale
+    /// entries met on the way are dropped.
+    pub(crate) fn pop(&self) -> Option<Arc<Task>> {
+        if self.is_empty_hint() {
+            return None;
+        }
+        let mut bands = self.bands.lock();
+        let found = bands.iter_mut().find_map(|band| {
+            while let Some(t) = band.pop_front() {
+                if t.try_claim(ST_STOLEN) {
+                    return Some(t);
+                }
+            }
+            None
+        });
+        self.recount(&bands);
+        found
+    }
+
+    /// Move the oldest half of the live entries (at least one) into
+    /// `out`, unclaimed: the highest band first and, within a band, the
+    /// tasks whose affinity resolves to node `home` (of `nodes`) first.
+    /// Stale entries are dropped on the way.
+    pub(crate) fn steal_half(&self, home: Option<usize>, nodes: usize, out: &mut Vec<Arc<Task>>) {
+        if self.is_empty_hint() {
+            return;
+        }
+        let mut bands = self.bands.lock();
+        let mut live = 0;
+        for band in bands.iter_mut() {
+            band.retain(|t| t.state() == ST_INIT);
+            live += band.len();
+        }
+        let mut quota = (live / 2).max(1).min(live);
+        for band in bands.iter_mut() {
+            if let Some(node) = home {
+                let mut i = 0;
+                while quota > 0 && i < band.len() {
+                    if band[i].target_node(nodes) == Some(node) {
+                        out.extend(band.remove(i));
+                        quota -= 1;
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            let n = quota.min(band.len());
+            out.extend(band.drain(..n));
+            quota -= n;
+        }
+        self.recount(&bands);
+    }
+
+    /// Drop the stale entries; `true` when live ones remain. The owner
+    /// runs this when a promoted frame finishes (its FIFO walk left most
+    /// of that frame's entries stale), and a seat hand-back runs it to
+    /// decide on a wake.
+    pub(crate) fn purge(&self) -> bool {
+        if self.is_empty_hint() {
+            return false;
+        }
+        let mut bands = self.bands.lock();
+        for band in bands.iter_mut() {
+            band.retain(|t| t.state() == ST_INIT);
+        }
+        self.recount(&bands);
+        !self.is_empty_hint()
+    }
+}
+
+/// Pushes onto one [`ReadyList`] under a lock taken at the first push and
+/// held until the batch is dropped.
+pub(crate) struct ReadyBatch<'a> {
+    list: &'a ReadyList,
+    bands: Option<MutexGuard<'a, Bands>>,
+}
+
+impl ReadyBatch<'_> {
+    pub(crate) fn push(&mut self, t: Arc<Task>) {
+        let list = self.list;
+        let bands = self.bands.get_or_insert_with(|| list.bands.lock());
+        bands[t.band() as usize].push_back(t);
+        list.len
+            .store(list.len.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 
@@ -566,8 +709,8 @@ impl ParkLot {
 
     /// Hand seat `w` back: a park on the worker's behalf. Release-store
     /// `PARKED`, rejoin the idle set and fence; then re-check the inject
-    /// lanes and the seat's own lane, and wake the worker if they hold
-    /// work (the caller never runs it).
+    /// lanes, the seat's own lane and its ready list, and wake the worker
+    /// if they hold work (the caller never runs it).
     pub(crate) fn hand_back(&self, rt: &RtInner, w: usize) {
         let slot = &self.slots[w];
         debug_assert_eq!(slot.state.load(Ordering::Relaxed), LENT);
@@ -575,7 +718,7 @@ impl ParkLot {
         // worker parked or is seen below.
         slot.with_lock(|| slot.state.store(PARKED, Ordering::Release));
         self.join_idle(w);
-        if rt.inject.has_pending_hint() || rt.queue.may_pop(w) {
+        if rt.inject.has_pending_hint() || rt.queue.may_pop(w) || rt.workers[w].ready.purge() {
             // Unless a producer woke it already, or another caller took it.
             self.wake_one(NO_CPU, |idle| idle.iter().rposition(|&x| x == w));
         } else if rt.shutdown.load(Ordering::SeqCst) {
@@ -723,12 +866,24 @@ impl Work {
     }
 }
 
-/// One searching round for worker `idx`: queue layer (own lane, or the
-/// shared pool under a central queue), then root jobs from outside the
-/// pool (nearest lane first), then one policy-driven steal attempt.
+/// Work the searching round and the parker's re-check take first: the
+/// worker's own ready list (one relaxed load when it is empty), then the
+/// queue layer (own lane, or the shared pool under a central queue). The
+/// list goes first because a thief working through released tasks finds
+/// its next one there, and an empty lane's pop takes the lane lock.
+fn acquire_local(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
+    if let Some(task) = rt.workers[idx].ready.pop() {
+        return Some(Work::Grab(Grab::Task(task)));
+    }
+    rt.queue.pop(idx).map(|item| Work::Grab(item.into_grab()))
+}
+
+/// One searching round for worker `idx`: the local sources
+/// ([`acquire_local`]), then root jobs from outside the pool (nearest
+/// lane first), then one policy-driven steal attempt.
 fn acquire(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
-    if let Some(item) = rt.queue.pop(idx) {
-        return Some(Work::Grab(item.into_grab()));
+    if let Some(work) = acquire_local(rt, idx) {
+        return Some(work);
     }
     if let Some((job, lane)) = pop_inject(rt, idx) {
         return Some(Work::Job(job, lane));
@@ -741,8 +896,8 @@ fn acquire(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
 /// ([`steal_exact`]) rather than the policy's one pick, so `None` means
 /// no source held work this worker may take at the time of the probe.
 fn acquire_exact(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
-    if let Some(item) = rt.queue.pop(idx) {
-        return Some(Work::Grab(item.into_grab()));
+    if let Some(work) = acquire_local(rt, idx) {
+        return Some(work);
     }
     if let Some((job, lane)) = pop_inject(rt, idx) {
         return Some(Work::Job(job, lane));
