@@ -40,7 +40,6 @@ use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Admission policy
@@ -100,8 +99,7 @@ impl Default for InjectPolicy {
 ///
 /// [`Rejected`](SubmitError::Rejected) is returned synchronously by
 /// [`Runtime::submit`](crate::Runtime::submit)-family admission;
-/// [`Cancelled`](SubmitError::Cancelled) and
-/// [`Expired`](SubmitError::Expired) surface asynchronously through
+/// [`Cancelled`](SubmitError::Cancelled) surfaces asynchronously through
 /// [`JoinHandle::join`] when the job was shed after admission (its panic
 /// payload is a boxed `SubmitError`). In every case the submitted closure
 /// has been dropped without running; resubmit to retry.
@@ -112,9 +110,6 @@ pub enum SubmitError {
     Rejected,
     /// The job's [`CancelToken`] was cancelled before its body started.
     Cancelled,
-    /// The job's deadline ([`JobBuilder::deadline`](crate::JobBuilder::deadline))
-    /// passed before its body started.
-    Expired,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -126,9 +121,6 @@ impl std::fmt::Display for SubmitError {
             ),
             SubmitError::Cancelled => {
                 write!(f, "submission cancelled before the job body started")
-            }
-            SubmitError::Expired => {
-                write!(f, "submission deadline passed before the job body started")
             }
         }
     }
@@ -307,7 +299,7 @@ impl<R> Drop for AbandonGuard<R> {
 /// captured and re-raised at [`wait`](JoinHandle::wait) /
 /// [`try_result`](JoinHandle::try_result) time, mirroring
 /// `std::thread::JoinHandle`; [`join`](JoinHandle::join) instead maps
-/// cancellation/expiry to a [`SubmitError`].
+/// cancellation to a [`SubmitError`].
 pub struct JoinHandle<R> {
     state: Arc<JoinState<R>>,
     /// Weak so a forgotten handle cannot keep the runtime alive; used to
@@ -352,10 +344,10 @@ impl<R: Send> JoinHandle<R> {
         self.cancel.clone()
     }
 
-    /// Like [`wait`](JoinHandle::wait), but maps the shed outcomes to a
+    /// Like [`wait`](JoinHandle::wait), but maps a shed job to a
     /// [`SubmitError`] instead of panicking: `Err(Cancelled)` when the job
-    /// was cancelled before its body started, `Err(Expired)` when its
-    /// deadline passed first. Genuine job-body panics still re-raise.
+    /// was cancelled before its body started. Genuine job-body panics
+    /// still re-raise.
     pub fn join(self) -> Result<R, SubmitError> {
         self.wait_done();
         match self
@@ -513,9 +505,8 @@ pub struct InjectLaneStats {
 
 struct Lane {
     /// One FIFO per priority band (0 = high): workers drain lower band
-    /// indices first, FIFO within a band. Entries carry their admission
-    /// time for the age-based promotion sweep (`DESIGN.md` §8).
-    q: Mutex<[VecDeque<(Job, Instant)>; PRIORITY_BANDS]>,
+    /// indices first, FIFO within a band.
+    q: Mutex<[VecDeque<Job>; PRIORITY_BANDS]>,
     submitted: AtomicU64,
     drained: AtomicU64,
 }
@@ -562,15 +553,8 @@ pub(crate) struct InjectLanes {
     /// Lifetime totals (survive lane drains; reset with the stats).
     submitted: AtomicU64,
     rejected: AtomicU64,
-    /// Jobs shed because their deadline passed (admission- or drain-time).
-    expired: AtomicU64,
-    /// Starved Low-band entries moved up one band by the age sweep.
-    promoted: AtomicU64,
     /// Contained `on_complete` callback panics of this runtime's handles.
     callback_panics: AtomicU64,
-    /// Promote a Low-band entry after waiting this long (`None` disables
-    /// the sweep; from `Tunables::promote_low_after`).
-    promote_after: Option<Duration>,
 }
 
 /// Admission ticket: proof that `pending` was incremented.
@@ -598,11 +582,7 @@ fn submitter_id() -> usize {
 }
 
 impl InjectLanes {
-    pub(crate) fn new(
-        topo: &Topology,
-        policy: InjectPolicy,
-        promote_after: Option<Duration>,
-    ) -> InjectLanes {
+    pub(crate) fn new(topo: &Topology, policy: InjectPolicy) -> InjectLanes {
         let nodes = topo.nodes().max(1);
         let lanes: Box<[Lane]> = (0..nodes).map(|_| Lane::new()).collect();
         let drain_order: Box<[Box<[usize]>]> = (0..nodes)
@@ -625,10 +605,7 @@ impl InjectLanes {
             room_cv: Condvar::new(),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            promoted: AtomicU64::new(0),
             callback_panics: AtomicU64::new(0),
-            promote_after,
         }
     }
 
@@ -717,7 +694,7 @@ impl InjectLanes {
             // also observe the non-default counter (or retry via pending).
             self.side_pending.fetch_add(1, Ordering::Relaxed);
         }
-        self.lanes[lane].q.lock()[band].push_back((job, Instant::now()));
+        self.lanes[lane].q.lock()[band].push_back(job);
         self.lanes[lane].submitted.fetch_add(1, Ordering::Relaxed);
         self.submitted.fetch_add(1, Ordering::Relaxed);
     }
@@ -748,18 +725,17 @@ impl InjectLanes {
         if self.side_pending.load(Ordering::Relaxed) == 0 {
             for &lane in self.drain_order[node].iter() {
                 let job = self.lanes[lane].q.lock()[NORMAL_BAND as usize].pop_front();
-                if let Some((job, _)) = job {
+                if let Some(job) = job {
                     return Some((job, self.note_drained(lane)));
                 }
             }
             return None;
         }
         self.banded_drains.fetch_add(1, Ordering::Relaxed);
-        self.promote_starved_low();
         for band in 0..PRIORITY_BANDS {
             for &lane in self.drain_order[node].iter() {
                 let job = self.lanes[lane].q.lock()[band].pop_front();
-                if let Some((job, _)) = job {
+                if let Some(job) = job {
                     if band != NORMAL_BAND as usize {
                         self.side_pending.fetch_sub(1, Ordering::Relaxed);
                     }
@@ -768,36 +744,6 @@ impl InjectLanes {
             }
         }
         None
-    }
-
-    /// Age-based promotion sweep (`DESIGN.md` §8): Low-band entries that
-    /// waited longer than `promote_after` move up one band (to Normal), so
-    /// a starved Low submission eventually runs even under a continuous
-    /// stream of higher-band work. Runs only on the banded drain path —
-    /// while no non-default job is pending there is nothing to promote.
-    /// FIFO order makes the oldest entry the front one, so each lane's
-    /// sweep stops at the first young entry.
-    fn promote_starved_low(&self) {
-        let Some(after) = self.promote_after else {
-            return;
-        };
-        let now = Instant::now();
-        const LOW: usize = PRIORITY_BANDS - 1;
-        for lane in self.lanes.iter() {
-            let mut q = lane.q.lock();
-            while q[LOW]
-                .front()
-                .is_some_and(|(_, t)| now.duration_since(*t) >= after)
-            {
-                let entry = q[LOW].pop_front().unwrap();
-                q[LOW - 1].push_back(entry);
-                // The entry left the non-default bands (LOW - 1 is Normal):
-                // keep the side-pending hint honest or banded drains stick.
-                debug_assert_eq!(LOW - 1, NORMAL_BAND as usize);
-                self.side_pending.fetch_sub(1, Ordering::Relaxed);
-                self.promoted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Shared post-drain bookkeeping; returns `lane` for tail-call reuse.
@@ -836,26 +782,9 @@ impl InjectLanes {
         self.banded_drains.load(Ordering::Relaxed)
     }
 
-    /// Lifetime totals: jobs shed because their deadline passed.
-    #[inline]
-    pub(crate) fn total_expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime totals: Low-band entries promoted by the age sweep.
-    #[inline]
-    pub(crate) fn total_promoted(&self) -> u64 {
-        self.promoted.load(Ordering::Relaxed)
-    }
-
     /// Contained `on_complete` callback panics since the last reset.
     pub(crate) fn total_callback_panics(&self) -> u64 {
         self.callback_panics.load(Ordering::Relaxed)
-    }
-
-    /// Count a deadline shed (admission-side or drain-side).
-    pub(crate) fn note_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Per-lane counter snapshot.
@@ -874,8 +803,6 @@ impl InjectLanes {
         self.submitted.store(0, Ordering::Relaxed);
         self.rejected.store(0, Ordering::Relaxed);
         self.banded_drains.store(0, Ordering::Relaxed);
-        self.expired.store(0, Ordering::Relaxed);
-        self.promoted.store(0, Ordering::Relaxed);
         self.callback_panics.store(0, Ordering::Relaxed);
         for l in self.lanes.iter() {
             l.submitted.store(0, Ordering::Relaxed);
@@ -888,32 +815,17 @@ impl InjectLanes {
 /// publishes the result into `state` (the [`AbandonGuard`] turns a
 /// never-ran job into a panic payload instead of a hang).
 ///
-/// Drain-time shedding happens here (`DESIGN.md` §8): an expired deadline
-/// or a cancelled token completes the handle with a boxed [`SubmitError`]
-/// without ever running the body; otherwise the token is installed on the
-/// scope context so every spawn in the job inherits it.
-pub(crate) fn make_job<F, R>(
-    state: Arc<JoinState<R>>,
-    cancel: Option<CancelToken>,
-    deadline: Option<Instant>,
-    f: F,
-) -> Job
+/// Drain-time shedding happens here (`DESIGN.md` §8): a cancelled token
+/// completes the handle with a boxed [`SubmitError`] without ever running
+/// the body; otherwise the token is installed on the scope context so
+/// every spawn in the job inherits it.
+pub(crate) fn make_job<F, R>(state: Arc<JoinState<R>>, cancel: Option<CancelToken>, f: F) -> Job
 where
     F: for<'s> FnOnce(&mut crate::ctx::Ctx<'s>) -> R + Send + 'static,
     R: Send + 'static,
 {
     let guard = AbandonGuard { state };
     Job::new(Box::new(move |raw: &mut RawCtx| {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            raw.rt.inject.note_expired();
-            // Shed instant, arg 0 = deadline expiry (telemetry layer).
-            crate::telemetry::emit_current(&raw.rt, raw.widx, EventKind::Shed, 0, 0);
-            guard
-                .state
-                .complete(Some(&raw.rt), Err(Box::new(SubmitError::Expired)));
-            drop(guard);
-            return;
-        }
         if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
             WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_cancelled, 1);
             // Shed instant, arg 1 = cancelled before start.
@@ -924,9 +836,13 @@ where
             drop(guard);
             return;
         }
-        // Safety: `cancel` outlives the call that uses it.
+        // SAFETY: `cancel` lives in this closure, which outlives the scope
+        // that reads it; the token is cleared again before the closure
+        // returns.
         unsafe { raw.set_cancel(cancel.as_ref()) };
         let r = raw.run_scoped_catch(f);
+        // SAFETY: `None` borrows nothing; clearing the pointer before
+        // `cancel` drops leaves the context holding no dangling token.
         unsafe { raw.set_cancel(None) };
         guard.state.complete(Some(&raw.rt), r);
         drop(guard); // completed: the guard's drop sees `done` and no-ops
@@ -950,7 +866,7 @@ mod tests {
         // 3 nodes in a line: 0 -16- 1 -16- 2, 0 -22- 2.
         let d = DistanceMatrix::from_rows(&[vec![10, 16, 22], vec![16, 10, 16], vec![22, 16, 10]]);
         let topo = Topology::with_distances(vec![0, 1, 2], d);
-        let lanes = InjectLanes::new(&topo, InjectPolicy::default(), None);
+        let lanes = InjectLanes::new(&topo, InjectPolicy::default());
         assert_eq!(lanes.lanes(), 3);
         let a = lanes.admit(NORMAL_BAND).unwrap();
         lanes.push(a, 2, NORMAL_BAND, job("far"));
@@ -967,7 +883,7 @@ mod tests {
     #[test]
     fn own_lane_drained_first() {
         let topo = Topology::two_level(4, 2);
-        let lanes = InjectLanes::new(&topo, InjectPolicy::default(), None);
+        let lanes = InjectLanes::new(&topo, InjectPolicy::default());
         assert_eq!(lanes.lanes(), 2);
         let a = lanes.admit(NORMAL_BAND).unwrap();
         lanes.push(a, 0, NORMAL_BAND, job("node0"));
@@ -990,7 +906,7 @@ mod tests {
         // Priority outranks locality: a remote lane's high-band job beats
         // the own lane's normal/low jobs.
         let topo = Topology::two_level(4, 2);
-        let lanes = InjectLanes::new(&topo, InjectPolicy::default(), None);
+        let lanes = InjectLanes::new(&topo, InjectPolicy::default());
         let a = lanes.admit(2).unwrap();
         lanes.push(a, 0, 2, job("own-low"));
         let a = lanes.admit(NORMAL_BAND).unwrap();
@@ -1015,7 +931,6 @@ mod tests {
                 max_pending: 2,
                 on_full: OnFull::Reject,
             },
-            None,
         );
         let a1 = lanes.admit(NORMAL_BAND).unwrap();
         let a2 = lanes.admit(NORMAL_BAND).unwrap();
@@ -1039,7 +954,6 @@ mod tests {
                 max_pending: 4,
                 on_full: OnFull::Reject,
             },
-            None,
         );
         // Fill to the low band's limit (max_pending / 2 = 2).
         let _a1 = lanes.admit(NORMAL_BAND).unwrap();
@@ -1061,7 +975,7 @@ mod tests {
     #[test]
     fn abandon_guard_completes_dropped_jobs() {
         let state = Arc::new(JoinState::<u32>::new());
-        let j = make_job(Arc::clone(&state), None, None, |_ctx| 7u32);
+        let j = make_job(Arc::clone(&state), None, |_ctx| 7u32);
         assert!(!state.is_done());
         drop(j); // never executed: the guard publishes an abandonment panic
         assert!(state.is_done());
@@ -1069,34 +983,15 @@ mod tests {
     }
 
     #[test]
-    fn age_sweep_promotes_starved_low_entries() {
+    fn low_band_job_drains_from_its_band() {
         let topo = Topology::flat(1);
-        let lanes = InjectLanes::new(
-            &topo,
-            InjectPolicy::default(),
-            Some(Duration::from_millis(0)), // promote immediately
-        );
+        let lanes = InjectLanes::new(&topo, InjectPolicy::default());
         let a = lanes.admit(2).unwrap();
         lanes.push(a, 0, 2, job("low"));
-        let a = lanes.admit(0).unwrap();
-        lanes.push(a, 0, 0, job("high"));
-        // High still wins the banded walk, but the Low entry is promoted to
-        // Normal by the sweep (it no longer sits behind future Low pushes).
-        let _ = lanes.pop_for(0).unwrap();
-        assert_eq!(lanes.total_promoted(), 1);
-        // The promoted entry now drains from the Normal band.
-        let _ = lanes.pop_for(0).unwrap();
+        let (_, lane) = lanes.pop_for(0).unwrap();
+        assert_eq!(lane, 0);
+        assert_eq!(lanes.total_banded_drains(), 1, "Low is off the fast path");
         assert!(lanes.pop_for(0).is_none());
-        assert_eq!(lanes.total_promoted(), 1, "promotion happens once");
-    }
-
-    #[test]
-    fn age_sweep_disabled_keeps_low_in_band() {
-        let topo = Topology::flat(1);
-        let lanes = InjectLanes::new(&topo, InjectPolicy::default(), None);
-        let a = lanes.admit(2).unwrap();
-        lanes.push(a, 0, 2, job("low"));
-        let _ = lanes.pop_for(0).unwrap();
-        assert_eq!(lanes.total_promoted(), 0);
+        assert!(!lanes.has_pending_hint());
     }
 }

@@ -1,33 +1,18 @@
-//! Best-effort CPU placement of the calling thread (`sched_setaffinity`,
-//! `getcpu`): worker pinning — the topology follow-up that turns the
-//! worker→core map from nominal into real — and the one-off move of a
-//! woken worker off its waker's CPU (`crate::worker`, "Seat rules").
+//! Best-effort CPU placement of the calling thread (`getcpu`,
+//! `sched_getaffinity`, `sched_setaffinity`): the one-off move of a woken
+//! worker off its waker's CPU (`crate::worker`, "Seat rules").
 //!
 //! The workspace is built offline (no `libc` crate available), so the
 //! Linux syscalls are issued directly with inline assembly on the
 //! architectures we run on. Everything is **best effort** by contract:
-//! a missing platform, a core id outside the process's cpuset, or a
-//! denied syscall simply leaves the thread where it is and the mapping
-//! nominal — [`Builder::pin_workers`](crate::Builder::pin_workers)
-//! documents exactly that fallback.
+//! a missing platform, a CPU id outside the thread's affinity mask, or a
+//! denied syscall simply leaves the thread where it is.
 
 /// `cpu_set_t` is 1024 bits in the kernel ABI.
 const CPU_SET_BITS: usize = 1024;
 const CPU_SET_WORDS: usize = CPU_SET_BITS / 64;
 
 type CpuSet = [u64; CPU_SET_WORDS];
-
-/// Pin the calling thread to `core` (a kernel cpu id). Returns `true` on
-/// success, `false` on any failure or on unsupported platforms — callers
-/// must treat `false` as "keep the nominal mapping", never as an error.
-pub(crate) fn pin_current_thread(core: usize) -> bool {
-    if core >= CPU_SET_BITS {
-        return false;
-    }
-    let mut mask = [0u64; CPU_SET_WORDS];
-    mask[core / 64] = 1u64 << (core % 64);
-    set_affinity(&mask)
-}
 
 /// The CPU the calling thread runs on (`getcpu`); `None` where that is
 /// unknown.
@@ -66,6 +51,15 @@ pub(crate) fn step_off_cpu(cpu: usize) -> bool {
     moved
 }
 
+/// Confine the calling thread to `cpu` alone, as `taskset` confines a
+/// process; `false` where the syscall is refused or unsupported.
+#[cfg(test)]
+pub(crate) fn confine_to(cpu: usize) -> bool {
+    let mut mask = [0u64; CPU_SET_WORDS];
+    mask[cpu / 64] = 1u64 << (cpu % 64);
+    set_affinity(&mask)
+}
+
 /// `sched_setaffinity(0, sizeof mask, mask)` for the calling thread.
 fn set_affinity(mask: &CpuSet) -> bool {
     sys::call3(
@@ -96,9 +90,10 @@ mod sys {
     /// A three-argument Linux syscall; a negative return is `-errno`.
     pub(super) fn call3(nr: usize, a: usize, b: usize, c: usize) -> isize {
         let ret: isize;
-        // Safety: every caller passes a syscall whose pointer arguments
+        // SAFETY: every caller passes a syscall whose pointer arguments
         // describe live buffers of the stated size (or are null where the
-        // kernel allows it); the syscall touches no other memory.
+        // kernel allows it); the syscall touches no other memory, and the
+        // registers it clobbers (rcx, r11) are declared.
         unsafe {
             std::arch::asm!(
                 "syscall",
@@ -124,7 +119,9 @@ mod sys {
     /// A three-argument Linux syscall; a negative return is `-errno`.
     pub(super) fn call3(nr: usize, a: usize, b: usize, c: usize) -> isize {
         let ret: isize;
-        // Safety: see the x86_64 variant.
+        // SAFETY: as for the x86_64 variant, every pointer argument names a
+        // live buffer of the stated size; `svc 0` clobbers only x0, which
+        // is declared as the output.
         unsafe {
             std::arch::asm!(
                 "svc 0",
@@ -139,7 +136,7 @@ mod sys {
     }
 }
 
-/// Unsupported platform: every call fails, so nothing is pinned or moved.
+/// Unsupported platform: every call fails, so nothing is moved.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -160,19 +157,7 @@ mod tests {
 
     #[test]
     fn out_of_range_core_is_refused() {
-        assert!(!pin_current_thread(CPU_SET_BITS));
-        assert!(!pin_current_thread(usize::MAX));
         assert!(!step_off_cpu(CPU_SET_BITS));
-    }
-
-    #[test]
-    fn pinning_is_best_effort_and_does_not_crash() {
-        // On Linux this usually succeeds for cpu 0; elsewhere (or in a
-        // restricted cpuset) it returns false. Either way the thread keeps
-        // running — which is the whole contract.
-        let _ = pin_current_thread(0);
-        let _ = pin_current_thread(9999);
-        assert_eq!(1 + 1, 2);
     }
 
     #[test]
@@ -198,8 +183,8 @@ mod tests {
             let mut after = [0u64; CPU_SET_WORDS];
             assert!(get_affinity(&mut after));
             assert_eq!(before, after, "the affinity mask is restored");
-            // A pinned thread has nowhere to step to.
-            if pin_current_thread(cpu) {
+            // A thread confined to one CPU has nowhere to step to.
+            if confine_to(cpu) {
                 assert!(!step_off_cpu(cpu));
                 assert!(set_affinity(&before));
             }

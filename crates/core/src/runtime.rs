@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 /// Scheduler tuning knobs. Defaults reproduce the paper's design; ablation
 /// benchmarks flip individual features off. The steal protocol is not a
 /// tunable: [`Runtime::steal_policy_name`] names the one installed.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Tunables {
     /// Promotion policy (per-task readiness and ready lists).
     pub promotion: PromotionPolicy,
@@ -55,27 +55,6 @@ pub struct Tunables {
     /// Injection admission/backpressure policy (pending root-job cap and
     /// behaviour at the cap).
     pub inject: InjectPolicy,
-    /// Pin worker threads to their topology cores (`sched_setaffinity`,
-    /// best effort: unsupported platforms and failed syscalls silently
-    /// keep the nominal mapping).
-    pub pin_workers: bool,
-    /// Age-based promotion of starved Low-band inject entries: a queued
-    /// Low job waiting at least this long is moved up to the Normal band
-    /// by the drain-side sweep (`DESIGN.md` §8). `None` disables aging
-    /// (pre-PR 8 strict band order, starvation by design).
-    pub promote_low_after: Option<Duration>,
-}
-
-impl Default for Tunables {
-    fn default() -> Self {
-        Tunables {
-            promotion: PromotionPolicy::default(),
-            rename: RenamePolicy::default(),
-            inject: InjectPolicy::default(),
-            pin_workers: false,
-            promote_low_after: Some(Duration::from_millis(10)),
-        }
-    }
 }
 
 /// Builder for [`Runtime`].
@@ -217,15 +196,6 @@ impl Builder {
         self
     }
 
-    /// Pin worker threads to their topology cores via `sched_setaffinity`
-    /// (best effort: platforms without the syscall — or cores the process
-    /// may not use — silently keep the nominal, unpinned mapping). Default
-    /// `false`.
-    pub fn pin_workers(mut self, pin: bool) -> Self {
-        self.tun.pin_workers = pin;
-        self
-    }
-
     /// Worker thread stack size in bytes (default 16 MiB — recursive
     /// fork-join work runs on worker stacks). The root of an external
     /// [`Runtime::scope`] that takes a parked worker's seat runs on the
@@ -233,13 +203,6 @@ impl Builder {
     /// runs on worker stacks.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
-        self
-    }
-
-    /// Promote a starved Low-band inject entry up one band after waiting
-    /// this long (`None` disables the age sweep; default 10 ms).
-    pub fn promote_low_after(mut self, after: Option<Duration>) -> Self {
-        self.tun.promote_low_after = after;
         self
     }
 
@@ -295,7 +258,7 @@ impl Builder {
             None => Topology::detect(nworkers),
         };
         let workers: Box<[Arc<Worker>]> = (0..nworkers).map(|i| Arc::new(Worker::new(i))).collect();
-        let inject = InjectLanes::new(&topo, tun.inject, tun.promote_low_after);
+        let inject = InjectLanes::new(&topo, tun.inject);
         let trace_on = self
             .tracing
             .or_else(|| env_flag("XKAAPI_TRACE"))
@@ -450,8 +413,6 @@ impl RtInner {
         snap.jobs_submitted += self.inject.total_submitted();
         snap.jobs_rejected += self.inject.total_rejected();
         snap.inject_banded_drains += self.inject.total_banded_drains();
-        snap.jobs_expired += self.inject.total_expired();
-        snap.inject_promotions += self.inject.total_promoted();
         snap.callback_panics += self.inject.total_callback_panics();
         snap.latency = self.telemetry.collect_latency(&self.tele_refs());
         snap
@@ -500,13 +461,13 @@ impl Runtime {
         F: for<'s> FnOnce(&mut Ctx<'s>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        self.submit_with(TaskAttrs::default(), &[], None, f)
+        self.submit_with(TaskAttrs::default(), &[], f)
     }
 
     /// Start building an attribute-carrying root job: set a [`Priority`]
     /// (admission shed order, lane drain order) and an [`Affinity`]
     /// (which NUMA node's inject lane the job lands in), then terminate
-    /// with [`JobBuilder::submit`] or [`JobBuilder::detach`].
+    /// with [`JobBuilder::submit`].
     /// [`Runtime::submit`] is this builder with default attributes.
     ///
     /// ```
@@ -525,7 +486,6 @@ impl Runtime {
             rt: self,
             attrs: TaskAttrs::default(),
             hints: Vec::new(),
-            deadline: None,
         }
     }
 
@@ -536,7 +496,6 @@ impl Runtime {
         &self,
         attrs: TaskAttrs,
         hints: &[Access],
-        deadline: Option<Instant>,
         f: F,
     ) -> Result<JoinHandle<R>, SubmitError>
     where
@@ -547,12 +506,6 @@ impl Runtime {
         // the returned handle always supports [`JoinHandle::cancel`]; the
         // token is inherited by every task the job spawns.
         let token = attrs.cancel.clone().unwrap_or_default();
-        // Admission-time shedding: a job whose deadline already passed never
-        // consumes a slot (drain-time expiry is handled inside the job).
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.inner.inject.note_expired();
-            return Err(SubmitError::Expired);
-        }
         let state = Arc::new(JoinState::new());
         if let Some(widx) = current_worker_of(&self.inner) {
             // Worker context: run inline (a queued job could deadlock a
@@ -563,7 +516,8 @@ impl Runtime {
                 state.complete(Some(&self.inner), Err(Box::new(SubmitError::Cancelled)));
             } else {
                 let mut raw = RawCtx::new(&self.inner, widx);
-                // Safety: `token` outlives `raw`.
+                // SAFETY: `token` is declared before `raw` and outlives it,
+                // so the borrowed pointer never dangles while `raw` lives.
                 unsafe { raw.set_cancel(Some(&token)) };
                 let r = raw.run_scoped_catch(f);
                 state.complete(Some(&self.inner), r);
@@ -574,7 +528,7 @@ impl Runtime {
         let lane = attrs
             .resolve_node(hints, self.inner.inject.lanes())
             .unwrap_or_else(|| self.inner.inject.lane_of_submitter());
-        let mut job = make_job(Arc::clone(&state), Some(token.clone()), deadline, f);
+        let mut job = make_job(Arc::clone(&state), Some(token.clone()), f);
         job.band = attrs.band();
         if self.inner.telemetry.enabled() {
             job.submit_tick = crate::telemetry::tick();
@@ -627,7 +581,7 @@ impl Runtime {
             let r = raw.run_scoped_catch(f);
             st.complete(Some(&raw.rt), r);
         };
-        // Safety: lifetime erasure of the job closure; the caller blocks on
+        // SAFETY: lifetime erasure of the job closure; the caller blocks on
         // the join state until the job has run to completion, so every
         // borrow the closure captures outlives its execution (rayon-style
         // scope). The erased `Arc<JoinState<R>>` the job holds is only
@@ -862,12 +816,11 @@ impl std::fmt::Debug for Runtime {
 /// of the node owning the data, so workers of that node (which drain their
 /// own lane first) start the job. [`Priority`] selects the admission band
 /// (low is shed before high at the cap) and the lane's drain band.
-#[must_use = "a JobBuilder does nothing until .submit(f) or .detach(f)"]
+#[must_use = "a JobBuilder does nothing until .submit(f)"]
 pub struct JobBuilder<'rt> {
     rt: &'rt Runtime,
     attrs: TaskAttrs,
     hints: Vec<Access>,
-    deadline: Option<Duration>,
 }
 
 impl<'rt> JobBuilder<'rt> {
@@ -889,17 +842,6 @@ impl<'rt> JobBuilder<'rt> {
     /// [`JoinHandle::cancel_token`](crate::JoinHandle::cancel_token).
     pub fn cancel_token(mut self, t: &CancelToken) -> Self {
         self.attrs.cancel = Some(t.clone());
-        self
-    }
-
-    /// Admission deadline, measured from the `submit` call: a job still
-    /// *queued* when the deadline passes is shed at drain time (its handle
-    /// completes with [`SubmitError::Expired`]), and a job already expired
-    /// at submission is shed immediately. A job that *started* before the
-    /// deadline runs to completion — this bounds queueing delay, not
-    /// execution time (`DESIGN.md` §8).
-    pub fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
         self
     }
 
@@ -937,17 +879,6 @@ impl<'rt> JobBuilder<'rt> {
         F: for<'s> FnOnce(&mut Ctx<'s>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        self.rt.submit_with(self.attrs, &self.hints, deadline, f)
-    }
-
-    /// Submit the job fire-and-forget: no handle, the job still runs to
-    /// completion (dropping a [`JoinHandle`] never cancels).
-    pub fn detach<F, R>(self, f: F) -> Result<(), SubmitError>
-    where
-        F: for<'s> FnOnce(&mut Ctx<'s>) -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        self.submit(f).map(drop)
+        self.rt.submit_with(self.attrs, &self.hints, f)
     }
 }

@@ -99,9 +99,6 @@ counters! {
     /// that were handed to a thief on that node (the combiner's
     /// data-affine grab matching, `DESIGN.md` §5).
     affine_placements,
-    /// Worker threads successfully pinned to their topology core
-    /// (`Builder::pin_workers`; best effort, at most one per worker).
-    workers_pinned,
     /// Tasks/jobs lowered through the `#[cold]` attribute-carrying slow
     /// path (non-default priority or affinity). Zero means every spawn in
     /// the program took the monomorphized default fast path.
@@ -133,14 +130,6 @@ counters! {
     /// layer. Counted on the runtime that owns the handle (callbacks may
     /// fire on external threads), merged in by `Runtime::stats`.
     callback_panics,
-    /// Jobs shed at admission or drain time because their deadline had
-    /// already passed (`JobBuilder::deadline`). Maintained globally by the
-    /// inject lanes, merged in by `Runtime::stats`.
-    jobs_expired,
-    /// Starved Low-band inject entries moved up one band by the age-based
-    /// promotion sweep (`Tunables::promote_low_after`). Maintained
-    /// globally by the inject lanes, merged in by `Runtime::stats`.
-    inject_promotions,
 }
 
 impl WorkerStats {

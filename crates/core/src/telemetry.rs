@@ -7,7 +7,7 @@
 //! * **event rings** — every worker owns a fixed-capacity SPSC ring of
 //!   16-byte typed events ([`EventKind`]): task/job run spans, steal
 //!   protocol outcomes, park/unpark, inject drains, replay groups and the
-//!   PR 8 shed paths (panic/cancel/expire). The owning worker thread is
+//!   PR 8 shed paths (panic/cancel). The owning worker thread is
 //!   the *only* producer; draining (the consumer side) is serialized by
 //!   the session lock in `TelemetryState`. A full ring drops the newest
 //!   event and counts the drop — recording never blocks and never
@@ -109,7 +109,7 @@ pub enum EventKind {
     Panic = 11,
     /// A task or job was elided by cooperative cancellation.
     Cancel = 12,
-    /// A job was shed at drain time (deadline expired or cancelled).
+    /// A job was shed at drain time (cancelled before it started).
     Shed = 13,
 }
 

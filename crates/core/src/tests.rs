@@ -750,7 +750,6 @@ fn builder_exposes_tunables() {
             promote_len: 5,
             promote_scans: 9,
         })
-        .pin_workers(true)
         .stack_size(4 << 20)
         .max_pending(2)
         .build();
@@ -758,11 +757,9 @@ fn builder_exposes_tunables() {
     let t = rt.tunables();
     assert!(!t.promotion.enabled);
     assert_eq!(t.promotion.promote_len, 5);
-    assert!(t.pin_workers);
     assert_eq!(t.inject.max_pending, 2);
     assert_eq!(rt.num_workers(), 2);
-    // still functional; pinning is best effort, so whether or not the
-    // syscall stuck, the runtime computes correctly
+    // still functional
     assert_eq!(rt.scope(|ctx| ctx.join(|_| 1, |_| 2)), (1, 2));
     let s = rt.foreach_reduce(0..1000, None, || 0u64, |a, i| *a += i as u64, |a, b| a + b);
     assert_eq!(s, 499_500);
@@ -785,7 +782,6 @@ fn builder_exposes_tunables() {
     );
     let t = plain.tunables();
     assert_eq!(t.inject.max_pending, 4096);
-    assert!(!t.pin_workers, "pinning defaults off");
 }
 
 #[test]

@@ -104,7 +104,8 @@
 //!   worker that finds itself on that CPU narrows its affinity to the
 //!   other allowed CPUs and then restores it ([`crate::pin::step_off_cpu`]):
 //!   one migration, after which the kernel wakes it on its own CPU. A
-//!   pinned worker never moves. Wakes from anyone else are unchanged.
+//!   worker confined to that one CPU (say, by `taskset`) stays. Wakes
+//!   from anyone else are unchanged.
 
 use crate::adaptive::Adaptive;
 use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
@@ -679,10 +680,11 @@ impl ParkLot {
 
     /// After [`ParkLot::park`]: if a seat holder woke worker `idx` and
     /// the kernel placed it on the seat holder's own CPU, step off that
-    /// CPU (see "Seat rules"). A pinned worker stays where it is pinned.
-    fn leave_waker_cpu(&self, idx: usize, pinned: bool) {
+    /// CPU (see "Seat rules"). A worker confined to that one CPU (say, by
+    /// `taskset`) stays: [`crate::pin::step_off_cpu`] refuses the move.
+    fn leave_waker_cpu(&self, idx: usize) {
         let cpu = self.slots[idx].waker_cpu.swap(NO_CPU, Ordering::Relaxed);
-        if cpu != NO_CPU && !pinned && crate::pin::current_cpu() == Some(cpu) {
+        if cpu != NO_CPU && crate::pin::current_cpu() == Some(cpu) {
             crate::pin::step_off_cpu(cpu);
         }
     }
@@ -916,14 +918,6 @@ pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
     set_current(&rt, idx);
     let my = &rt.workers[idx];
     let lot = &rt.park_lot;
-    if rt.tun.pin_workers {
-        // Best-effort pinning to the topology's core (the detected or
-        // declared machine shape). Failure keeps the nominal mapping; the
-        // counter records how many workers actually stuck.
-        if crate::pin::pin_current_thread(rt.topo.core_of(idx)) {
-            WorkerStats::bump(&my.stats.workers_pinned, 1);
-        }
-    }
     let mut searching = false;
     // When the current idle stretch began (`None` while busy).
     let mut idle_since: Option<Instant> = None;
@@ -976,7 +970,7 @@ pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
         telemetry::emit_current(&rt, idx, EventKind::Park, 0, my.fail_streak());
         lot.park(idx, || rt.shutdown.load(Ordering::Acquire));
         telemetry::emit_current(&rt, idx, EventKind::Unpark, 0, 0);
-        lot.leave_waker_cpu(idx, rt.tun.pin_workers);
+        lot.leave_waker_cpu(idx);
         // A woken worker searches with a fresh budget.
         idle_since = None;
     }
@@ -1017,19 +1011,19 @@ mod tests {
     }
 
     /// Seat rule: a worker woken onto the seat holder's CPU steps off it
-    /// unless it is pinned. Each case runs on a thread of its own that
-    /// stands in for the woken worker.
+    /// unless that is the only CPU it may use. Each case runs on a thread
+    /// of its own that stands in for the woken worker.
     #[test]
     fn a_worker_woken_onto_the_holders_cpu_steps_off_it() {
-        let woken_on_holders_cpu = |pinned: bool| {
+        let woken_on_holders_cpu = |confined: bool| {
             std::thread::spawn(move || {
                 let lot = ParkLot::new(1);
                 let here = crate::pin::current_cpu()?;
-                if pinned && !crate::pin::pin_current_thread(here) {
+                if confined && !crate::pin::confine_to(here) {
                     return None;
                 }
                 lot.slots[0].waker_cpu.store(here, Ordering::Relaxed);
-                lot.leave_waker_cpu(0, pinned);
+                lot.leave_waker_cpu(0);
                 assert_eq!(lot.slots[0].waker_cpu.load(Ordering::Relaxed), NO_CPU);
                 Some((here, crate::pin::current_cpu()?))
             })
@@ -1037,7 +1031,7 @@ mod tests {
             .unwrap()
         };
         if let Some((here, now)) = woken_on_holders_cpu(true) {
-            assert_eq!(here, now, "a pinned worker stays on its CPU");
+            assert_eq!(here, now, "a confined worker stays on its CPU");
         }
         let others = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
         if let Some((here, now)) = woken_on_holders_cpu(false) {

@@ -1,20 +1,20 @@
-//! Fault-tolerant task lifecycle (DESIGN.md §8): panic isolation,
-//! cooperative cancellation, deadline admission and age promotion.
+//! Fault-tolerant task lifecycle (DESIGN.md §8): panic isolation and
+//! cooperative cancellation.
 //!
-//! The PR 8 acceptance gates live here: a task-body panic under every
-//! queue×steal policy neither kills a worker nor hangs any join; a
-//! panicked frame poisons exactly its dataflow cone (successors complete
-//! as failed, countdowns drain); `JoinHandle::cancel` skips every body
-//! past the cancel point on a single-worker determinism run; deadlines
-//! shed at admission and drain time; starved Low jobs age up one band.
+//! A task-body panic under every queue×steal policy neither kills a
+//! worker nor hangs any join; a panicked frame poisons exactly its
+//! dataflow cone (successors complete as failed, countdowns drain);
+//! `JoinHandle::cancel` skips every body past the cancel point on a
+//! single-worker determinism run; a cancelled queued job is shed at
+//! drain time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xkaapi::core::{
-    AggregatedStealing, CancelToken, PerThiefStealing, Priority, Runtime, Shared, StealPolicy,
-    SubmitError, TaskQueue,
+    AggregatedStealing, CancelToken, PerThiefStealing, Runtime, Shared, StealPolicy, SubmitError,
+    TaskQueue,
 };
 use xkaapi::omp::OmpCentralQueue;
 
@@ -97,11 +97,11 @@ fn task_panic_survives_every_policy() {
     }
 }
 
-/// A submit flood where every 100th job panics, then a cancel wave and a
-/// deadline shed on the same pool. Each payload re-raises at exactly its
-/// own handle (never a neighbour's), every other handle returns its own
-/// value, no handle of the wave is lost, every zero deadline is shed, and
-/// the workers still run a fork-join tree afterwards.
+/// A submit flood where every 100th job panics, then a cancel wave that
+/// sheds what is still queued, on the same pool. Each payload re-raises
+/// at exactly its own handle (never a neighbour's), every other handle
+/// returns its own value, no handle of the wave is lost, and the workers
+/// still run a fork-join tree afterwards.
 #[test]
 fn panic_storm_cancel_wave_and_shed_leave_the_pool_serving() {
     let rt = Runtime::new(4);
@@ -149,18 +149,6 @@ fn panic_storm_cancel_wave_and_shed_leave_the_pool_serving() {
         }
     }
     assert_eq!(ran + cancelled, jobs, "no handle lost in the wave");
-
-    // Deadline shed: already-expired admissions are refused, not run.
-    let shed = (0..200u64)
-        .filter(|&i| {
-            rt.task()
-                .deadline(Duration::ZERO)
-                .submit(move |_ctx| i)
-                .err()
-                == Some(SubmitError::Expired)
-        })
-        .count();
-    assert_eq!(shed, 200, "zero deadlines shed at admission");
 
     fn fib(c: &mut xkaapi::core::Ctx<'_>, n: u64) -> u64 {
         if n < 2 {
@@ -428,98 +416,6 @@ fn cancelled_builder_token_skips_spawned_bodies() {
         assert_eq!(rt.stats().tasks_cancelled, 8, "[{name}]");
         assert_eq!(rt.scope(|c| c.join(|_| 2, |_| 3)), (2, 3), "[{name}]");
     }
-}
-
-/// Deadline admission: an already-expired deadline sheds immediately; a
-/// live one expires at drain time if the job is still queued.
-#[test]
-fn deadline_sheds_at_admission_and_drain() {
-    let rt = Runtime::new(1);
-    // Expired at submission: shed before consuming an admission slot.
-    let res = rt
-        .task()
-        .deadline(Duration::ZERO)
-        .submit(|_ctx| 1u32)
-        .map(|_| ());
-    assert_eq!(res, Err(SubmitError::Expired));
-    // Queued past its deadline: shed at drain time.
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let busy = rt
-        .submit(move |_ctx| {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-    wait_until(20, "busy job to start", || {
-        rt.inject_lane_stats()
-            .iter()
-            .map(|l| l.drained)
-            .sum::<u64>()
-            == 1
-    });
-    let ran = Arc::new(AtomicBool::new(false));
-    let r = Arc::clone(&ran);
-    let doomed = rt
-        .task()
-        .deadline(Duration::from_millis(5))
-        .submit(move |_ctx| {
-            r.store(true, Ordering::SeqCst);
-        })
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(20));
-    gate.store(true, Ordering::Release);
-    busy.wait();
-    assert_eq!(doomed.join(), Err(SubmitError::Expired));
-    assert!(!ran.load(Ordering::SeqCst), "expired body must not run");
-    assert_eq!(rt.stats().jobs_expired, 2, "admission shed + drain shed");
-    // A generous deadline does not interfere.
-    let ok = rt
-        .task()
-        .deadline(Duration::from_secs(30))
-        .submit(|_ctx| 9u32)
-        .unwrap();
-    assert_eq!(ok.join(), Ok(9));
-}
-
-/// Age promotion end-to-end: a starved Low job on a pinned pool ages up
-/// one band and the promotion is visible in `Runtime::stats`.
-#[test]
-fn starved_low_job_ages_up_one_band() {
-    let rt = Runtime::builder()
-        .workers(1)
-        .promote_low_after(Some(Duration::ZERO))
-        .build();
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let busy = rt
-        .submit(move |_ctx| {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-    wait_until(20, "busy job to start", || {
-        rt.inject_lane_stats()
-            .iter()
-            .map(|l| l.drained)
-            .sum::<u64>()
-            == 1
-    });
-    let low = rt
-        .task()
-        .priority(Priority::Low)
-        .submit(|_ctx| 3u32)
-        .unwrap();
-    gate.store(true, Ordering::Release);
-    busy.wait();
-    assert_eq!(low.join(), Ok(3));
-    assert_eq!(
-        rt.stats().inject_promotions,
-        1,
-        "the starved Low entry must be promoted by the age sweep"
-    );
 }
 
 /// `on_complete` callback panics are contained *and counted*.

@@ -422,8 +422,9 @@ fn scope_is_never_rejected() {
 /// `pop_for` short-circuits to the Normal FIFOs while the lanes' pending
 /// non-default-band counter is zero; `inject_banded_drains` counts the
 /// drains that took the full banded walk, so it must stay at exactly 0
-/// for a Normal-only flood — and become non-zero as soon as one
-/// non-Normal job makes banded draining necessary.
+/// for a Normal-only flood, grow while a High or Low job is pending, and
+/// stop growing once that job drained (the non-default-band counter is a
+/// hint that every non-Normal pop must take back down).
 #[test]
 fn normal_only_flood_skips_the_banded_drain_walk() {
     let rt = Runtime::new(2);
@@ -438,28 +439,31 @@ fn normal_only_flood_skips_the_banded_drain_walk() {
         "a Normal-only flood paid the banded drain walk"
     );
 
-    // One High-band job forces the slow path at least once…
-    let h = rt
-        .task()
-        .priority(Priority::High)
-        .submit(move |_| 7u64)
-        .expect("admission");
-    assert_eq!(h.wait(), 7);
-    let after_high = rt.stats().inject_banded_drains;
-    assert!(
-        after_high > 0,
-        "a pending High job must route drains through the banded walk"
-    );
+    for band in [Priority::High, Priority::Low] {
+        // One non-Normal job forces the slow path at least once…
+        let before = rt.stats().inject_banded_drains;
+        let h = rt
+            .task()
+            .priority(band)
+            .submit(move |_| 7u64)
+            .expect("admission");
+        assert_eq!(h.wait(), 7);
+        let after = rt.stats().inject_banded_drains;
+        assert!(
+            after > before,
+            "a pending {band:?} job must route drains through the banded walk"
+        );
 
-    // …and once it drained, Normal-only traffic is back on the fast path.
-    let handles: Vec<_> = (0..64u64)
-        .map(|i| rt.submit(move |_| i).expect("admission"))
-        .collect();
-    let sum: u64 = handles.into_iter().map(|h| h.wait()).sum();
-    assert_eq!(sum, 63 * 64 / 2);
-    assert_eq!(
-        rt.stats().inject_banded_drains,
-        after_high,
-        "banded drains kept accruing after the last non-Normal job drained"
-    );
+        // …and once it drained, Normal-only traffic is back on the fast path.
+        let handles: Vec<_> = (0..64u64)
+            .map(|i| rt.submit(move |_| i).expect("admission"))
+            .collect();
+        let sum: u64 = handles.into_iter().map(|h| h.wait()).sum();
+        assert_eq!(sum, 63 * 64 / 2);
+        assert_eq!(
+            rt.stats().inject_banded_drains,
+            after,
+            "banded drains kept accruing after the {band:?} job drained"
+        );
+    }
 }

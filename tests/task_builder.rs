@@ -271,19 +271,6 @@ fn first_touch_records_the_home_node() {
     assert_eq!(*h.get(), 8);
 }
 
-/// `JobBuilder::detach` is fire-and-forget: the job runs without a handle.
-#[test]
-fn detach_runs_to_completion() {
-    let rt = Runtime::new(2);
-    let flag = Arc::new(AtomicBool::new(false));
-    let f = Arc::clone(&flag);
-    rt.task()
-        .priority(Priority::High)
-        .detach(move |_| f.store(true, Ordering::Release))
-        .unwrap();
-    wait_until(20, "detached job to run", || flag.load(Ordering::Acquire));
-}
-
 /// PR 6 equivalence suite for the monomorphized spawn lowering: the
 /// defaulted builder path (`#[inline]`, no attribute plumbing) and the
 /// attributed slow path (`#[cold]`, banded structures activated) must
