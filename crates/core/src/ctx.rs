@@ -184,15 +184,12 @@ impl RawCtx {
     #[inline]
     fn spawn_common(&mut self, task: Arc<Task>) -> (Arc<Frame>, usize, Arc<Task>) {
         let frame = self.ensure_frame();
-        let out = frame.push(&task, &self.rt.tun.rename);
-        let idx = out.idx;
         let stats = &self.rt.workers[self.widx].stats;
+        // Counts the tasks the push binds in `dataflow_pushes`: none while
+        // no thief looked at the frame (`crate::frame`).
+        let out = frame.push(&task, &self.rt.tun.rename, stats);
+        let idx = out.idx;
         WorkerStats::bump(&stats.tasks_spawned, 1);
-        if !task.accesses.is_empty() {
-            // Pushes that ran data-flow dependency analysis: the counter
-            // recorded-replay benchmarks assert stays flat across replays.
-            WorkerStats::bump(&stats.dataflow_pushes, 1);
-        }
         if out.renames > 0 {
             WorkerStats::bump(&stats.renames, out.renames as u64);
         }
@@ -340,7 +337,7 @@ pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, tas
     // without running the body so the countdowns still drain.
     if frame.has_failed_pred(idx) {
         let _ = task.take_body();
-        frame.mark_failed(idx);
+        frame.mark_failed(idx, stats); // binds nothing: the frame is bound
         WorkerStats::bump(&stats.tasks_poisoned, 1);
         complete_and_publish(rt, widx, frame, &task);
         return;
@@ -410,7 +407,7 @@ pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, tas
     // payload and the poison record already in place.
     match (res, fin) {
         (Err(p), _) | (_, Err(p)) => {
-            frame.mark_failed(idx);
+            frame.mark_failed(idx, stats);
             frame.set_panic(p);
         }
         _ => {}
@@ -907,10 +904,10 @@ impl<'scope> Ctx<'scope> {
         let binding = cur.binding();
         if binding.is_empty() {
             // All-default sentinel (`Task::set_binding`): every declared
-            // access routes to slot 0 with no rename — which is exactly
-            // the default binding. `cur` is only ever a frame-pushed task
-            // (`execute_claimed` is the sole assignment), so an empty
-            // binding here cannot mean "never bound".
+            // access routes to slot 0 with no rename. `cur` is only ever a
+            // frame-pushed task (`execute_claimed` is the sole assignment),
+            // and one its frame has not bound (yet) needs no routing
+            // (`crate::frame`), so the default binding is right for it too.
             return Some(SlotBinding::default());
         }
         if binding.len() != cur.accesses.len() {

@@ -35,8 +35,8 @@ const MAX_SLOT: u32 = u16::MAX as u32 - 1;
 ///
 /// Slot `0` is the handle's original buffer; slots `> 0` are version
 /// buffers grown by renaming. The binding is pinned when the task is bound
-/// (pushed into its frame), so concurrent renames can never redirect a
-/// running task.
+/// (a task that needs routing is bound at its push), so concurrent renames
+/// can never redirect a running task.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotBinding {
     /// Version slot of the handle this access is routed to.

@@ -71,22 +71,31 @@ impl FastLane {
 
     /// Owner: push at the tail. `None` when full, else whether the deque
     /// was empty before the push (as far as the owner's view of `head`
-    /// goes: a steal it has not seen yet reads as non-empty).
+    /// goes: a steal it has not seen yet reads as non-empty). A `head`
+    /// one past `tail` is a thief rolling back from the empty deque.
     #[inline]
     pub(crate) fn push(&self, job: FastJob) -> Option<bool> {
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Acquire);
-        if (t - h) as usize >= CAP {
+        if t - h >= CAP as isize {
             return None;
         }
         self.slots[(t as usize) & (CAP - 1)].set(Some(job));
         self.tail.store(t + 1, Ordering::Release);
-        Some(t == h)
+        Some(t <= h)
     }
 
-    /// Owner: pop at the tail (LIFO), T.H.E. protocol.
+    /// Owner: pop at the tail (LIFO), T.H.E. protocol. An empty lane
+    /// (`head >= tail`; only the owner moves `tail`) costs two loads. A
+    /// thief raises `head` to `tail` only to take the last job, or to roll
+    /// back because it read a `tail` older than the owner's last push; a
+    /// job it leaves so stays queued for the next thief, never runs twice.
     pub(crate) fn pop(&self) -> Option<FastJob> {
-        let t = self.tail.load(Ordering::Relaxed) - 1;
+        let t = self.tail.load(Ordering::Relaxed);
+        if self.head.load(Ordering::Relaxed) >= t {
+            return None;
+        }
+        let t = t - 1;
         self.tail.store(t, Ordering::Relaxed);
         std::sync::atomic::fence(Ordering::SeqCst);
         let h = self.head.load(Ordering::Relaxed);
@@ -158,5 +167,45 @@ mod tests {
         assert!(lane.pop().is_some()); // newest
         assert!(lane.pop().is_none());
         assert!(lane.is_empty_hint());
+    }
+
+    /// The owner pushes two jobs and pops three times, the last pop on an
+    /// empty lane, while a thief steals: every job is taken exactly once.
+    #[test]
+    fn owner_pops_race_a_thief_and_take_every_job_once() {
+        const JOBS: usize = 100_000;
+        let lane = Arc::new(FastLane::new());
+        let taken: Arc<[AtomicUsize]> = (0..JOBS).map(|_| AtomicUsize::new(0)).collect();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let take = |taken: &[AtomicUsize], j: FastJob| {
+            taken[j.data as usize].fetch_add(1, Ordering::Relaxed);
+        };
+        let thief = std::thread::spawn({
+            let (lane, taken, stop) = (Arc::clone(&lane), Arc::clone(&taken), Arc::clone(&stop));
+            move || {
+                while !stop.load(Ordering::Acquire) {
+                    if let Some(j) = lane.steal() {
+                        take(&taken, j);
+                    }
+                }
+            }
+        });
+        for i in (0..JOBS).step_by(2) {
+            for data in [i, i + 1].map(|k| k as *mut ()) {
+                assert!(lane.push(FastJob { data, ..job() }).is_some(), "lane full");
+            }
+            for _ in 0..3 {
+                if let Some(j) = lane.pop() {
+                    take(&taken, j);
+                }
+            }
+        }
+        stop.store(true, Ordering::Release);
+        thief.join().unwrap();
+        // A job a rolled-back thief left behind is still queued.
+        while let Some(j) = lane.pop() {
+            take(&taken, j);
+        }
+        assert!(taken.iter().all(|t| t.load(Ordering::Relaxed) == 1));
     }
 }

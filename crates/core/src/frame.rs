@@ -2,13 +2,16 @@
 //! with promotion to per-task readiness.
 //!
 //! A frame holds the children one task (or one scope) spawned, in program
-//! order. Pushing a task *binds* it into the frame's [`DataflowEngine`]
-//! (version chains, see [`crate::dataflow`]): this records its predecessor
-//! set and its version-slot routing once, and every execution strategy
-//! reads that single source of truth:
+//! order. *Binding* a task into the frame's [`DataflowEngine`] (version
+//! chains, see [`crate::dataflow`]) records its predecessor set and its
+//! version-slot routing once, and every thief-side strategy reads that
+//! single source of truth:
 //!
 //! * the owner executes FIFO without consulting dependencies at all
-//!   (work-first: program order is always valid);
+//!   (work-first: program order is always valid), so a frame binds
+//!   nothing until a thief scans it, a push needs slot routing or a task
+//!   fails; then it binds its unbound prefix, and every later push at
+//!   push time (`DESIGN.md` §2, "Lazy binding");
 //! * while the frame is unpromoted, a thief proves a task ready with an
 //!   incremental check — every recorded predecessor completed — under the
 //!   frame lock;
@@ -26,9 +29,11 @@
 //! After promotion only the owner's push (binding), the release of renamed
 //! version slots and `mark_failed` take the frame lock.
 
+use crate::access::Access;
 use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
 use crate::dataflow::DataflowEngine;
 use crate::policy::RenamePolicy;
+use crate::stats::WorkerStats;
 use crate::task::{task_arc, Task, ST_DONE, ST_INIT, ST_STOLEN};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -60,8 +65,12 @@ impl Default for PromotionPolicy {
 struct FrameInner {
     tasks: Vec<Arc<Task>>,
     /// The single dependency implementation every mode reads: version
-    /// chains, predecessor sets, slot routing — filled at push time.
+    /// chains, predecessor sets, slot routing. It covers the bound prefix
+    /// `tasks[..engine.len()]`: every task once `bind_at_push` is set.
     engine: DataflowEngine,
+    /// Set, with the prefix bound, by the first scan, routed push or
+    /// failure: the frame binds at push from then on.
+    bind_at_push: bool,
     /// Any pushed task outside the default priority band? When false the
     /// scan path stays single-pass (the hot default); when true scans run
     /// one pass per band, highest first.
@@ -70,6 +79,34 @@ struct FrameInner {
     /// predecessor). Lazily sized: stays empty until the first failure, so
     /// the push fast path never touches it.
     failed: Vec<bool>,
+}
+
+impl FrameInner {
+    /// Bind every task not bound yet, in program order, counting those
+    /// with declared accesses on the binding worker's `stats`; bind at push
+    /// from now on. Returns the renamed accesses. Only a task its push has
+    /// just appended can need routing, so no other task's binding (which
+    /// its owner may be reading) is written.
+    fn bind_prefix(&mut self, rename: &RenamePolicy, stats: &WorkerStats) -> u32 {
+        self.bind_at_push = true;
+        let (mut bound, mut renames) = (0, 0);
+        let n = self.tasks.len();
+        for (i, t) in self.tasks.iter().enumerate().skip(self.engine.len()) {
+            let b = self.engine.bind(&t.accesses, rename);
+            bound += u64::from(!t.accesses.is_empty());
+            renames += b.renames;
+            if !b.slots.is_empty() {
+                debug_assert_eq!(i + 1, n, "an unbound task needed routing");
+                // Safety: the pushing owner holds the frame lock, which
+                // publishes the task with its binding.
+                unsafe { t.set_binding(b.slots) };
+            }
+        }
+        if bound > 0 {
+            WorkerStats::bump(&stats.dataflow_pushes, bound);
+        }
+        renames
+    }
 }
 
 /// What `Frame::push` tells the caller.
@@ -128,6 +165,7 @@ impl Frame {
             inner: Mutex::new(FrameInner {
                 tasks: Vec::new(),
                 engine: DataflowEngine::new(),
+                bind_at_push: false,
                 banded: false,
                 failed: Vec::new(),
             }),
@@ -184,41 +222,41 @@ impl Frame {
             .store(self.len.load(Ordering::Acquire), Ordering::Relaxed);
     }
 
-    /// Append a task (owner only): bind it into the version-chain engine
-    /// (recording its predecessor set and slot routing), then publish it.
-    /// In a promoted frame the task also links behind its live
-    /// predecessors; `released` says the caller must release it.
-    pub(crate) fn push(&self, task: &Arc<Task>, rename: &RenamePolicy) -> PushOutcome {
+    /// Append a task (owner only) and publish it. A frame that binds at
+    /// push, or a task whose accesses need slot routing, binds its unbound
+    /// prefix and the task. In a promoted frame the task also links behind
+    /// its live predecessors; `released` says the caller must release it.
+    pub(crate) fn push(
+        &self,
+        task: &Arc<Task>,
+        rename: &RenamePolicy,
+        stats: &WorkerStats,
+    ) -> PushOutcome {
         self.pending.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let FrameInner {
-            tasks,
-            engine,
-            banded,
-            ..
-        } = &mut *inner;
-        let idx = tasks.len();
-        let binding = engine.bind(&task.accesses, rename);
-        debug_assert_eq!(binding.index, idx);
-        let renames = binding.renames;
+        let idx = inner.tasks.len();
         // Safety: the task only becomes reachable by claimants through
-        // `tasks` below; the frame lock publishes the binding first.
-        unsafe {
-            task.set_binding(binding.slots);
-            task.set_home(self, idx);
+        // `tasks`, once the frame lock is released.
+        unsafe { task.set_home(self, idx) };
+        inner.tasks.push(Arc::clone(task));
+        // A renameable write, or a handle whose data sits in a version slot
+        // an earlier scope committed, needs slot routing: bind at once.
+        let routed = |a: &Access| a.can_rename() || a.lineage != 0;
+        let mut renames = 0;
+        if inner.bind_at_push || task.accesses.iter().any(routed) {
+            renames = inner.bind_prefix(rename, stats);
         }
         if task.band() != NORMAL_BAND {
-            *banded = true;
+            inner.banded = true;
         }
         // Promotion happens under this lock, so the flag is stable here.
         let promoted = self.graph_on.load(Ordering::Relaxed);
         if promoted {
-            for &p in engine.preds(idx) {
-                tasks[p as usize].succ.link(task);
+            for &p in inner.engine.preds(idx) {
+                inner.tasks[p as usize].succ.link(task);
             }
         }
-        tasks.push(Arc::clone(task));
-        self.len.store(tasks.len(), Ordering::Release);
+        self.len.store(idx + 1, Ordering::Release);
         drop(inner);
         // Drop the link guard only now that the task is fully published.
         let released = promoted && task.count_down();
@@ -303,8 +341,12 @@ impl Frame {
     /// Must be called *before* the task's `complete()` so that any claimant
     /// that later observes the task done also observes the failure record
     /// (the SeqCst completion swap orders the two stores).
-    pub(crate) fn mark_failed(&self, idx: usize) {
+    ///
+    /// Binds the frame first (counting on `stats`), so that
+    /// `has_failed_pred` can read every task's predecessor set.
+    pub(crate) fn mark_failed(&self, idx: usize, stats: &WorkerStats) {
         let mut inner = self.inner.lock();
+        inner.bind_prefix(&RenamePolicy::default(), stats); // renames nothing
         let n = inner.tasks.len();
         if inner.failed.len() < n {
             inner.failed.resize(n, false);
@@ -317,7 +359,7 @@ impl Frame {
     /// Did any dataflow predecessor of task `idx` fail? The poison check
     /// run before every claimed execution; the healthy fast path is one
     /// relaxed flag load, the poisoned path walks the recorded predecessor
-    /// set under the frame lock.
+    /// set under the frame lock (bound: `mark_failed` bound the frame).
     pub(crate) fn has_failed_pred(&self, idx: usize) -> bool {
         if !self.any_failed.load(Ordering::Acquire) {
             return false;
@@ -334,14 +376,16 @@ impl Frame {
     /// into `out` (cloned under the lock already held, so callers never
     /// re-lock the frame to look a claimed task up again).
     ///
-    /// Applies the promotion policy first. A call that promotes hands
-    /// every task it finds ready to `release` (unclaimed, for a ready
-    /// list) instead, and returns `true`. A promoted frame is not scanned
-    /// at all: its ready tasks are on ready lists.
+    /// Binds the unbound prefix first (counting on the scanning worker's
+    /// `stats`), then applies the promotion policy. A call that promotes
+    /// hands every task it finds ready to `release` (unclaimed, for a
+    /// ready list) instead, and returns `true`. A promoted frame is not
+    /// scanned at all: its ready tasks are on ready lists.
     pub(crate) fn steal_scan(
         &self,
         max: usize,
         policy: &PromotionPolicy,
+        stats: &WorkerStats,
         out: &mut Vec<Arc<Task>>,
         release: impl FnMut(Arc<Task>),
     ) -> bool {
@@ -349,10 +393,11 @@ impl Frame {
             return false;
         }
         let scans = self.scans.fetch_add(1, Ordering::Relaxed) + 1;
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         if self.graph_on.load(Ordering::Relaxed) {
             return false; // promoted while we took the lock
         }
+        inner.bind_prefix(&RenamePolicy::default(), stats); // renames nothing
         if policy.enabled
             && (inner.tasks.len() >= policy.promote_len || scans >= policy.promote_scans)
         {
@@ -461,6 +506,7 @@ impl Frame {
         let mut inner = self.inner.lock();
         inner.tasks.clear(); // keeps the Vec capacity
         inner.engine.clear();
+        inner.bind_at_push = false;
         inner.banded = false;
         inner.failed.clear();
         drop(inner);
@@ -514,7 +560,7 @@ mod tests {
 
     fn push_with(f: &Probe, accs: &[Access], rp: &RenamePolicy) {
         let t = task_with(accs);
-        if f.f.push(&t, rp).released {
+        if f.f.push(&t, rp, &WorkerStats::default()).released {
             f.ready.borrow_mut().push_back(t);
         }
     }
@@ -535,8 +581,10 @@ mod tests {
     /// list, oldest first, stale entries skipped.
     fn scan(f: &Probe, max: usize, pol: &PromotionPolicy, promos: &mut u64) -> Vec<usize> {
         let mut out = Vec::new();
-        let promoted =
-            f.f.steal_scan(max, pol, &mut out, |t| f.ready.borrow_mut().push_back(t));
+        let stats = WorkerStats::default();
+        let promoted = f.f.steal_scan(max, pol, &stats, &mut out, |t| {
+            f.ready.borrow_mut().push_back(t)
+        });
         *promos += u64::from(promoted);
         let mut ready = f.ready.borrow_mut();
         while out.len() < max {

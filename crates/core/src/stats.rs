@@ -108,11 +108,14 @@ counters! {
     /// the inject lanes, merged in by `Runtime::stats`; zero for
     /// Normal-only floods (the drain short-circuits to the Normal FIFO).
     inject_banded_drains,
-    /// Frame pushes that carried declared accesses — i.e. spawns that ran
-    /// data-flow dependency analysis (`DataflowEngine::bind`). Recorded-DAG
-    /// replays (`RecordedDag::replay`) push no tasks for their groups, so
-    /// this counter stays flat across replay iterations — the invariant
-    /// the record-then-replay benchmarks assert.
+    /// Tasks with declared accesses bound into their frame's data-flow
+    /// engine (`DataflowEngine::bind`), counted on the worker that bound
+    /// them. A frame binds only once a thief scans it, a push needs slot
+    /// routing or a task fails (`crate::frame`), and binds each task at
+    /// most once: a 1-worker pool running plain data flow counts none.
+    /// Recorded-DAG replays (`RecordedDag::replay`) push no tasks for their
+    /// groups, so this counter stays flat across replay iterations — the
+    /// invariant the record-then-replay benchmarks assert.
     dataflow_pushes,
     /// Task bodies that panicked. The worker survives: the payload is
     /// captured, the frame is poisoned and the first payload re-raises at

@@ -161,9 +161,13 @@ fn serve(
             break;
         }
         let mut release = Release::to(rt, me, victim_idx);
-        let promoted = f.steal_scan(k - grabs.len(), &rt.tun.promotion, &mut claimed, |t| {
-            release.push(t)
-        });
+        let promoted = f.steal_scan(
+            k - grabs.len(),
+            &rt.tun.promotion,
+            my_stats,
+            &mut claimed,
+            |t| release.push(t),
+        );
         release.finish();
         promotions += u64::from(promoted);
         for task in claimed.drain(..) {
@@ -461,7 +465,8 @@ pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Frame) {
     debug_assert!(rt.queue.centralized());
     let mut claimed: Vec<Arc<Task>> = Vec::new();
     let mut release = Release::to(rt, me, me);
-    let promoted = frame.steal_scan(usize::MAX, &rt.tun.promotion, &mut claimed, |t| {
+    let stats = &rt.workers[me].stats;
+    let promoted = frame.steal_scan(usize::MAX, &rt.tun.promotion, stats, &mut claimed, |t| {
         release.push(t)
     });
     for task in claimed {
@@ -469,7 +474,7 @@ pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Frame) {
     }
     release.finish();
     if promoted {
-        WorkerStats::bump(&rt.workers[me].stats.promotions, 1);
+        WorkerStats::bump(&stats.promotions, 1);
     }
 }
 

@@ -5,11 +5,12 @@
 //! tasks in FIFO (program) order without consulting their dependencies —
 //! the *work-first* principle: a sequential execution order is always valid
 //! for the X-Kaapi data-flow model, so the owner's local path pays nothing
-//! for readiness. Dependencies are still computed once, when the task is
-//! pushed (`crate::frame`). Thieves claim tasks with a compare-and-swap
-//! after readiness is proven; the single CAS per task plays the role Cilk's
-//! T.H.E. protocol plays on deque indices: owner and thief can never both
-//! run a task.
+//! for readiness. The dependency graph exists for thieves only: a frame
+//! binds its tasks into the data-flow engine once a thief looks at it, and
+//! then each task once (`crate::frame`). Thieves claim tasks with a
+//! compare-and-swap after readiness is proven; the single CAS per task
+//! plays the role Cilk's T.H.E. protocol plays on deque indices: owner and
+//! thief can never both run a task.
 //!
 //! Once its frame is promoted, a task also takes part in per-task
 //! readiness (`DESIGN.md` §2, "Ready lists"): a **countdown** of its live
@@ -56,9 +57,11 @@ pub(crate) struct Task {
     /// Scheduling attributes (priority band, data affinity) — immutable
     /// after construction, consumed by the queue/steal/inject layers.
     pub(crate) attrs: TaskAttrs,
-    /// Version-slot routing parallel to `accesses`, written once by
-    /// `Frame::push` (under the frame lock, before the task is claimable)
-    /// and read-only afterwards.
+    /// Version-slot routing parallel to `accesses`, written at most once,
+    /// by a `Frame::push` that binds the task (under the frame lock, before
+    /// the task is claimable), and read-only afterwards. A task bound
+    /// later, with its frame's prefix, keeps the all-default sentinel: it
+    /// has no access that needs routing.
     binding: UnsafeCell<Box<[SlotBinding]>>,
     /// The frame the task was pushed into, written once by `Frame::push`
     /// (like `binding`). Null until then.

@@ -1,4 +1,4 @@
-//! Machine topology: worker → core → NUMA-node mapping and inter-node
+//! Machine topology: worker → NUMA-node mapping and inter-node
 //! distances, consumed by the steal layer for victim selection
 //! (DESIGN.md §3).
 //!
@@ -75,7 +75,7 @@ impl DistanceMatrix {
     }
 }
 
-/// Worker → core → NUMA-node mapping plus the node [`DistanceMatrix`],
+/// Worker → NUMA-node mapping plus the node [`DistanceMatrix`],
 /// consulted by topology-aware [`StealPolicy`](crate::StealPolicy)
 /// implementations on every victim choice (hot path: all lookups are
 /// array indexing).
@@ -83,8 +83,6 @@ impl DistanceMatrix {
 pub struct Topology {
     /// worker index → NUMA node.
     worker_node: Vec<usize>,
-    /// worker index → nominal core id (identity under [`Topology::flat`]).
-    worker_core: Vec<usize>,
     /// node → workers on it (victim candidate sets, precomputed).
     node_workers: Vec<Vec<usize>>,
     dist: DistanceMatrix,
@@ -97,7 +95,6 @@ impl Topology {
         assert!(workers >= 1);
         Topology::from_parts(
             (0..workers).map(|_| 0).collect(),
-            (0..workers).collect(),
             DistanceMatrix::two_level(1, DistanceMatrix::REMOTE),
         )
     }
@@ -112,7 +109,6 @@ impl Topology {
         let nodes = workers.div_ceil(per_node);
         Topology::from_parts(
             (0..workers).map(|w| w / per_node).collect(),
-            (0..workers).collect(),
             DistanceMatrix::two_level(nodes, DistanceMatrix::REMOTE),
         )
     }
@@ -120,17 +116,11 @@ impl Topology {
     /// Topology from an explicit worker→node map and distance matrix.
     /// Node ids must be `< dist.nodes()`.
     pub fn with_distances(worker_node: Vec<usize>, dist: DistanceMatrix) -> Topology {
-        let cores = (0..worker_node.len()).collect();
-        Topology::from_parts(worker_node, cores, dist)
+        Topology::from_parts(worker_node, dist)
     }
 
-    fn from_parts(
-        worker_node: Vec<usize>,
-        worker_core: Vec<usize>,
-        dist: DistanceMatrix,
-    ) -> Topology {
+    fn from_parts(worker_node: Vec<usize>, dist: DistanceMatrix) -> Topology {
         assert!(!worker_node.is_empty(), "at least one worker required");
-        assert_eq!(worker_node.len(), worker_core.len());
         let mut node_workers = vec![Vec::new(); dist.nodes()];
         for (w, &n) in worker_node.iter().enumerate() {
             assert!(n < dist.nodes(), "worker {w} on unknown node {n}");
@@ -138,7 +128,6 @@ impl Topology {
         }
         Topology {
             worker_node,
-            worker_core,
             node_workers,
             dist,
         }
@@ -173,13 +162,6 @@ impl Topology {
     #[inline]
     pub fn node_of(&self, worker: usize) -> usize {
         self.worker_node[worker]
-    }
-
-    /// Nominal core id of a worker (informational; worker threads are not
-    /// pinned, the mapping records the detected/declared machine shape).
-    #[inline]
-    pub fn core_of(&self, worker: usize) -> usize {
-        self.worker_core[worker]
     }
 
     /// Do two workers share a NUMA node?
@@ -294,16 +276,9 @@ fn detect_sysfs(workers: usize) -> Option<Topology> {
     // interleave nodes must not end up with interleaved worker→node maps.
     cpus.sort_unstable();
 
-    let mut worker_node = Vec::with_capacity(workers);
-    let mut worker_core = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let (node, cpu) = cpus[w % cpus.len()];
-        worker_node.push(node);
-        worker_core.push(cpu);
-    }
+    let worker_node = (0..workers).map(|w| cpus[w % cpus.len()].0).collect();
     Some(Topology::from_parts(
         worker_node,
-        worker_core,
         DistanceMatrix::from_rows(&rows),
     ))
 }

@@ -4,10 +4,14 @@
 //! runs before a predecessor the data-flow engine recorded for it, that a
 //! completion sealing its cell while the owner links behind it loses no
 //! count, that a promoted frame is still recycled, and what counts as a
-//! stolen task. A lost release or wake is a hang, so every case runs on a
-//! thread of its own and fails on a 60 s deadline.
+//! stolen task. The last four check lazy binding (`crate::frame` in
+//! `xkaapi-core`): a frame binds its tasks only once a thief scans it, a
+//! push needs slot routing or a task fails, and then each task once. A
+//! lost release or wake is a hang, so every case runs on a thread of its
+//! own and fails on a 60 s deadline.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -15,6 +19,7 @@ use xkaapi::core::{
     Access, AccessMode, AggregatedStealing, DataflowEngine, Partitioned, PerThiefStealing,
     PromotionPolicy, Region, RenamePolicy, Runtime, Shared, StealPolicy, TaskQueue,
 };
+use xkaapi::linalg::{cholesky_seq, cholesky_xkaapi, TiledMatrix};
 use xkaapi::omp::OmpCentralQueue;
 use xkaapi::quark::QuarkCentralQueue;
 
@@ -486,5 +491,163 @@ fn stolen_counts_only_tasks_run_off_their_owner() {
                 assert_eq!(elsewhere, 0, "{what}: one worker steals nothing");
             }
         }
+    });
+}
+
+// --- lazy binding -----------------------------------------------------
+
+/// A 1-worker pool has no thief, and the tiled Cholesky's keyed tile
+/// accesses need no slot routing: its frame binds no task, and the result
+/// is the sequential one to the bit.
+#[test]
+fn one_worker_cholesky_binds_nothing() {
+    within_deadline("1-worker cholesky", || {
+        let rt = Runtime::new(1);
+        let orig = TiledMatrix::spd_random(96, 8, 7);
+        let mut reference = orig.clone_matrix();
+        cholesky_seq(&mut reference).unwrap();
+        for _ in 0..3 {
+            let got = cholesky_xkaapi(&rt, orig.clone_matrix()).unwrap();
+            assert_eq!(got.max_abs_diff_lower(&reference), 0.0);
+        }
+        let s = rt.stats();
+        assert!(s.tasks_spawned > 0);
+        assert_eq!(s.dataflow_pushes, 0, "a frame no thief scanned was bound");
+    });
+}
+
+/// With a thief, a frame binds its prefix at the first scan and every
+/// later push at push time: each task is bound exactly once, whichever
+/// worker binds it, and tasks still run in the order of the recorded
+/// edges. The owner waits for a first binding before it syncs, so every
+/// frame is scanned at least once.
+#[test]
+fn with_a_thief_every_task_is_bound_exactly_once() {
+    const K: usize = 6;
+    const N: usize = 1500;
+    within_deadline("bind once", || {
+        let mut expect: Vec<u64> = (0..K as u64).collect();
+        for i in 0..N {
+            let (w, r) = (i % K, (i + 2) % K);
+            expect[w] = expect[w].wrapping_mul(31).wrapping_add(expect[r]) ^ i as u64;
+        }
+        for policy in POLICIES {
+            let rt = runtime(policy, 2, true);
+            for round in 0..3 {
+                let cells: Vec<Shared<u64>> = (0..K as u64).map(Shared::new).collect();
+                let program: Vec<Vec<Access>> = (0..N)
+                    .map(|i| vec![cells[i % K].exclusive(), cells[(i + 2) % K].read()])
+                    .collect();
+                let stamps = Stamps::new(N);
+                rt.reset_stats();
+                rt.scope(|ctx| {
+                    for (i, accs) in program.iter().enumerate() {
+                        let (cells, stamps) = (&cells, &stamps);
+                        ctx.spawn(accs.clone(), move |t| {
+                            stamps.time(i, || {
+                                let add = *t.read(&cells[(i + 2) % K]);
+                                let mut g = t.write(&cells[i % K]);
+                                *g = g.wrapping_mul(31).wrapping_add(add) ^ i as u64;
+                            })
+                        });
+                        spin(if i % 8 == 0 { 1000 } else { 50 });
+                    }
+                    while rt.stats().dataflow_pushes == 0 {
+                        std::thread::yield_now();
+                    }
+                });
+                let what = format!("{policy}, round {round}");
+                stamps.check(&preds_of(&program, true), &what);
+                let got: Vec<u64> = cells.iter().map(|c| *c.get()).collect();
+                assert_eq!(got, expect, "{what}: final values");
+                let s = rt.stats();
+                assert_eq!(s.tasks_spawned, N as u64, "{what}: pushed");
+                assert_eq!(s.dataflow_pushes, N as u64, "{what}: bound");
+            }
+        }
+    });
+}
+
+/// A panic in a 1-worker frame that bound nothing binds the frame, so the
+/// tasks after it find their failed predecessor: exactly the panicked
+/// task's cone (two levels deep here) is completed-as-failed, and the
+/// tasks before and beside it run.
+#[test]
+fn a_panic_in_an_unbound_frame_poisons_exactly_its_cone() {
+    within_deadline("unbound cone", || {
+        let rt = Runtime::new(1);
+        let [a, b, c, d] = [0u64; 4].map(Shared::new);
+        let ran = Arc::new(AtomicU64::new(0));
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            rt.scope(|ctx| {
+                let count = |bit: u64| {
+                    let ran = Arc::clone(&ran);
+                    move |_: &mut xkaapi::core::Ctx<'_>| {
+                        ran.fetch_or(bit, Ordering::SeqCst);
+                    }
+                };
+                ctx.spawn([a.exclusive()], count(1)); // before the panic
+                ctx.spawn([b.exclusive()], |_| panic!("b failed"));
+                ctx.spawn([a.read()], count(2)); // beside it
+                ctx.spawn([b.read(), c.exclusive()], count(4)); // cone
+                ctx.spawn([c.read(), d.exclusive()], count(8)); // cone
+                ctx.spawn([a.exclusive()], count(16)); // beside it
+                ctx.spawn([d.read()], count(32)); // cone
+            });
+        }))
+        .expect_err("the panic must re-raise");
+        assert!(err.downcast_ref::<&str>().is_some_and(|m| *m == "b failed"));
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            1 | 2 | 16,
+            "exactly the cone skipped"
+        );
+        let s = rt.stats();
+        assert_eq!(s.tasks_panicked, 1);
+        assert_eq!(s.tasks_poisoned, 3);
+        assert_eq!(s.dataflow_pushes, 7, "the failure bound the frame once");
+    });
+}
+
+/// A renameable write pushed after unbound tasks binds them first. They
+/// need no routing, so only the write itself is renamed (its WAR edge to
+/// the earlier reader), and the reader after it sees the written value. A
+/// later scope's read of the handle carries the committed slot in its
+/// lineage, so it binds at push and reads that slot too.
+#[test]
+fn a_renamed_write_after_unbound_tasks_is_seen_by_the_next_reader() {
+    within_deadline("rename after unbound", || {
+        let rt = Runtime::new(1);
+        let h = Shared::renameable(1u64);
+        let plain = Shared::new(0u64);
+        let seen = [0u64; 3].map(AtomicU64::new);
+        rt.scope(|ctx| {
+            let (hr, seen) = (h.clone(), &seen);
+            ctx.spawn([plain.exclusive()], |_| {});
+            ctx.spawn([h.read()], move |t| {
+                seen[0].store(*t.read(&hr), Ordering::SeqCst)
+            });
+            let hw = h.clone();
+            ctx.spawn([h.write()], move |t| *t.write(&hw) = 42);
+            let hr = h.clone();
+            ctx.spawn([h.read()], move |t| {
+                seen[1].store(*t.read(&hr), Ordering::SeqCst)
+            });
+        });
+        let s = rt.stats();
+        assert_eq!(s.renames, 1, "only the write was renamed");
+        assert_eq!(s.dataflow_pushes, 4, "the write bound the prefix");
+        rt.reset_stats();
+        rt.scope(|ctx| {
+            let (hr, seen) = (h.clone(), &seen);
+            ctx.spawn([plain.exclusive()], |_| {});
+            ctx.spawn([h.read()], move |t| {
+                seen[2].store(*t.read(&hr), Ordering::SeqCst)
+            });
+        });
+        assert_eq!(rt.stats().dataflow_pushes, 2, "the lineage bound the frame");
+        let seen = seen.map(|v| v.load(Ordering::SeqCst));
+        assert_eq!(seen, [1, 42, 42]);
+        assert_eq!(*h.get(), 42);
     });
 }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use xkaapi::core::{
     Affinity, AggregatedStealing, EventKind, HierarchicalVictim, LocalityFirst, Runtime, Shared,
-    StealPolicy, Topology,
+    StealPolicy, Topology, TraceSession,
 };
 
 /// Seeded xorshift64* closure: the same seed replays the same choices.
@@ -213,6 +213,17 @@ fn hierarchical_without_escalation_never_steals_off_node() {
     assert_eq!(s.victim_escalations, 0, "the policy never escalates: {s:?}");
 }
 
+/// Remember each worker's last event in `trace`: `Park` means the worker
+/// finished its re-checks and is committed to block, so only a wake starts
+/// it again. A worker with no event in `trace` keeps its earlier one.
+fn note_last_events(trace: &TraceSession, last: &mut [Option<EventKind>]) {
+    for (w, kind) in last.iter_mut().enumerate() {
+        if let Some(e) = trace.events(w).last() {
+            *kind = Some(e.kind);
+        }
+    }
+}
+
 /// A wake goes to a worker that may take the work (`crates/core/src/worker.rs`,
 /// `Near`). With a never-escalating hierarchical policy on two nodes, only
 /// node-1 workers may steal a node-1 worker's spawn, and node-1 workers
@@ -233,10 +244,22 @@ fn wakes_for_node_1_work_land_on_node_1() {
         .topology(topo.clone())
         .tracing(true)
         .build();
+    let mut last = vec![None; workers];
     for round in 0..20 {
-        // Long past the search budget: every worker is parked.
-        std::thread::sleep(Duration::from_millis(5));
-        drop(rt.take_trace());
+        // Wait until every worker is parked: an awake node-0 worker may
+        // drain node 1's inject lane, and a wake may then go to node 0.
+        let t0 = Instant::now();
+        loop {
+            note_last_events(&rt.take_trace(), &mut last);
+            if last.iter().all(|k| *k == Some(EventKind::Park)) {
+                break;
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "round {round}: workers not all parked after 10 s: {last:?}"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
         let (owner, thief) = rt
             .task()
             .affinity(Affinity::Node(1))
@@ -257,6 +280,7 @@ fn wakes_for_node_1_work_land_on_node_1() {
             .unwrap()
             .wait();
         let trace = rt.take_trace();
+        note_last_events(&trace, &mut last);
         for w in topo.workers_on_node(0) {
             let unparks = trace
                 .events(*w)
