@@ -184,12 +184,14 @@ impl RawCtx {
     #[inline]
     fn spawn_common(&mut self, task: Arc<Task>) -> (Arc<Frame>, usize, Arc<Task>) {
         let frame = self.ensure_frame();
-        let stats = &self.rt.workers[self.widx].stats;
-        // Counts the tasks the push binds in `dataflow_pushes`: none while
-        // no thief looked at the frame (`crate::frame`).
-        let out = frame.push(&task, &self.rt.tun.rename, stats);
+        let out = frame.push(&task, &self.rt.tun.rename);
         let idx = out.idx;
+        let stats = &self.rt.workers[self.widx].stats;
         WorkerStats::bump(&stats.tasks_spawned, 1);
+        if out.bound > 0 {
+            // None while no thief looked at the frame (`crate::frame`).
+            WorkerStats::bump(&stats.dataflow_pushes, u64::from(out.bound));
+        }
         if out.renames > 0 {
             WorkerStats::bump(&stats.renames, out.renames as u64);
         }
@@ -337,7 +339,7 @@ pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, tas
     // without running the body so the countdowns still drain.
     if frame.has_failed_pred(idx) {
         let _ = task.take_body();
-        frame.mark_failed(idx, stats); // binds nothing: the frame is bound
+        frame.mark_failed(idx); // binds nothing: the frame is bound
         WorkerStats::bump(&stats.tasks_poisoned, 1);
         complete_and_publish(rt, widx, frame, &task);
         return;
@@ -407,7 +409,8 @@ pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, tas
     // payload and the poison record already in place.
     match (res, fin) {
         (Err(p), _) | (_, Err(p)) => {
-            frame.mark_failed(idx, stats);
+            let bound = frame.mark_failed(idx);
+            WorkerStats::bump(&stats.dataflow_pushes, u64::from(bound));
             frame.set_panic(p);
         }
         _ => {}

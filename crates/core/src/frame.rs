@@ -33,7 +33,6 @@ use crate::access::Access;
 use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
 use crate::dataflow::DataflowEngine;
 use crate::policy::RenamePolicy;
-use crate::stats::WorkerStats;
 use crate::task::{task_arc, Task, ST_DONE, ST_INIT, ST_STOLEN};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -82,18 +81,18 @@ struct FrameInner {
 }
 
 impl FrameInner {
-    /// Bind every task not bound yet, in program order, counting those
-    /// with declared accesses on the binding worker's `stats`; bind at push
-    /// from now on. Returns the renamed accesses. Only a task its push has
+    /// Bind every task not bound yet, in program order, and bind at push
+    /// from now on. Returns the tasks with declared accesses it bound (for
+    /// `dataflow_pushes`) and the renamed accesses. Only a task its push has
     /// just appended can need routing, so no other task's binding (which
     /// its owner may be reading) is written.
-    fn bind_prefix(&mut self, rename: &RenamePolicy, stats: &WorkerStats) -> u32 {
+    fn bind_prefix(&mut self, rename: &RenamePolicy) -> (u32, u32) {
         self.bind_at_push = true;
         let (mut bound, mut renames) = (0, 0);
         let n = self.tasks.len();
         for (i, t) in self.tasks.iter().enumerate().skip(self.engine.len()) {
             let b = self.engine.bind(&t.accesses, rename);
-            bound += u64::from(!t.accesses.is_empty());
+            bound += u32::from(!t.accesses.is_empty());
             renames += b.renames;
             if !b.slots.is_empty() {
                 debug_assert_eq!(i + 1, n, "an unbound task needed routing");
@@ -102,10 +101,7 @@ impl FrameInner {
                 unsafe { t.set_binding(b.slots) };
             }
         }
-        if bound > 0 {
-            WorkerStats::bump(&stats.dataflow_pushes, bound);
-        }
-        renames
+        (bound, renames)
     }
 }
 
@@ -113,6 +109,8 @@ impl FrameInner {
 pub(crate) struct PushOutcome {
     /// Frame index of the pushed task.
     pub(crate) idx: usize,
+    /// Tasks with declared accesses the push bound (`bind_prefix`).
+    pub(crate) bound: u32,
     /// Accesses of the task that were renamed (fresh version slots).
     pub(crate) renames: u32,
     /// The frame is promoted: readiness travels through releases.
@@ -226,12 +224,7 @@ impl Frame {
     /// push, or a task whose accesses need slot routing, binds its unbound
     /// prefix and the task. In a promoted frame the task also links behind
     /// its live predecessors; `released` says the caller must release it.
-    pub(crate) fn push(
-        &self,
-        task: &Arc<Task>,
-        rename: &RenamePolicy,
-        stats: &WorkerStats,
-    ) -> PushOutcome {
+    pub(crate) fn push(&self, task: &Arc<Task>, rename: &RenamePolicy) -> PushOutcome {
         self.pending.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
         let idx = inner.tasks.len();
@@ -242,9 +235,9 @@ impl Frame {
         // A renameable write, or a handle whose data sits in a version slot
         // an earlier scope committed, needs slot routing: bind at once.
         let routed = |a: &Access| a.can_rename() || a.lineage != 0;
-        let mut renames = 0;
+        let (mut bound, mut renames) = (0, 0);
         if inner.bind_at_push || task.accesses.iter().any(routed) {
-            renames = inner.bind_prefix(rename, stats);
+            (bound, renames) = inner.bind_prefix(rename);
         }
         if task.band() != NORMAL_BAND {
             inner.banded = true;
@@ -262,6 +255,7 @@ impl Frame {
         let released = promoted && task.count_down();
         PushOutcome {
             idx,
+            bound,
             renames,
             promoted,
             released,
@@ -341,12 +335,11 @@ impl Frame {
     /// Must be called *before* the task's `complete()` so that any claimant
     /// that later observes the task done also observes the failure record
     /// (the SeqCst completion swap orders the two stores).
-    ///
-    /// Binds the frame first (counting on `stats`), so that
-    /// `has_failed_pred` can read every task's predecessor set.
-    pub(crate) fn mark_failed(&self, idx: usize, stats: &WorkerStats) {
+    /// Binds the frame first, for `has_failed_pred`; returns the tasks with
+    /// declared accesses that bound.
+    pub(crate) fn mark_failed(&self, idx: usize) -> u32 {
         let mut inner = self.inner.lock();
-        inner.bind_prefix(&RenamePolicy::default(), stats); // renames nothing
+        let (bound, _) = inner.bind_prefix(&RenamePolicy::default()); // renames nothing
         let n = inner.tasks.len();
         if inner.failed.len() < n {
             inner.failed.resize(n, false);
@@ -354,6 +347,7 @@ impl Frame {
         inner.failed[idx] = true;
         drop(inner);
         self.any_failed.store(true, Ordering::Release);
+        bound
     }
 
     /// Did any dataflow predecessor of task `idx` fail? The poison check
@@ -376,16 +370,16 @@ impl Frame {
     /// into `out` (cloned under the lock already held, so callers never
     /// re-lock the frame to look a claimed task up again).
     ///
-    /// Binds the unbound prefix first (counting on the scanning worker's
-    /// `stats`), then applies the promotion policy. A call that promotes
-    /// hands every task it finds ready to `release` (unclaimed, for a
-    /// ready list) instead, and returns `true`. A promoted frame is not
-    /// scanned at all: its ready tasks are on ready lists.
+    /// Binds the unbound prefix first (adding its tasks with declared
+    /// accesses to `bound`), then applies the promotion policy. A call that
+    /// promotes hands every task it finds ready to `release` (unclaimed,
+    /// for a ready list) instead, and returns `true`. A promoted frame is
+    /// not scanned at all: its ready tasks are on ready lists.
     pub(crate) fn steal_scan(
         &self,
         max: usize,
         policy: &PromotionPolicy,
-        stats: &WorkerStats,
+        bound: &mut u64,
         out: &mut Vec<Arc<Task>>,
         release: impl FnMut(Arc<Task>),
     ) -> bool {
@@ -397,7 +391,7 @@ impl Frame {
         if self.graph_on.load(Ordering::Relaxed) {
             return false; // promoted while we took the lock
         }
-        inner.bind_prefix(&RenamePolicy::default(), stats); // renames nothing
+        *bound += u64::from(inner.bind_prefix(&RenamePolicy::default()).0); // renames nothing
         if policy.enabled
             && (inner.tasks.len() >= policy.promote_len || scans >= policy.promote_scans)
         {
@@ -560,7 +554,7 @@ mod tests {
 
     fn push_with(f: &Probe, accs: &[Access], rp: &RenamePolicy) {
         let t = task_with(accs);
-        if f.f.push(&t, rp, &WorkerStats::default()).released {
+        if f.f.push(&t, rp).released {
             f.ready.borrow_mut().push_back(t);
         }
     }
@@ -581,8 +575,7 @@ mod tests {
     /// list, oldest first, stale entries skipped.
     fn scan(f: &Probe, max: usize, pol: &PromotionPolicy, promos: &mut u64) -> Vec<usize> {
         let mut out = Vec::new();
-        let stats = WorkerStats::default();
-        let promoted = f.f.steal_scan(max, pol, &stats, &mut out, |t| {
+        let promoted = f.f.steal_scan(max, pol, &mut 0, &mut out, |t| {
             f.ready.borrow_mut().push_back(t)
         });
         *promos += u64::from(promoted);

@@ -404,8 +404,12 @@ impl TaskQueue for DistributedLanes {
                 return Some(WorkItem::fast_banded(job, 0));
             }
         }
-        if let Some(job) = lane.normal.pop() {
-            return Some(WorkItem::fast(job));
+        // An empty lane costs two loads. `None` here is only a hint (the park
+        // re-check reads the same one); `take_job` runs the full protocol.
+        if !lane.normal.is_empty_hint() {
+            if let Some(job) = lane.normal.pop() {
+                return Some(WorkItem::fast(job));
+            }
         }
         if sided {
             if let Some(job) = lane.low.pop_back() {

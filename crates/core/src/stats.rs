@@ -108,14 +108,12 @@ counters! {
     /// the inject lanes, merged in by `Runtime::stats`; zero for
     /// Normal-only floods (the drain short-circuits to the Normal FIFO).
     inject_banded_drains,
-    /// Tasks with declared accesses bound into their frame's data-flow
-    /// engine (`DataflowEngine::bind`), counted on the worker that bound
-    /// them. A frame binds only once a thief scans it, a push needs slot
-    /// routing or a task fails (`crate::frame`), and binds each task at
-    /// most once: a 1-worker pool running plain data flow counts none.
-    /// Recorded-DAG replays (`RecordedDag::replay`) push no tasks for their
-    /// groups, so this counter stays flat across replay iterations — the
-    /// invariant the record-then-replay benchmarks assert.
+    /// Tasks with declared accesses bound (`DataflowEngine::bind`), each
+    /// once, on the worker that bound them: a frame binds only once a thief
+    /// scans it, a push needs slot routing or a task fails (`crate::frame`),
+    /// so a 1-worker pool running plain data flow counts none. Replays
+    /// (`RecordedDag::replay`) push no tasks, so this counter stays flat
+    /// across replay iterations, as the record-then-replay benchmarks assert.
     dataflow_pushes,
     /// Task bodies that panicked. The worker survives: the payload is
     /// captured, the frame is poisoned and the first payload re-raises at

@@ -154,20 +154,17 @@ fn serve(
     // promotion releases the frame's ready tasks onto the victim's ready
     // list, where step 2 finds them. One scratch Vec for the whole pass.
     let frames = victim.frames.lock();
-    let mut promotions = 0u64;
+    let (mut promotions, mut bound) = (0u64, 0u64);
     let mut claimed: Vec<Arc<Task>> = Vec::new();
     for f in frames.iter().filter(|f| !f.promoted()) {
         if grabs.len() >= k {
             break;
         }
         let mut release = Release::to(rt, me, victim_idx);
-        let promoted = f.steal_scan(
-            k - grabs.len(),
-            &rt.tun.promotion,
-            my_stats,
-            &mut claimed,
-            |t| release.push(t),
-        );
+        let max = k - grabs.len();
+        let promoted = f.steal_scan(max, &rt.tun.promotion, &mut bound, &mut claimed, |t| {
+            release.push(t)
+        });
         release.finish();
         promotions += u64::from(promoted);
         for task in claimed.drain(..) {
@@ -177,6 +174,9 @@ fn serve(
     drop(frames);
     if promotions > 0 {
         WorkerStats::bump(&my_stats.promotions, promotions);
+    }
+    if bound > 0 {
+        WorkerStats::bump(&my_stats.dataflow_pushes, bound);
     }
 
     // 2. Ready lists: each unserved thief takes the oldest half of the
@@ -465,16 +465,20 @@ pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Frame) {
     debug_assert!(rt.queue.centralized());
     let mut claimed: Vec<Arc<Task>> = Vec::new();
     let mut release = Release::to(rt, me, me);
-    let stats = &rt.workers[me].stats;
-    let promoted = frame.steal_scan(usize::MAX, &rt.tun.promotion, stats, &mut claimed, |t| {
+    let (pol, mut bound) = (&rt.tun.promotion, 0);
+    let promoted = frame.steal_scan(usize::MAX, pol, &mut bound, &mut claimed, |t| {
         release.push(t)
     });
     for task in claimed {
         release.push_claimed(task);
     }
     release.finish();
+    let stats = &rt.workers[me].stats;
     if promoted {
         WorkerStats::bump(&stats.promotions, 1);
+    }
+    if bound > 0 {
+        WorkerStats::bump(&stats.dataflow_pushes, bound);
     }
 }
 

@@ -59,9 +59,8 @@ pub(crate) struct Task {
     pub(crate) attrs: TaskAttrs,
     /// Version-slot routing parallel to `accesses`, written at most once,
     /// by a `Frame::push` that binds the task (under the frame lock, before
-    /// the task is claimable), and read-only afterwards. A task bound
-    /// later, with its frame's prefix, keeps the all-default sentinel: it
-    /// has no access that needs routing.
+    /// the task is claimable). A task bound later keeps the all-default
+    /// sentinel: it has no access that needs routing.
     binding: UnsafeCell<Box<[SlotBinding]>>,
     /// The frame the task was pushed into, written once by `Frame::push`
     /// (like `binding`). Null until then.

@@ -872,7 +872,7 @@ impl Work {
 /// worker's own ready list (one relaxed load when it is empty), then the
 /// queue layer (own lane, or the shared pool under a central queue). The
 /// list goes first because a thief working through released tasks finds
-/// its next one there, and an empty lane's pop takes the lane lock.
+/// its next one there.
 fn acquire_local(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
     if let Some(task) = rt.workers[idx].ready.pop() {
         return Some(Work::Grab(Grab::Task(task)));
