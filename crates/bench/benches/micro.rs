@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the runtime primitives the paper's §III-A discusses
 //! (task creation ≈ ten cycles in the original C implementation; we report
 //! our own numbers honestly), plus ablation comparisons: scheduler policy
-//! matrix, aggregation on/off, ready-list promotion on/off, loop grain
-//! sweep, and the kernel/bookkeeping costs behind the figure harnesses.
+//! matrix, aggregation on/off, loop grain sweep, and the kernel/bookkeeping
+//! costs behind the figure harnesses.
 //!
 //! Self-contained harness (`harness = false`; the container has no registry
 //! access for criterion): median-of-N wall times via
@@ -12,9 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xkaapi_bench::{measure_ns, print_table, SchedPolicy};
-use xkaapi_core::{
-    AggregatedStealing, PerThiefStealing, PromotionPolicy, Runtime, Shared, StealPolicy,
-};
+use xkaapi_core::{AggregatedStealing, PerThiefStealing, Runtime, Shared, StealPolicy};
 use xkaapi_forkjoin::the_deque::{JobRef, TheDeque};
 
 struct Bench {
@@ -158,28 +156,19 @@ fn bench_policy_matrix(b: &mut Bench) {
 }
 
 fn bench_dataflow(b: &mut Bench) {
-    for (label, promote) in [("readylist-on", true), ("readylist-off", false)] {
-        let rt = Runtime::builder()
-            .workers(2)
-            .promotion(PromotionPolicy {
-                enabled: promote,
-                promote_len: 16,
-                promote_scans: 4,
-            })
-            .build();
-        b.run("dataflow", &format!("chain256 {label}"), 256, || {
-            let h = Shared::new(0u64);
-            rt.scope(|ctx| {
-                for _ in 0..256 {
-                    let hw = h.clone();
-                    ctx.spawn([h.exclusive()], move |t| {
-                        *t.write(&hw) += 1;
-                    });
-                }
-            });
-            assert_eq!(*h.get(), 256);
+    let rt = Runtime::builder().workers(2).build();
+    b.run("dataflow", "chain256", 256, || {
+        let h = Shared::new(0u64);
+        rt.scope(|ctx| {
+            for _ in 0..256 {
+                let hw = h.clone();
+                ctx.spawn([h.exclusive()], move |t| {
+                    *t.write(&hw) += 1;
+                });
+            }
         });
-    }
+        assert_eq!(*h.get(), 256);
+    });
     let policies: [(&str, Arc<dyn StealPolicy>); 2] = [
         ("aggregation-on", Arc::new(AggregatedStealing)),
         ("aggregation-off", Arc::new(PerThiefStealing)),

@@ -1,10 +1,10 @@
 //! Ablation study of the scheduler optimisations the paper singles out
-//! (§II-C): steal-request **aggregation**, the **ready-list** (graph mode)
-//! acceleration and write-only **renaming** (WAR/WAW elimination) — plus
-//! the adaptive-loop grain and the **victim-selection** sweep (uniform ×
-//! hierarchical × locality-first over the queue layers, with the
-//! same-node-steal locality property asserted on a modelled 2-node
-//! machine), and the **injection subsystem** sweep: scope-via-submit
+//! (§II-C): steal-request **aggregation** and write-only **renaming**
+//! (WAR/WAW elimination) — plus the adaptive-loop grain and the
+//! **victim-selection** sweep (uniform × hierarchical × locality-first
+//! over the queue layers, with the same-node-steal locality property
+//! asserted on a modelled 2-node machine), and the **injection
+//! subsystem** sweep: scope-via-submit
 //! checksums across every queue/steal policy plus the own-lane-drain
 //! dominance property of the sharded inject lanes.
 //!
@@ -25,8 +25,7 @@ use xkaapi_bench::{
 };
 use xkaapi_core::dataflow::DataflowEngine;
 use xkaapi_core::{
-    AggregatedStealing, PerThiefStealing, PromotionPolicy, RenamePolicy, Runtime, Shared,
-    StealPolicy, Topology,
+    AggregatedStealing, PerThiefStealing, RenamePolicy, Runtime, Shared, StealPolicy, Topology,
 };
 use xkaapi_linalg::{cholesky_seq, cholesky_xkaapi, RecordedCholesky, TiledMatrix};
 use xkaapi_sim::{simulate_dag, DagPolicy, Platform, SimTask, TaskDag};
@@ -168,7 +167,7 @@ fn submit_workload(rt: &Arc<Runtime>) -> u64 {
 }
 
 fn main() {
-    println!("# Ablations: scheduler policy matrix, aggregation, ready-list & renaming");
+    println!("# Ablations: scheduler policy matrix, aggregation & renaming");
 
     // --- the engine's policy matrix: one enum flips queue & steal layer --
     // Each configuration runs the workload twice: once through the legacy
@@ -520,43 +519,6 @@ fn main() {
                 format!("{:.3}", hier.steal_locality_ratio()),
             ],
         ],
-    );
-
-    // --- real: ready-list on/off on a wide data-flow frame --------------
-    let mut rows = Vec::new();
-    for (label, enabled) in [("ready-list ON", true), ("ready-list OFF", false)] {
-        let rt = Runtime::builder()
-            .workers(4)
-            .promotion(PromotionPolicy {
-                enabled,
-                promote_len: 16,
-                promote_scans: 2,
-            })
-            .build();
-        let t = measure_ns(5, || {
-            let handles: Vec<Shared<u64>> = (0..512).map(|_| Shared::new(0)).collect();
-            rt.scope(|ctx| {
-                for h in &handles {
-                    let hw = h.clone();
-                    ctx.spawn([h.write()], move |t| {
-                        *t.write(&hw) += 1;
-                        std::hint::black_box((0..500).sum::<u64>());
-                    });
-                }
-            });
-        });
-        let s = rt.stats();
-        rows.push(vec![
-            label.into(),
-            format!("{:.2}", t as f64 / 1e6),
-            s.promotions.to_string(),
-            s.tasks_executed_stolen.to_string(),
-        ]);
-    }
-    print_table(
-        "Real: 512 independent writers, 4 workers (this host)",
-        &["variant", "time (ms)", "promotions", "stolen"],
-        &rows,
     );
 
     // --- real: aggregation on/off under thief pressure ------------------

@@ -203,9 +203,10 @@ impl RawCtx {
                 release.finish();
             }
         } else if self.rt.queue.centralized() {
-            // Insertion-time scheduling: ready tasks go straight to the
-            // shared queue (QUARK/libGOMP model), even with one worker.
-            crate::steal::publish_ready(&self.rt, self.widx, &frame);
+            // Insertion-time scheduling (QUARK/libGOMP model), even with one
+            // worker: the first spawn promotes the frame, so every ready
+            // task goes straight to the shared queue from then on.
+            crate::steal::promote(&self.rt, self.widx, self.widx, &frame);
         } else if self.rt.num_workers() > 1 {
             self.rt.notify_work(Near::Worker(self.widx), 1);
         }
@@ -423,11 +424,8 @@ pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, tas
 /// frame's last completion.
 pub(crate) fn complete_and_publish(rt: &Arc<RtInner>, widx: usize, frame: &Frame, task: &Task) {
     task.complete();
-    let central = rt.queue.centralized();
-    if central && !frame.promoted() {
-        // Completion may have made successors ready.
-        crate::steal::publish_ready(rt, widx, frame);
-    }
+    // A centralized queue promotes a frame at its first spawn.
+    debug_assert!(!rt.queue.centralized() || frame.promoted());
     let mut release = None;
     let done = frame.complete_task(task, |t| {
         release
@@ -437,8 +435,8 @@ pub(crate) fn complete_and_publish(rt: &Arc<RtInner>, widx: usize, frame: &Frame
     if let Some(release) = release {
         release.finish();
     }
-    if !done.promoted && !central && done.left > 0 && rt.num_workers() > 1 {
-        // An unpromoted frame's successors are found by steal scans.
+    if !done.promoted && done.left > 0 && rt.num_workers() > 1 {
+        // An unpromoted frame's successors are found by its first steal scan.
         rt.notify_work(Near::Worker(widx), 1);
     }
 }
@@ -496,15 +494,10 @@ impl<'a> Release<'a> {
             self.list.push(task);
             self.listed += 1;
         } else if task.try_claim(ST_STOLEN) {
-            self.push_claimed(task);
-        }
-    }
-
-    /// Publish a task already claimed into the centralized queue.
-    pub(crate) fn push_claimed(&mut self, task: Arc<Task>) {
-        match self.rt.queue.push(self.widx, WorkItem::task(task)) {
-            Ok(()) => self.queued += 1,
-            Err(item) => self.refused.push(item),
+            match self.rt.queue.push(self.widx, WorkItem::task(task)) {
+                Ok(()) => self.queued += 1,
+                Err(item) => self.refused.push(item),
+            }
         }
     }
 
@@ -596,6 +589,7 @@ impl<'scope> Ctx<'scope> {
 
     #[inline]
     fn raw_mut(&mut self) -> &mut RawCtx {
+        // SAFETY: as in `raw`; `&mut self` makes this the only borrow.
         unsafe { &mut *self.raw }
     }
 
@@ -728,7 +722,11 @@ impl<'scope> Ctx<'scope> {
             F: FnOnce(&mut RawCtx) -> R + Send,
             R: Send,
         {
+            // SAFETY: `data` is the `StackJob<F, R>` that `jref_of` typed
+            // it from, alive until the join sees a terminal state.
             let job = unsafe { &*(data as *const StackJob<F, R>) };
+            // SAFETY: one executor per job (the deque hands it out once),
+            // and the joiner reads no field before the terminal state.
             let f = unsafe { (*job.f.get()).take().expect("fast job run twice") };
             let mut raw = RawCtx::new(rt, widx);
             // The joining context outlives the job (see `Under`).
@@ -742,11 +740,15 @@ impl<'scope> Ctx<'scope> {
             // Publishing the terminal state is the LAST access to the record.
             match (run, fin) {
                 (Ok(v), Ok(())) => {
+                    // SAFETY: the joiner reads `result` only after the
+                    // `Release` store of `J_DONE` below.
                     unsafe { *job.result.get() = Some(v) };
                     job.state
                         .store(J_DONE, std::sync::atomic::Ordering::Release);
                 }
                 (Err(p), _) | (_, Err(p)) => {
+                    // SAFETY: the joiner reads `panic` only after the
+                    // `Release` store of `J_PANIC` below.
                     unsafe { *job.panic.get() = Some(p) };
                     job.state
                         .store(J_PANIC, std::sync::atomic::Ordering::Release);
@@ -833,6 +835,8 @@ impl<'scope> Ctx<'scope> {
         };
         match job.state.load(std::sync::atomic::Ordering::Acquire) {
             J_DONE => {
+                // SAFETY: the `Acquire` load saw `J_DONE`: the executor
+                // wrote `result` before it and touches the job no more.
                 let rb = unsafe { (*job.result.get()).take() };
                 (
                     ra,
@@ -840,6 +844,7 @@ impl<'scope> Ctx<'scope> {
                 )
             }
             J_PANIC => {
+                // SAFETY: as for `J_DONE`, with `panic`.
                 let p = unsafe { (*job.panic.get()).take().unwrap() };
                 resume_unwind(p)
             }
@@ -1014,8 +1019,8 @@ impl<'scope> Ctx<'scope> {
 /// terminates in [`TaskBuilder::spawn`] (a non-blocking data-flow task,
 /// exactly [`Ctx::spawn`]'s semantics) or [`TaskBuilder::join`] (a
 /// fork-join pair on the fast lane). The attributes are consumed at every
-/// layer the task crosses: the [`Priority`] band orders queue pops, ready
-/// lists and steal scans, and the [`Affinity`] steers which thief a ready
+/// layer the task crosses: the [`Priority`] band orders queue pops and
+/// ready lists, and the [`Affinity`] steers which thief a ready
 /// task is served to.
 ///
 /// ```

@@ -7,14 +7,11 @@
 //! graph — and its **slot routing** (which buffer of the handle each access
 //! must touch).
 //!
-//! Both execution strategies of a frame (`crate::frame::Frame`) are built
-//! on this one engine, so they can never disagree:
-//!
-//! * **scan mode** answers "is task *i* ready?" by checking that every
-//!   recorded predecessor completed — an incremental check that replaced
-//!   the seed's O(n²) pairwise `tasks_conflict` scan;
-//! * a **promoted** frame links each task behind the same predecessors:
-//!   per-task countdowns and successor cells (`crate::task`).
+//! A frame (`crate::frame::Frame`) binds its tasks into this one engine
+//! when a thief first looks at it, and its promotion links each task behind
+//! the recorded predecessors: per-task countdowns and successor cells
+//! (`crate::task`). That replaced the seed's O(n²) pairwise
+//! `tasks_conflict` scan.
 //!
 //! On top of the chains the engine implements **renaming** (`DESIGN.md` §2):
 //! a write-only access on a full version of a renameable handle is granted a

@@ -6,7 +6,7 @@
 //! pushes a job record living *on the joining stack frame* (no allocation)
 //! into the worker's T.H.E. deque; the owner pops LIFO with one fence,
 //! thieves steal FIFO under the lane lock, and the elected combiner serves
-//! steal requests from this lane before scanning data-flow frames.
+//! steal requests from this lane before promoting data-flow frames.
 //!
 //! Soundness of the stack storage: a join never returns before its job
 //! reached a terminal state, and a terminal state is the executor's last
@@ -27,6 +27,8 @@ pub(crate) struct FastJob {
     pub(crate) exec: unsafe fn(*mut (), &Arc<RtInner>, usize),
 }
 
+// SAFETY: `data` points at a `StackJob` whose closure and result are
+// `Send`; whichever worker runs it, the joiner waits for it to finish.
 unsafe impl Send for FastJob {}
 
 impl FastJob {
@@ -34,6 +36,8 @@ impl FastJob {
     /// The job record must still be alive and not yet executed.
     #[inline]
     pub(crate) unsafe fn execute(self, rt: &Arc<RtInner>, widx: usize) {
+        // SAFETY: the caller's contract; `exec` is the function `data` was
+        // typed for.
         unsafe { (self.exec)(self.data, rt, widx) }
     }
 }
@@ -57,6 +61,7 @@ pub(crate) struct FastLane {
 // Safety: slots are written by the owner before the tail Release store and
 // read by thieves under the lock / after the fence protocol.
 unsafe impl Sync for FastLane {}
+// SAFETY: the lane owns its slots; a `FastJob` is `Send`.
 unsafe impl Send for FastLane {}
 
 impl FastLane {

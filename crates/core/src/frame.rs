@@ -4,76 +4,46 @@
 //! A frame holds the children one task (or one scope) spawned, in program
 //! order. *Binding* a task into the frame's [`DataflowEngine`] (version
 //! chains, see [`crate::dataflow`]) records its predecessor set and its
-//! version-slot routing once, and every thief-side strategy reads that
-//! single source of truth:
+//! version-slot routing once:
 //!
 //! * the owner executes FIFO without consulting dependencies at all
 //!   (work-first: program order is always valid), so a frame binds
 //!   nothing until a thief scans it, a push needs slot routing or a task
 //!   fails; then it binds its unbound prefix, and every later push at
 //!   push time (`DESIGN.md` §2, "Lazy binding");
-//! * while the frame is unpromoted, a thief proves a task ready with an
-//!   incremental check — every recorded predecessor completed — under the
-//!   frame lock;
-//! * when steal scans become frequent the frame is *promoted*: every task
-//!   gets a countdown of its live predecessors and links into their
-//!   successor cells ([`crate::task`]), and from then on readiness moves
-//!   with the tasks, not through the frame. A completion seals its cell and
-//!   counts its successors down; a task whose count reaches zero, or that
-//!   is pushed or promoted with no live predecessor, is *released* onto
-//!   the ready list of the worker that released it (`crate::worker`), or
-//!   into the shared queue under a centralized one. Thieves take work from
-//!   those lists and never lock the frame — the paper's "accelerating data
+//! * the first steal scan (under a centralized queue, the first spawn)
+//!   binds the frame and *promotes* it: every task gets a countdown of its
+//!   live predecessors and links into their successor cells
+//!   ([`crate::task`]), and from then on readiness moves with the tasks,
+//!   not through the frame. A completion seals its cell and counts its
+//!   successors down; a task whose count reaches zero, or that is pushed
+//!   or promoted with no live predecessor, is *released* onto the ready
+//!   list of the worker that released it (`crate::worker`), or into the
+//!   shared queue under a centralized one. Thieves take work from those
+//!   lists and never lock the frame — the paper's "accelerating data
 //!   structure for steal operations".
 //!
 //! After promotion only the owner's push (binding), the release of renamed
 //! version slots and `mark_failed` take the frame lock.
 
 use crate::access::Access;
-use crate::attrs::{NORMAL_BAND, PRIORITY_BANDS};
 use crate::dataflow::DataflowEngine;
 use crate::policy::RenamePolicy;
-use crate::task::{task_arc, Task, ST_DONE, ST_INIT, ST_STOLEN};
+use crate::task::{task_arc, Task, ST_DONE, ST_INIT};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Knobs controlling promotion to per-task readiness; part of the runtime
-/// tunables so ablation benchmarks can disable the optimisation.
-#[derive(Clone, Copy, Debug)]
-pub struct PromotionPolicy {
-    /// Promote when a steal scan visits a frame with at least this many tasks.
-    pub promote_len: usize,
-    /// Promote after this many steal scans of the same frame.
-    pub promote_scans: usize,
-    /// Master switch; `false` keeps scan-based steals forever.
-    pub enabled: bool,
-}
-
-impl Default for PromotionPolicy {
-    fn default() -> Self {
-        PromotionPolicy {
-            promote_len: 16,
-            promote_scans: 4,
-            enabled: true,
-        }
-    }
-}
-
 struct FrameInner {
     tasks: Vec<Arc<Task>>,
-    /// The single dependency implementation every mode reads: version
-    /// chains, predecessor sets, slot routing. It covers the bound prefix
+    /// The single dependency implementation: version chains, predecessor
+    /// sets, slot routing. It covers the bound prefix
     /// `tasks[..engine.len()]`: every task once `bind_at_push` is set.
     engine: DataflowEngine,
     /// Set, with the prefix bound, by the first scan, routed push or
     /// failure: the frame binds at push from then on.
     bind_at_push: bool,
-    /// Any pushed task outside the default priority band? When false the
-    /// scan path stays single-pass (the hot default); when true scans run
-    /// one pass per band, highest first.
-    banded: bool,
     /// Per-task failure record (panicked, or poisoned by a failed
     /// predecessor). Lazily sized: stays empty until the first failure, so
     /// the push fast path never touches it.
@@ -144,8 +114,6 @@ pub(crate) struct Frame {
     cursor: AtomicUsize,
     /// Set (under the lock, `SeqCst`) when the frame has been promoted.
     graph_on: AtomicBool,
-    /// Steal scans observed, for the promotion heuristic.
-    scans: AtomicUsize,
     /// Lock-free "a panic is recorded" hint (fast path of `take_panic`).
     has_panic: AtomicBool,
     /// First panic raised by a child, rethrown at the owner's sync.
@@ -164,7 +132,6 @@ impl Frame {
                 tasks: Vec::new(),
                 engine: DataflowEngine::new(),
                 bind_at_push: false,
-                banded: false,
                 failed: Vec::new(),
             }),
             owner,
@@ -172,7 +139,6 @@ impl Frame {
             pending: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
             graph_on: AtomicBool::new(false),
-            scans: AtomicUsize::new(0),
             has_panic: AtomicBool::new(false),
             panic: Mutex::new(None),
             any_failed: AtomicBool::new(false),
@@ -239,9 +205,6 @@ impl Frame {
         if inner.bind_at_push || task.accesses.iter().any(routed) {
             (bound, renames) = inner.bind_prefix(rename);
         }
-        if task.band() != NORMAL_BAND {
-            inner.banded = true;
-        }
         // Promotion happens under this lock, so the flag is stable here.
         let promoted = self.graph_on.load(Ordering::Relaxed);
         if promoted {
@@ -303,6 +266,8 @@ impl Frame {
                 // reached zero, and it is held by `tasks` until `reset`.
                 let s = unsafe { s.as_ref() };
                 if s.count_down() {
+                    // SAFETY: taken from the cell this completion sealed,
+                    // so `tasks` holds it (see `task_arc`).
                     release(unsafe { task_arc(s.into()) });
                 }
             }
@@ -366,95 +331,22 @@ impl Frame {
             .any(|&p| inner.failed.get(p as usize).copied().unwrap_or(false))
     }
 
-    /// Steal scan of an unpromoted frame: claim up to `max` ready tasks
-    /// into `out` (cloned under the lock already held, so callers never
-    /// re-lock the frame to look a claimed task up again).
-    ///
-    /// Binds the unbound prefix first (adding its tasks with declared
-    /// accesses to `bound`), then applies the promotion policy. A call that
-    /// promotes hands every task it finds ready to `release` (unclaimed,
-    /// for a ready list) instead, and returns `true`. A promoted frame is
-    /// not scanned at all: its ready tasks are on ready lists.
-    pub(crate) fn steal_scan(
-        &self,
-        max: usize,
-        policy: &PromotionPolicy,
-        bound: &mut u64,
-        out: &mut Vec<Arc<Task>>,
-        release: impl FnMut(Arc<Task>),
-    ) -> bool {
-        if max == 0 || self.pending.load(Ordering::Acquire) == 0 || self.promoted() {
-            return false;
+    /// The first steal scan of a frame (or, under a centralized queue,
+    /// its first spawn): bind the unbound prefix and promote, handing every
+    /// task ready now to `release` (unclaimed, for a ready list). Returns
+    /// the tasks with declared accesses it bound when this call promoted,
+    /// `None` when the frame has no pending work or was promoted before.
+    pub(crate) fn bind_and_promote(&self, release: impl FnMut(Arc<Task>)) -> Option<u32> {
+        if self.pending.load(Ordering::Acquire) == 0 || self.promoted() {
+            return None;
         }
-        let scans = self.scans.fetch_add(1, Ordering::Relaxed) + 1;
         let mut inner = self.inner.lock();
         if self.graph_on.load(Ordering::Relaxed) {
-            return false; // promoted while we took the lock
+            return None; // promoted while we took the lock
         }
-        *bound += u64::from(inner.bind_prefix(&RenamePolicy::default()).0); // renames nothing
-        if policy.enabled
-            && (inner.tasks.len() >= policy.promote_len || scans >= policy.promote_scans)
-        {
-            self.promote(&inner, release);
-            return true;
-        }
-
-        // Scan mode: oldest-first incremental readiness against the version
-        // chains — a task is ready when every predecessor the engine
-        // recorded for it has completed (the edges promotion links). The
-        // band check is hoisted out of the loop: a frame that never saw a
-        // non-default band (the hot case) runs one branch-free oldest-first
-        // pass; only banded frames pay one pass per band (highest first) so
-        // high-priority ready tasks are claimed before low-priority ones.
-        let FrameInner {
-            tasks,
-            engine,
-            banded,
-            ..
-        } = &*inner;
-        let n = tasks.len();
-        if !*banded {
-            for i in 0..n {
-                if out.len() >= max {
-                    break;
-                }
-                let t = &tasks[i];
-                if t.state() != ST_INIT {
-                    continue;
-                }
-                if !engine.preds(i).iter().all(|&p| tasks[p as usize].is_done()) {
-                    continue;
-                }
-                if t.try_claim(ST_STOLEN) {
-                    out.push(Arc::clone(t));
-                }
-            }
-            return false;
-        }
-        for pass in 0..PRIORITY_BANDS {
-            if out.len() >= max {
-                break;
-            }
-            for i in 0..n {
-                if out.len() >= max {
-                    break;
-                }
-                let t = &tasks[i];
-                if t.band() as usize != pass {
-                    continue;
-                }
-                if t.state() != ST_INIT {
-                    continue;
-                }
-                if !engine.preds(i).iter().all(|&p| tasks[p as usize].is_done()) {
-                    continue;
-                }
-                if t.try_claim(ST_STOLEN) {
-                    out.push(Arc::clone(t));
-                }
-            }
-        }
-        false
+        let (bound, _) = inner.bind_prefix(&RenamePolicy::default()); // renames nothing
+        self.promote(&inner, release);
+        Some(bound)
     }
 
     /// Promote (under the frame lock): switch readiness to the per-task
@@ -501,13 +393,11 @@ impl Frame {
         inner.tasks.clear(); // keeps the Vec capacity
         inner.engine.clear();
         inner.bind_at_push = false;
-        inner.banded = false;
         inner.failed.clear();
         drop(inner);
         self.len.store(0, Ordering::Relaxed);
         self.cursor.store(0, Ordering::Relaxed);
         self.graph_on.store(false, Ordering::Relaxed);
-        self.scans.store(0, Ordering::Relaxed);
         self.has_panic.store(false, Ordering::Relaxed);
         self.any_failed.store(false, Ordering::Relaxed);
         debug_assert!(self.panic.lock().is_none());
@@ -518,7 +408,7 @@ impl Frame {
 mod tests {
     use super::*;
     use crate::access::{Access, AccessMode, HandleId, Region};
-    use crate::task::{Task, ST_OWNER};
+    use crate::task::{Task, ST_OWNER, ST_STOLEN};
 
     fn task_with(accs: &[Access]) -> Arc<Task> {
         Arc::new(Task::new(
@@ -569,24 +459,28 @@ mod tests {
         Access::new(HandleId(h), Region::All, mode)
     }
 
-    /// Steal-scan returning claimed indices only (tests compare index sets;
-    /// the carried `Arc<Task>`s are exercised by the engine paths). A
-    /// promoted frame's ready tasks are claimed from the probe's ready
-    /// list, oldest first, stale entries skipped.
-    fn scan(f: &Probe, max: usize, pol: &PromotionPolicy, promos: &mut u64) -> Vec<usize> {
-        let mut out = Vec::new();
-        let promoted = f.f.steal_scan(max, pol, &mut 0, &mut out, |t| {
-            f.ready.borrow_mut().push_back(t)
-        });
-        *promos += u64::from(promoted);
-        let mut ready = f.ready.borrow_mut();
-        while out.len() < max {
-            let Some(t) = ready.pop_front() else { break };
-            if t.try_claim(ST_STOLEN) {
-                out.push(t);
-            }
-        }
-        out.into_iter().map(|t| t.idx()).collect()
+    /// A thief's look at the frame: promote it (the first time only,
+    /// counted in `promos`), then claim every listed task, stale entries
+    /// skipped. Returns the claimed indices, sorted.
+    fn scan(f: &Probe, promos: &mut u64) -> Vec<usize> {
+        let promoted = f.f.bind_and_promote(|t| f.ready.borrow_mut().push_back(t));
+        *promos += u64::from(promoted.is_some());
+        let mut out: Vec<usize> = f
+            .ready
+            .borrow_mut()
+            .drain(..)
+            .filter(|t| t.try_claim(ST_STOLEN))
+            .map(|t| t.idx())
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn finish(f: &Probe, idx: usize) {
+        let t = f.task(idx);
+        let _ = t.take_body();
+        t.complete();
+        f.f.complete_task(&t, |s| f.ready.borrow_mut().push_back(s));
     }
 
     #[test]
@@ -600,40 +494,38 @@ mod tests {
     }
 
     #[test]
+    fn first_scan_promotes_a_one_task_frame() {
+        let f = Probe::new();
+        push(&f, &[acc(1, AccessMode::Write)]);
+        assert!(!f.promoted(), "the owner's push alone stays lazy");
+        let mut promos = 0;
+        assert_eq!(scan(&f, &mut promos), vec![0]);
+        assert!(f.promoted());
+        assert_eq!(promos, 1);
+        finish(&f, 0);
+        assert!(scan(&f, &mut promos).is_empty());
+        assert_eq!(promos, 1, "a promoted frame is not promoted again");
+    }
+
+    #[test]
     fn scan_finds_independent_tasks_ready() {
         let f = Probe::new();
         push(&f, &[]);
         push(&f, &[]);
-        let mut promos = 0;
-        let out = scan(
-            &f,
-            8,
-            &PromotionPolicy {
-                enabled: false,
-                ..Default::default()
-            },
-            &mut promos,
-        );
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(scan(&f, &mut 0), vec![0, 1]);
     }
 
     #[test]
     fn scan_respects_raw_dependency() {
         let f = Probe::new();
-        let w = acc(9, AccessMode::Write);
-        let r = acc(9, AccessMode::Read);
-        push(&f, &[w]);
-        push(&f, &[r]);
-        let pol = PromotionPolicy {
-            enabled: false,
-            ..Default::default()
-        };
+        push(&f, &[acc(9, AccessMode::Write)]);
+        push(&f, &[acc(9, AccessMode::Read)]);
         let mut promos = 0;
         // only the writer is ready
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
+        assert_eq!(scan(&f, &mut promos), vec![0]);
         // finish the writer; now the reader becomes ready
         finish(&f, 0);
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
+        assert_eq!(scan(&f, &mut promos), vec![1]);
     }
 
     #[test]
@@ -643,36 +535,19 @@ mod tests {
         push(&f, &[acc(1, AccessMode::Read)]);
         push(&f, &[acc(1, AccessMode::Read)]);
         push(&f, &[acc(1, AccessMode::Write)]);
-        let pol = PromotionPolicy {
-            enabled: false,
-            ..Default::default()
-        };
         let mut promos = 0;
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
+        assert_eq!(scan(&f, &mut promos), vec![0]);
         finish(&f, 0);
         // both readers, not the second writer
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1, 2]);
-    }
-
-    fn finish(f: &Probe, idx: usize) {
-        let t = f.task(idx);
-        let _ = t.take_body();
-        t.complete();
-        f.f.complete_task(&t, |s| f.ready.borrow_mut().push_back(s));
+        assert_eq!(scan(&f, &mut promos), vec![1, 2]);
     }
 
     #[test]
     fn promoted_frame_takes_no_frame_lock_to_complete() {
-        let pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         push(&f, &[acc(1, AccessMode::Read)]);
-        let mut promos = 0;
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
+        assert_eq!(scan(&f, &mut 0), vec![0]);
         let t0 = f.task(0);
         let _ = t0.take_body();
         t0.complete();
@@ -694,83 +569,56 @@ mod tests {
 
     #[test]
     fn promotion_builds_equivalent_ready_set() {
-        let pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         push(&f, &[acc(1, AccessMode::Read)]);
         push(&f, &[acc(2, AccessMode::Write)]);
         let mut promos = 0;
-        let mut out = scan(&f, 8, &pol, &mut promos);
+        assert_eq!(scan(&f, &mut promos), vec![0, 2]); // h1 writer + h2 writer; reader blocked
         assert_eq!(promos, 1);
         assert!(f.promoted());
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 2]); // h1 writer + h2 writer; reader blocked
         finish(&f, 0);
         finish(&f, 2);
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
+        assert_eq!(scan(&f, &mut promos), vec![1]);
         assert_eq!(promos, 1); // promoted once only
     }
 
     #[test]
     fn promotion_accounts_already_done_tasks() {
-        let pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         push(&f, &[acc(1, AccessMode::Read)]);
         // Owner runs task 0 before any steal.
         assert!(f.task(0).try_claim(ST_OWNER));
         finish(&f, 0);
-        let mut promos = 0;
         // reader ready because writer already done
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
+        assert_eq!(scan(&f, &mut 0), vec![1]);
     }
 
     #[test]
     fn graph_mode_incremental_push() {
-        let pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let f = Probe::new();
         push(&f, &[acc(1, AccessMode::Write)]);
         let mut promos = 0;
-        // max=0: no-op (pending>0, but max==0 short-circuits)
-        assert!(scan(&f, 0, &pol, &mut promos).is_empty());
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
+        assert_eq!(scan(&f, &mut promos), vec![0]);
         // push after promotion: dependency on in-flight task 0
         push(&f, &[acc(1, AccessMode::Read)]);
-        assert!(scan(&f, 8, &pol, &mut promos).is_empty());
+        assert!(scan(&f, &mut promos).is_empty());
         finish(&f, 0);
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
+        assert_eq!(scan(&f, &mut promos), vec![1]);
     }
 
     #[test]
     fn cumulative_writes_commute() {
-        let pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let f = Probe::new();
         push(&f, &[acc(3, AccessMode::CumulWrite)]);
         push(&f, &[acc(3, AccessMode::CumulWrite)]);
         push(&f, &[acc(3, AccessMode::Read)]);
         let mut promos = 0;
-        let mut out = scan(&f, 8, &pol, &mut promos);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]); // both reductions concurrent, reader waits
+        assert_eq!(scan(&f, &mut promos), vec![0, 1]); // both reductions concurrent, reader waits
         finish(&f, 0);
         finish(&f, 1);
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![2]);
+        assert_eq!(scan(&f, &mut promos), vec![2]);
     }
 
     #[test]
@@ -780,39 +628,11 @@ mod tests {
         push(&f, &[p(0, 0, AccessMode::Write)]);
         push(&f, &[p(1, 1, AccessMode::Write)]);
         push(&f, &[p(0, 0, AccessMode::Read), p(1, 1, AccessMode::Write)]);
-        for pol in [
-            PromotionPolicy {
-                enabled: false,
-                ..Default::default()
-            },
-            PromotionPolicy {
-                promote_len: 1,
-                promote_scans: 1,
-                enabled: true,
-            },
-        ] {
-            let f2 = Probe::new();
-            push(&f2, &[p(0, 0, AccessMode::Write)]);
-            push(&f2, &[p(1, 1, AccessMode::Write)]);
-            push(
-                &f2,
-                &[p(0, 0, AccessMode::Read), p(1, 1, AccessMode::Write)],
-            );
-            let mut promos = 0;
-            let mut out = scan(&f2, 8, &pol, &mut promos);
-            out.sort_unstable();
-            assert_eq!(out, vec![0, 1], "policy {pol:?}");
-        }
-        let _ = f;
+        assert_eq!(scan(&f, &mut 0), vec![0, 1]);
     }
 
     #[test]
     fn whole_object_write_orders_after_tiles() {
-        let pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let f = Probe::new();
         let p = |i, j, m| Access::new(HandleId(7), Region::key2(i, j), m);
         push(&f, &[p(0, 0, AccessMode::Write)]);
@@ -823,11 +643,11 @@ mod tests {
         push(&f, &[p(5, 5, AccessMode::Write)]);
         let mut promos = 0;
         // All-write waits; later tile waits on All-write
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![0]);
+        assert_eq!(scan(&f, &mut promos), vec![0]);
         finish(&f, 0);
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![1]);
+        assert_eq!(scan(&f, &mut promos), vec![1]);
         finish(&f, 1);
-        assert_eq!(scan(&f, 8, &pol, &mut promos), vec![2]);
+        assert_eq!(scan(&f, &mut promos), vec![2]);
     }
 
     #[test]
@@ -847,10 +667,6 @@ mod tests {
         // serializes.
         let w = acc(11, AccessMode::Write).with_renaming();
         let r = acc(11, AccessMode::Read);
-        let pol = PromotionPolicy {
-            enabled: false,
-            ..Default::default()
-        };
         for (enabled, expect) in [(true, vec![0, 2]), (false, vec![0])] {
             let rp = RenamePolicy {
                 enabled,
@@ -860,18 +676,16 @@ mod tests {
             for a in [w, r, w, r] {
                 push_with(&f, &[a], &rp);
             }
-            let mut promos = 0;
-            let mut out = scan(&f, 8, &pol, &mut promos);
-            out.sort_unstable();
-            assert_eq!(out, expect, "renaming enabled={enabled}");
+            assert_eq!(scan(&f, &mut 0), expect, "renaming enabled={enabled}");
         }
     }
 
-    /// Property: scan mode and promoted mode claim identical ready sets on
-    /// random access programs, with renaming both on and off — they share
-    /// one dependency engine, so they cannot disagree.
+    /// Property: on random access programs, with renaming both on and off,
+    /// the tasks a promoted frame releases are exactly those an oracle
+    /// finds ready — not done, and every predecessor the engine recorded
+    /// for it done.
     #[test]
-    fn scan_and_graph_readiness_agree_on_random_programs() {
+    fn promoted_readiness_matches_pred_oracle_on_random_programs() {
         // splitmix64, as in tests/properties.rs (dependency-free).
         struct Rng(u64);
         impl Rng {
@@ -886,15 +700,6 @@ mod tests {
                 self.next() % n
             }
         }
-        let scan_pol = PromotionPolicy {
-            enabled: false,
-            ..Default::default()
-        };
-        let graph_pol = PromotionPolicy {
-            promote_len: 1,
-            promote_scans: 1,
-            enabled: true,
-        };
         let mut rng = Rng(0x5CA9);
         for case in 0..40 {
             let rp = RenamePolicy {
@@ -935,27 +740,36 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let fs = Probe::new();
-            let fg = Probe::new();
+            let f = Probe::new();
             for accs in &tasks {
-                push_with(&fs, accs, &rp);
-                push_with(&fg, accs, &rp);
+                push_with(&f, accs, &rp);
             }
             let mut promos = 0;
             let mut done = 0usize;
             while done < ntasks {
-                let mut s = scan(&fs, usize::MAX, &scan_pol, &mut promos);
-                let mut g = scan(&fg, usize::MAX, &graph_pol, &mut promos);
-                s.sort_unstable();
-                g.sort_unstable();
-                assert_eq!(s, g, "case {case}: ready sets diverge after {done} done");
-                assert!(!s.is_empty(), "case {case}: no progress ({done}/{ntasks})");
-                for idx in s {
-                    finish(&fs, idx);
-                    finish(&fg, idx);
+                let got = scan(&f, &mut promos);
+                let inner = f.inner.lock();
+                let is_done = |i: usize| inner.tasks[i].is_done();
+                let oracle: Vec<usize> = (0..ntasks)
+                    .filter(|&i| {
+                        !is_done(i) && inner.engine.preds(i).iter().all(|&p| is_done(p as usize))
+                    })
+                    .collect();
+                drop(inner);
+                assert_eq!(
+                    got, oracle,
+                    "case {case}: ready sets diverge after {done} done"
+                );
+                assert!(
+                    !got.is_empty(),
+                    "case {case}: no progress ({done}/{ntasks})"
+                );
+                for idx in got {
+                    finish(&f, idx);
                     done += 1;
                 }
             }
+            assert_eq!(promos, 1, "case {case}: promoted once");
         }
     }
 }

@@ -96,11 +96,12 @@ struct SharedInner<T: ?Sized> {
     main: Slot<T>,
 }
 
-// Safety: the runtime serialises conflicting accesses; only tasks whose
+// SAFETY: the runtime serialises conflicting accesses; only tasks whose
 // declared accesses were granted touch the slot cells, each slot has its own
 // borrow word, and at most one task may hold a mutable borrow of a slot at
 // a time.
 unsafe impl<T: Send + ?Sized> Send for SharedInner<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Send + ?Sized> Sync for SharedInner<T> {}
 
 impl<T> SharedInner<T> {
@@ -460,8 +461,8 @@ impl<T: ?Sized> Shared<T> {
                 break;
             }
         }
-        // Safety: reader count held; writers excluded.
         Ref {
+            // SAFETY: reader count held; writers excluded.
             val: unsafe { &*val },
             borrows: b,
         }
@@ -486,8 +487,8 @@ impl<T: ?Sized> Shared<T> {
             "xkaapi: write access while other borrows are live (mis-declared task accesses?)"
         );
         let commit = commit_seq.map(|seq| self.inner.commit_guard(slot, seq));
-        // Safety: exclusive flag held.
         RefMut {
+            // SAFETY: exclusive flag held.
             val: unsafe { &mut *val },
             borrows: b,
             _commit: commit,
@@ -714,6 +715,7 @@ impl<T: Send> Partitioned<T> {
     /// Read-only borrow from outside any task (quiescence contract).
     pub fn get(&self) -> &T {
         let slot = self.inner.committed_slot();
+        // SAFETY: the quiescence contract: no task writes the handle now.
         unsafe { &*self.inner.slot_raw(slot, None).1 }
     }
 }
@@ -732,7 +734,11 @@ struct ReductionInner<T> {
     combine: Box<CombineFn<T>>,
 }
 
+// SAFETY: each worker folds only into its own slot (`slot_for`), and
+// `main` is touched only once the data-flow engine has ordered the caller
+// after every fold (`merge_pending`).
 unsafe impl<T: Send> Send for ReductionInner<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Send> Sync for ReductionInner<T> {}
 
 /// A reduction variable for the cumulative-write access mode.
@@ -814,6 +820,8 @@ impl<T: Send> Reduction<T> {
     #[allow(clippy::mut_from_ref)] // uniqueness per worker: see Safety above
     pub(crate) fn slot_for(&self, worker: usize) -> &mut T {
         self.inner.dirty.store(true, Ordering::Release);
+        // SAFETY: only worker `worker` folds into this slot, one task at a
+        // time (see Safety above).
         let slot = unsafe { &mut *self.inner.slots[worker].get() };
         slot.get_or_insert_with(|| (self.inner.identity)())
     }
@@ -827,8 +835,11 @@ impl<T: Send> Reduction<T> {
         if !self.inner.dirty.swap(false, Ordering::AcqRel) {
             return;
         }
+        // SAFETY: the caller is ordered after the cumulative-write group
+        // (see above): no task folds or reads concurrently.
         let main = unsafe { &mut *self.inner.main.get() };
         for slot in self.inner.slots.iter() {
+            // SAFETY: as for `main`.
             let slot = unsafe { &mut *slot.get() };
             if let Some(v) = slot.take() {
                 (self.inner.combine)(main, v);
@@ -839,6 +850,7 @@ impl<T: Send> Reduction<T> {
     /// Merged value, viewed from outside any task (quiescence contract).
     pub fn get(&self) -> &T {
         self.merge_pending();
+        // SAFETY: the quiescence contract: no task folds or writes now.
         unsafe { &*self.inner.main.get() }
     }
 
@@ -986,6 +998,7 @@ mod tests {
         assert!(p.write_all().can_rename());
         {
             let v = p.part_view(1, Some(1));
+            // SAFETY: the view is the only borrow of the renamed slot.
             unsafe { (&mut *v.ptr())[0] = 7 };
         } // commit on drop
         assert_eq!(p.get()[0], 7);

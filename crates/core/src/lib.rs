@@ -17,15 +17,14 @@
 //! * **work-first**: the owner executes children in FIFO (program) order and
 //!   never consults dependencies on that path — they are bound once, when
 //!   a task is pushed;
-//! * **lazy readiness**: a thief proves a task ready by scanning the victim
-//!   frame from the oldest task;
-//! * **ready-list acceleration**: frames whose scans get expensive are
-//!   promoted to per-task readiness — countdowns and successor cells
-//!   release ready tasks onto per-worker ready lists, completions take no
-//!   frame lock, and one steal moves half a victim's list (`DESIGN.md` §2);
-//! * **one dependency engine**: scan-mode readiness and the promoted
-//!   countdowns are both derived from the same versioned data-flow core
-//!   ([`dataflow`]), so the two modes can never disagree;
+//! * **work-first laziness**: a frame only its owner looks at keeps no
+//!   readiness state; the owner runs it in program order;
+//! * **ready-list acceleration**: a thief's first look at a frame promotes
+//!   it to per-task readiness — countdowns and successor cells release
+//!   ready tasks onto per-worker ready lists, completions take no frame
+//!   lock, and one steal moves half a victim's list (`DESIGN.md` §2);
+//! * **one dependency engine**: the countdowns derive from the versioned
+//!   data-flow core ([`dataflow`]);
 //! * **renaming**: a write-only access on a renameable handle gets a fresh
 //!   version of the data instead of serializing behind earlier
 //!   readers/writers — WAR/WAW elimination (`DESIGN.md` §2,
@@ -84,6 +83,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod access;
 mod adaptive;
@@ -117,7 +117,6 @@ pub use ctx::{with_runtime_ctx, Ctx, TaskBuilder};
 pub use dataflow::DataflowEngine;
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
-pub use frame::PromotionPolicy;
 pub use handle::{PartView, Partitioned, Reduction, Ref, RefMut, Shared};
 pub use inject::{InjectLaneStats, InjectPolicy, JoinHandle, OnFull, SubmitError};
 pub use policy::{

@@ -26,7 +26,6 @@ use crate::access::Access;
 use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs, NORMAL_BAND};
 use crate::ctx::{Ctx, RawCtx};
 use crate::fastlane::FastJob;
-use crate::frame::PromotionPolicy;
 use crate::handle::{Partitioned, Shared};
 use crate::inject::{
     make_job, InjectLaneStats, InjectLanes, InjectPolicy, JoinHandle, JoinState, SubmitError,
@@ -48,8 +47,6 @@ use std::time::{Duration, Instant};
 /// tunable: [`Runtime::steal_policy_name`] names the one installed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tunables {
-    /// Promotion policy (per-task readiness and ready lists).
-    pub promotion: PromotionPolicy,
     /// Write-only renaming (WAR/WAW elimination) policy.
     pub rename: RenamePolicy,
     /// Injection admission/backpressure policy (pending root-job cap and
@@ -136,12 +133,6 @@ impl Builder {
     pub fn workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one worker required");
         self.workers = Some(n);
-        self
-    }
-
-    /// Override the graph-mode promotion policy.
-    pub fn promotion(mut self, p: PromotionPolicy) -> Self {
-        self.tun.promotion = p;
         self
     }
 
@@ -581,12 +572,12 @@ impl Runtime {
             let r = raw.run_scoped_catch(f);
             st.complete(Some(&raw.rt), r);
         };
+        let boxed: Box<dyn FnOnce(&mut RawCtx) + Send> = Box::new(job_fn);
         // SAFETY: lifetime erasure of the job closure; the caller blocks on
         // the join state until the job has run to completion, so every
         // borrow the closure captures outlives its execution (rayon-style
         // scope). The erased `Arc<JoinState<R>>` the job holds is only
         // dropped (never dereferenced into `R`) after completion.
-        let boxed: Box<dyn FnOnce(&mut RawCtx) + Send> = Box::new(job_fn);
         let boxed: Box<dyn FnOnce(&mut RawCtx) + Send + 'static> =
             unsafe { std::mem::transmute(boxed) };
         let admission = self.inner.inject.admit_blocking(NORMAL_BAND);

@@ -7,10 +7,10 @@
 //! by one ready-task detection, the paper's reduction of steal overhead
 //! ([Hendler et al.] flat combining, [Tchiboukdjian et al.] analysis).
 //!
-//! The combiner first scans the victim's unpromoted frames from the oldest
-//! for ready data-flow tasks (claiming them with the task-state CAS), then
-//! moves the oldest half of the victim's ready list into each thief's own
-//! list (`DESIGN.md` §2, "Ready lists"), then invokes the splitters of the
+//! The combiner first promotes the victim's frames no thief has looked at
+//! yet, releasing their ready data-flow tasks onto the victim's ready list,
+//! then moves the oldest half of that list into each thief's own list
+//! (`DESIGN.md` §2, "Ready lists"), then invokes the splitters of the
 //! victim's adaptive tasks. Because splitters only run under the victim's
 //! steal lock, at most one thief splits any adaptive task at a time — the
 //! synchronisation contract the adaptive model relies on.
@@ -63,9 +63,10 @@ pub(crate) struct Request {
     grab: UnsafeCell<Option<Grab>>,
 }
 
-// Safety: `grab` is written by the combiner before the `Release` store of
+// SAFETY: `grab` is written by the combiner before the `Release` store of
 // `status = SERVED`, and read by the owning thief after an `Acquire` load.
 unsafe impl Sync for Request {}
+// SAFETY: every other field is atomic or plain data, and a `Grab` is `Send`.
 unsafe impl Send for Request {}
 
 impl Request {
@@ -124,8 +125,8 @@ fn drain_requests(victim: &crate::worker::Worker) -> Vec<&Request> {
     out
 }
 
-/// Serve `reqs` against `victim`: claim ready tasks (unpromoted frames,
-/// oldest first), move ready-list halves, then split adaptive work.
+/// Serve `reqs` against `victim`: promote unpromoted frames, move
+/// ready-list halves, then split adaptive work.
 /// Returns grabs (≤ `reqs.len()`), in an order matching `reqs` as far as
 /// it goes.
 fn serve(
@@ -148,41 +149,23 @@ fn serve(
         }
     }
 
-    // 1. Ready data-flow tasks from the victim's unpromoted frames, under
+    // 1. Promote the victim's unpromoted frames with pending work, under
     // the victim's frame-list lock: no handle on a frame outlives the
-    // scan, so none keeps a finished frame out of its owner's pool. A
+    // pass, so none keeps a finished frame out of its owner's pool. Each
     // promotion releases the frame's ready tasks onto the victim's ready
-    // list, where step 2 finds them. One scratch Vec for the whole pass.
-    let frames = victim.frames.lock();
-    let (mut promotions, mut bound) = (0u64, 0u64);
-    let mut claimed: Vec<Arc<Task>> = Vec::new();
-    for f in frames.iter().filter(|f| !f.promoted()) {
-        if grabs.len() >= k {
-            break;
+    // list, where step 2 finds them.
+    if grabs.len() < k {
+        let frames = victim.frames.lock();
+        for f in frames.iter().filter(|f| !f.promoted() && f.pending() > 0) {
+            promote(rt, me, victim_idx, f);
         }
-        let mut release = Release::to(rt, me, victim_idx);
-        let max = k - grabs.len();
-        let promoted = f.steal_scan(max, &rt.tun.promotion, &mut bound, &mut claimed, |t| {
-            release.push(t)
-        });
-        release.finish();
-        promotions += u64::from(promoted);
-        for task in claimed.drain(..) {
-            ship(rt, me, task, &mut grabs);
-        }
-    }
-    drop(frames);
-    if promotions > 0 {
-        WorkerStats::bump(&my_stats.promotions, promotions);
-    }
-    if bound > 0 {
-        WorkerStats::bump(&my_stats.dataflow_pushes, bound);
     }
 
     // 2. Ready lists: each unserved thief takes the oldest half of the
     // victim's list. It runs the first task it can claim and lists the
     // rest as its own, so one served request carries a batch.
     let nodes = rt.topo.nodes();
+    let mut claimed: Vec<Arc<Task>> = Vec::new();
     while grabs.len() < k {
         let thief = reqs[grabs.len()].thief;
         let home = (!rt.topo.is_flat()).then(|| rt.topo.node_of(thief));
@@ -456,29 +439,22 @@ pub(crate) fn steal_exact(rt: &Arc<RtInner>, me: usize, victim: usize) -> Option
     grab
 }
 
-/// Centralized-queue mode, unpromoted frame: claim every currently-ready
-/// task of `frame` and publish it into the shared queue (insertion-time
-/// scheduling, the QUARK/libGOMP model). Called by the engine on spawn and
-/// on completion; a promoted frame publishes through its releases instead
-/// (a released task goes straight to the queue).
-pub(crate) fn publish_ready(rt: &Arc<RtInner>, me: usize, frame: &Frame) {
-    debug_assert!(rt.queue.centralized());
-    let mut claimed: Vec<Arc<Task>> = Vec::new();
-    let mut release = Release::to(rt, me, me);
-    let (pol, mut bound) = (&rt.tun.promotion, 0);
-    let promoted = frame.steal_scan(usize::MAX, pol, &mut bound, &mut claimed, |t| {
-        release.push(t)
-    });
-    for task in claimed {
-        release.push_claimed(task);
-    }
+/// Promote `frame` (`DESIGN.md` §2, "Ready lists"): bind its unbound
+/// prefix and release every task ready now onto worker `target`'s ready
+/// list, or, under a centralized queue, into the shared queue. Called at a
+/// frame's first steal scan, and under a centralized queue at its first
+/// spawn; from then on the frame publishes through its releases. The
+/// promotion and the tasks it bound count on worker `me`.
+pub(crate) fn promote(rt: &Arc<RtInner>, me: usize, target: usize, frame: &Frame) {
+    let mut release = Release::to(rt, me, target);
+    let bound = frame.bind_and_promote(|t| release.push(t));
     release.finish();
-    let stats = &rt.workers[me].stats;
-    if promoted {
+    if let Some(bound) = bound {
+        let stats = &rt.workers[me].stats;
         WorkerStats::bump(&stats.promotions, 1);
-    }
-    if bound > 0 {
-        WorkerStats::bump(&stats.dataflow_pushes, bound);
+        if bound > 0 {
+            WorkerStats::bump(&stats.dataflow_pushes, u64::from(bound));
+        }
     }
 }
 

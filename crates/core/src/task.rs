@@ -75,12 +75,14 @@ pub(crate) struct Task {
     pub(crate) succ: SuccCell,
 }
 
-// Safety: `body` is only touched by the thread that won the claim CAS,
+// SAFETY: `body` is only touched by the thread that won the claim CAS,
 // `accesses` is immutable after construction, `binding`, `frame` and `idx` are
 // written exactly once before the task is published to any other thread
 // (the frame lock release in `Frame::push` is the publication fence), and
 // the successor list is only touched under its cell's lock.
 unsafe impl Send for Task {}
+// SAFETY: as for `Send`: shared access only reads the write-once cells
+// after publication, and the rest is atomic or lock-protected.
 unsafe impl Sync for Task {}
 
 impl Task {
@@ -125,6 +127,7 @@ impl Task {
     /// Must be called at most once, before the task becomes reachable by
     /// any other thread (`Frame::push` does so under the frame lock).
     pub(crate) unsafe fn set_binding(&self, b: Box<[SlotBinding]>) {
+        // SAFETY: the caller's contract: no other thread can reach the task.
         unsafe { *self.binding.get() = b };
     }
 
@@ -143,6 +146,7 @@ impl Task {
     /// # Safety
     /// Same contract as [`Task::set_binding`].
     pub(crate) unsafe fn set_home(&self, frame: &Frame, idx: usize) {
+        // SAFETY: the caller's contract: no other thread can reach the task.
         unsafe {
             *self.frame.get() = frame;
             *self.idx.get() = idx as u32;
@@ -166,6 +170,8 @@ impl Task {
     /// list must therefore be claimed *before* its frame is touched.
     #[inline]
     pub(crate) unsafe fn frame<'a>(&self) -> &'a Frame {
+        // SAFETY: `frame` was set once before publication, and the
+        // caller's contract keeps the frame alive.
         unsafe { &**self.frame.get() }
     }
 
@@ -213,7 +219,7 @@ impl Task {
 
     /// State for the promotion protocol: `SeqCst`, so it is totally
     /// ordered with the frame's `graph_on` store and this task's
-    /// completion swap (see `Frame::steal_scan`).
+    /// completion swap (see `Frame::promote`).
     #[inline]
     pub(crate) fn state_sc(&self) -> u8 {
         self.state.load(Ordering::SeqCst)
@@ -236,6 +242,8 @@ impl Task {
 /// frame is reset, and the frame cannot be reset before the completion
 /// that sealed the cell has been counted out of `pending`.
 pub(crate) unsafe fn task_arc(t: NonNull<Task>) -> Arc<Task> {
+    // SAFETY: the caller's contract: `t` came from a live `Arc<Task>`, and
+    // the count is raised before the new handle exists.
     unsafe {
         Arc::increment_strong_count(t.as_ptr());
         Arc::from_raw(t.as_ptr())

@@ -53,6 +53,7 @@ use std::time::Instant;
 pub(crate) fn tick() -> u64 {
     #[cfg(target_arch = "x86_64")]
     {
+        // SAFETY: `rdtsc` reads the time-stamp counter; every x86_64 CPU has it.
         unsafe { core::arch::x86_64::_rdtsc() }
     }
     #[cfg(target_arch = "aarch64")]
@@ -225,11 +226,12 @@ pub(crate) struct EventRing {
     dropped: AtomicU64,
 }
 
-// Soundness: slot `head % cap` is written only by the producer, and only
+// SAFETY: slot `head % cap` is written only by the producer, and only
 // after checking `head - tail < cap`; the consumer reads only slots in
 // `tail..head`. The two index ranges are disjoint, and the Acquire/Release
 // pairs on `head`/`tail` order the slot accesses.
 unsafe impl Send for EventRing {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for EventRing {}
 
 impl EventRing {
@@ -254,6 +256,8 @@ impl EventRing {
             return;
         }
         let slot = self.slots[(head % self.slots.len() as u64) as usize].get();
+        // SAFETY: `head - tail < cap`, so the consumer reads no slot at
+        // `head` before the `Release` store of `head + 1` below.
         unsafe {
             *slot = RawEvent {
                 ts,
@@ -272,6 +276,8 @@ impl EventRing {
         let mut tail = self.tail.load(Ordering::Relaxed);
         while tail < head {
             let slot = self.slots[(tail % self.slots.len() as u64) as usize].get();
+            // SAFETY: `tail < head` (`Acquire`): the producer wrote this
+            // slot and writes it again only after our `tail` store.
             out.push(unsafe { *slot });
             tail += 1;
         }

@@ -482,14 +482,7 @@ fn promotion_triggers_on_wide_dataflow() {
     // Timing-sensitive on a single-core host: retry until a thief scan
     // actually promoted the frame (tasks sleep so the owner cannot drain
     // the frame before thieves wake).
-    let rt = Runtime::builder()
-        .workers(4)
-        .promotion(PromotionPolicy {
-            promote_len: 8,
-            promote_scans: 2,
-            enabled: true,
-        })
-        .build();
+    let rt = Runtime::builder().workers(4).build();
     for round in 0..10 {
         rt.reset_stats();
         let handles: Vec<Shared<u64>> = (0..64).map(|_| Shared::new(0)).collect();
@@ -509,7 +502,7 @@ fn promotion_triggers_on_wide_dataflow() {
         }
         eprintln!("round {round}: no promotion yet ({s:?})");
     }
-    panic!("no graph-mode promotion observed in 10 rounds");
+    panic!("no promotion observed in 10 rounds");
 }
 
 #[test]
@@ -588,6 +581,7 @@ fn partitioned_keyed_tiles() {
                 p.access(Region::key2(1, 0), AccessMode::Read),
             ],
             move |_| {
+                // SAFETY: the read access orders this task after the writers.
                 let v = unsafe { &*ph.view() };
                 assert_eq!(v, &vec![1, 2]);
                 d.fetch_add(1, Ordering::Relaxed);
@@ -682,6 +676,7 @@ fn range_regions_partition_a_vector() {
         ctx.spawn(
             [p.access(Region::Range { start: 25, end: 75 }, AccessMode::Read)],
             move |_| {
+                // SAFETY: the read access orders this task after the writers.
                 let v = unsafe { &*ph.view() };
                 assert!(v[25..75].iter().all(|&x| x == 7), "reader saw both writers");
                 d.fetch_add(1, Ordering::Relaxed);
@@ -745,18 +740,11 @@ fn builder_exposes_tunables() {
     let rt = Runtime::builder()
         .workers(2)
         .steal_policy(Arc::new(PerThiefStealing))
-        .promotion(PromotionPolicy {
-            enabled: false,
-            promote_len: 5,
-            promote_scans: 9,
-        })
         .stack_size(4 << 20)
         .max_pending(2)
         .build();
     assert_eq!(rt.steal_policy_name(), "per-thief");
     let t = rt.tunables();
-    assert!(!t.promotion.enabled);
-    assert_eq!(t.promotion.promote_len, 5);
     assert_eq!(t.inject.max_pending, 2);
     assert_eq!(rt.num_workers(), 2);
     // still functional

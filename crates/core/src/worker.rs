@@ -48,14 +48,15 @@
 //!   pushed behind another is the owner's to reclaim anyway, so fib's
 //!   join path pays no fence in the common case;
 //! * `RawCtx::spawn_common` — every data-flow spawn into an unpromoted
-//!   frame;
+//!   frame, so a thief comes to promote it;
 //! * `complete_and_publish` — a completion that leaves its unpromoted
-//!   frame with unfinished tasks (it may have readied some);
+//!   frame with unfinished tasks;
 //! * `Release::finish` — a push, promotion or completion in a promoted
 //!   frame that released tasks onto a ready list, up to one wake per
 //!   listed task;
 //! * `foreach_run` — a loop launch, which wakes up to W−1 workers;
-//! * `publish_ready` — the centralized queues, one wake per task;
+//! * `Release::finish` under a centralized queue — one wake per task
+//!   released into the shared queue;
 //! * `Runtime::submit` and the inject path of `Runtime::scope` — a root
 //!   job;
 //! * the seat's hand-back ([`ParkLot::hand_back`]) — it parks the lent

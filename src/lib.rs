@@ -30,7 +30,7 @@ pub use xkaapi_core::JoinHandle;
 pub use xkaapi_core::{
     Access, AccessMode, Affinity, AggregatedStealing, Builder, CancelToken, Ctx, DataflowEngine,
     DistanceMatrix, DistributedLanes, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst,
-    Partitioned, PerThiefStealing, Priority, PromotionPolicy, RecCtx, RecordStats, RecordedDag,
-    Reduction, Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy,
-    SubmitError, TaskAttrs, TaskBuilder, TaskQueue, Topology, Tunables, VictimChoice, WorkItem,
+    Partitioned, PerThiefStealing, Priority, RecCtx, RecordStats, RecordedDag, Reduction, Region,
+    RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy, SubmitError, TaskAttrs,
+    TaskBuilder, TaskQueue, Topology, Tunables, VictimChoice, WorkItem,
 };

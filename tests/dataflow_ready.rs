@@ -4,11 +4,12 @@
 //! runs before a predecessor the data-flow engine recorded for it, that a
 //! completion sealing its cell while the owner links behind it loses no
 //! count, that a promoted frame is still recycled, and what counts as a
-//! stolen task. The last four check lazy binding (`crate::frame` in
+//! stolen task. The last five check lazy binding (`crate::frame` in
 //! `xkaapi-core`): a frame binds its tasks only once a thief scans it, a
-//! push needs slot routing or a task fails, and then each task once. A
-//! lost release or wake is a hang, so every case runs on a thread of its
-//! own and fails on a 60 s deadline.
+//! push needs slot routing or a task fails, and then each task once; under
+//! a centralized queue its first spawn promotes it. A lost release or
+//! wake is a hang, so every case runs on a thread of its own and fails on
+//! a 60 s deadline.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,8 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use xkaapi::core::{
-    Access, AccessMode, AggregatedStealing, DataflowEngine, Partitioned, PerThiefStealing,
-    PromotionPolicy, Region, RenamePolicy, Runtime, Shared, StealPolicy, TaskQueue,
+    Access, AccessMode, AggregatedStealing, DataflowEngine, Partitioned, PerThiefStealing, Region,
+    RenamePolicy, Runtime, Shared, StealPolicy, TaskQueue,
 };
 use xkaapi::linalg::{cholesky_seq, cholesky_xkaapi, TiledMatrix};
 use xkaapi::omp::OmpCentralQueue;
@@ -43,22 +44,11 @@ fn within_deadline(what: &str, body: impl FnOnce() + Send + 'static) {
     }
 }
 
-/// Promote every frame at its first steal scan, so the promoted path runs
-/// even for small programs.
-const EAGER: PromotionPolicy = PromotionPolicy {
-    promote_len: 1,
-    promote_scans: 1,
-    enabled: true,
-};
-
 /// The four queue × steal combinations.
 const POLICIES: [&str; 4] = ["aggregated", "per-thief", "central omp", "central quark"];
 
 fn runtime(policy: &str, workers: usize, renaming: bool) -> Runtime {
-    let b = Runtime::builder()
-        .workers(workers)
-        .renaming(renaming)
-        .promotion(EAGER);
+    let b = Runtime::builder().workers(workers).renaming(renaming);
     match policy {
         "aggregated" => b.steal_policy(Arc::new(AggregatedStealing) as Arc<dyn StealPolicy>),
         "per-thief" => b.steal_policy(Arc::new(PerThiefStealing) as Arc<dyn StealPolicy>),
@@ -195,8 +185,8 @@ struct Acc {
     ren: bool,
 }
 
-/// The programs of `scan_and_graph_readiness_agree_on_random_programs`:
-/// same generator, same seed, same draws.
+/// The programs of `promoted_readiness_matches_pred_oracle_on_random_programs`
+/// (`crate::frame` in `xkaapi-core`): same generator, same seed, same draws.
 fn random_programs() -> Vec<Vec<Vec<Acc>>> {
     let mut rng = Rng(0x5CA9);
     (0..40)
@@ -372,7 +362,7 @@ fn completions_race_the_pushes_that_link_behind_them() {
     const N: usize = 4000;
     for workers in [2, 4] {
         within_deadline(&format!("seal/link race at W={workers}"), move || {
-            let rt = Runtime::builder().workers(workers).promotion(EAGER).build();
+            let rt = Runtime::builder().workers(workers).build();
             let mut expect: Vec<u64> = (0..K as u64).collect();
             for i in 0..N {
                 let (w, r) = (i % K, (i + 3) % K);
@@ -421,7 +411,7 @@ fn completions_race_the_pushes_that_link_behind_them() {
 #[test]
 fn promoted_frames_return_to_the_pool() {
     within_deadline("frame recycling", || {
-        let rt = Runtime::builder().workers(2).promotion(EAGER).build();
+        let rt = Runtime::builder().workers(2).build();
         let cells: Vec<Shared<u64>> = (0..8).map(|_| Shared::new(0)).collect();
         let scope = || {
             rt.scope(|ctx| {
@@ -513,6 +503,33 @@ fn one_worker_cholesky_binds_nothing() {
         let s = rt.stats();
         assert!(s.tasks_spawned > 0);
         assert_eq!(s.dataflow_pushes, 0, "a frame no thief scanned was bound");
+    });
+}
+
+/// A centralized queue schedules at insertion time, so even a 1-worker
+/// pool promotes a frame, at its first spawn: under both central queues
+/// each scope of a random program promotes exactly once and ends with the
+/// cells of the distributed 1-worker run, which promotes nothing.
+#[test]
+fn one_worker_central_queues_promote_each_scope_once() {
+    within_deadline("1-worker central queues", || {
+        let programs = random_programs();
+        let distributed = runtime("aggregated", 1, true);
+        let expect: Vec<_> = programs
+            .iter()
+            .map(|p| run_program(&distributed, p).0)
+            .collect();
+        assert_eq!(distributed.stats().promotions, 0);
+        for policy in ["central omp", "central quark"] {
+            let rt = runtime(policy, 1, true);
+            for (case, program) in programs.iter().enumerate() {
+                rt.reset_stats();
+                let (values, ..) = run_program(&rt, program);
+                assert_eq!(values, expect[case], "{policy}, case {case}: final values");
+                let promotions = rt.stats().promotions;
+                assert_eq!(promotions, 1, "{policy}, case {case}: promotions");
+            }
+        }
     });
 }
 

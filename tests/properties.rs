@@ -86,8 +86,8 @@ fn dataflow_execution_is_sequentially_consistent() {
 
 /// Random programs of write-only overwrites, exclusive updates and reads
 /// over renameable handles produce the sequential-order result with
-/// renaming both on and off (scan mode and graph mode share one dependency
-/// engine; renaming only removes WAR/WAW edges, never RAW ones).
+/// renaming both on and off (renaming only removes WAR/WAW edges, never
+/// RAW ones).
 #[test]
 fn renaming_preserves_sequential_semantics() {
     use std::sync::atomic::{AtomicU64, Ordering};
