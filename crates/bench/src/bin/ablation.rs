@@ -1,12 +1,12 @@
 //! Ablation study of the scheduler optimisations the paper singles out
 //! (§II-C): steal-request **aggregation** and write-only **renaming**
 //! (WAR/WAW elimination) — plus the adaptive-loop grain and the
-//! **victim-selection** sweep (uniform × hierarchical × locality-first
-//! over the queue layers, with the same-node-steal locality property
-//! asserted on a modelled 2-node machine), and the **injection
-//! subsystem** sweep: scope-via-submit
-//! checksums across every queue/steal policy plus the own-lane-drain
-//! dominance property of the sharded inject lanes.
+//! **victim-selection** sweep (uniform × hierarchical × locality-first,
+//! with the same-node steal share measured on a modelled 2-node machine;
+//! the seeded property test in `tests/victim_selection.rs` asserts it),
+//! and the **injection subsystem** sweep: scope-via-submit checksums
+//! across every steal policy plus the own-lane-drain dominance property
+//! of the sharded inject lanes.
 //!
 //! Three parts:
 //! 1. real-machine ablations on this host (multi-worker, 1 core —
@@ -51,8 +51,8 @@ fn policy_workload(rt: &Runtime) -> u64 {
 /// The identical workload spawned through the attribute-carrying task
 /// builder at default attributes (`ctx.task().…spawn`). Under `Priority`
 /// defaults and no affinity the builder lowers to exactly the legacy spawn
-/// path, so its checksum must equal [`policy_workload`]'s on every
-/// queue × steal policy — the ISSUE 5 acceptance gate.
+/// path, so its checksum must equal [`policy_workload`]'s on every steal
+/// policy.
 fn policy_workload_builder(rt: &Runtime) -> u64 {
     let cells: Vec<Shared<u64>> = (0..16).map(|_| Shared::new(1)).collect();
     rt.scope(|ctx| {
@@ -134,7 +134,7 @@ fn war_chain(rt: &Runtime, rounds: u64, readers: usize, len: usize) -> u64 {
 /// of scope: 4 submitter threads push root jobs (each a self-contained
 /// data-flow chain over its own cells) through [`Runtime::submit`] and
 /// join the handles. The checksum is schedule-independent, so it must be
-/// identical across every queue/steal policy — and equal to what the same
+/// identical across every steal policy — and equal to what the same
 /// per-job chains sum to under scope.
 fn submit_workload(rt: &Arc<Runtime>) -> u64 {
     let submitters = 4usize;
@@ -169,11 +169,11 @@ fn submit_workload(rt: &Arc<Runtime>) -> u64 {
 fn main() {
     println!("# Ablations: scheduler policy matrix, aggregation & renaming");
 
-    // --- the engine's policy matrix: one enum flips queue & steal layer --
+    // --- the engine's policy matrix: one enum flips the steal layer ------
     // Each configuration runs the workload twice: once through the legacy
     // `Ctx::spawn` front door and once through the attribute-carrying
     // builder at default attributes. The two must agree with each other
-    // and across every queue × steal policy (ISSUE 5 acceptance gate).
+    // and across every steal policy.
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
     for pol in SchedPolicy::ALL {
@@ -191,7 +191,7 @@ fn main() {
         let s = rt.stats();
         rows.push(vec![
             pol.label().into(),
-            format!("{}/{}", rt.queue_name(), rt.steal_policy_name()),
+            rt.steal_policy_name().into(),
             format!("{:.2}", t as f64 / 1e6),
             s.tasks_executed_stolen.to_string(),
             s.combine_served.to_string(),
@@ -207,7 +207,7 @@ fn main() {
          (identical checksums, legacy spawn == builder)",
         &[
             "policy",
-            "queue/steal",
+            "steal",
             "time (ms)",
             "stolen",
             "combine served",
@@ -274,7 +274,7 @@ fn main() {
     // scope is now submit + wait, so the matrix above already runs through
     // the inject lanes; this sweep drives the same engine through the
     // *non-blocking* front door (4 concurrent submitters, join handles)
-    // and must agree across every queue/steal policy too.
+    // and must agree across every steal policy too.
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
     for pol in SchedPolicy::ALL {
@@ -313,7 +313,7 @@ fn main() {
     // across the lanes, jobs heavy enough that a backlog builds: workers
     // visit their own node's lane first, so own-lane drains must dominate
     // remote-lane drains (the injection-side locality property, the
-    // analogue of the same-node-steal assertion below).
+    // analogue of the same-node steal share below).
     {
         let vp_workers = 8usize;
         let rt = Arc::new(
@@ -351,9 +351,7 @@ fn main() {
         // On a time-sliced 1-core host the OS can starve one node's
         // workers for a whole round, which degenerates the split to an
         // exact lane-total tie — accumulate rounds until both nodes'
-        // workers participated and the strict dominance shows (the same
-        // accumulate-until-solid-sample treatment the steal-locality
-        // assertions below get).
+        // workers participated and the strict dominance shows.
         let mut joined = 0usize;
         for _round in 0..20 {
             joined += flood(1500);
@@ -403,62 +401,50 @@ fn main() {
         );
     }
 
-    // --- victim-selection sweep: queue layers × victim policies on a ------
-    // modelled 2-node machine (8 workers, 4 per node). Victim selection is
-    // orthogonal to the queue layer, so centralized queues sweep it too;
-    // the steal-locality counters show where the grabs came from.
+    // --- victim-selection sweep on a modelled 2-node machine -------------
+    // 8 workers, 4 per node; the steal-locality counters show where the
+    // grabs came from.
     let vp_workers = 8usize;
     let two_node = || Topology::two_level(vp_workers, 4);
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
-    for queue in [
-        SchedPolicy::DistributedAggregated,
-        SchedPolicy::CentralOmp,
-        SchedPolicy::CentralQuark,
-    ] {
-        for victim in VictimPolicy::ALL {
-            let rt = queue.build_runtime_with(vp_workers, victim, two_node());
-            let mut sum = 0;
-            let t = measure_ns(3, || sum = steal_heavy_workload(&rt));
-            checksums.push(sum);
-            // Accumulate steals beyond the timed rounds so the locality
-            // counters show a real sample, not 3-round noise. Centralized
-            // queues are skipped: their workers drain the shared pool
-            // instead of stealing, so the counters legitimately stay ~0.
-            if queue == SchedPolicy::DistributedAggregated {
-                for _ in 0..300 {
-                    let s = rt.stats();
-                    if s.steals_local_node + s.steals_remote_node >= 100 {
-                        break;
-                    }
-                    assert_eq!(
-                        steal_heavy_workload(&rt),
-                        sum,
-                        "checksum drifted across rounds"
-                    );
-                }
-            }
+    for victim in VictimPolicy::ALL {
+        let rt =
+            SchedPolicy::DistributedAggregated.build_runtime_with(vp_workers, victim, two_node());
+        let mut sum = 0;
+        let t = measure_ns(3, || sum = steal_heavy_workload(&rt));
+        checksums.push(sum);
+        // Accumulate steals beyond the timed rounds so the locality
+        // counters show a real sample, not 3-round noise.
+        for _ in 0..300 {
             let s = rt.stats();
-            rows.push(vec![
-                queue.label().into(),
-                victim.label().into(),
-                format!("{:.2}", t as f64 / 1e6),
-                s.steals_local_node.to_string(),
-                s.steals_remote_node.to_string(),
-                s.victim_escalations.to_string(),
-                sum.to_string(),
-            ]);
+            if s.steals_local_node + s.steals_remote_node >= 100 {
+                break;
+            }
+            assert_eq!(
+                steal_heavy_workload(&rt),
+                sum,
+                "checksum drifted across rounds"
+            );
         }
+        let s = rt.stats();
+        rows.push(vec![
+            victim.label().into(),
+            format!("{:.2}", t as f64 / 1e6),
+            s.steals_local_node.to_string(),
+            s.steals_remote_node.to_string(),
+            s.victim_escalations.to_string(),
+            sum.to_string(),
+        ]);
     }
     assert!(
         checksums.iter().all(|&c| c == checksums[0]),
         "victim policies disagree on the workload result: {checksums:?}"
     );
     print_table(
-        "Victim-policy sweep: 3 queue layers x 3 victim policies, 8 workers on 2 modelled nodes \
+        "Victim-policy sweep: 3 victim policies, 8 workers on 2 modelled nodes \
          (identical checksums)",
         &[
-            "queue layer",
             "victim policy",
             "time (ms)",
             "local steals",
@@ -469,10 +455,12 @@ fn main() {
         &rows,
     );
 
-    // --- locality property: on the 2-node model, hierarchical victim ------
-    // selection must land strictly more same-node steals than uniform.
+    // --- locality: same-node steal share of hierarchical vs uniform -------
     // Stats accumulate across rounds until both policies have a solid
-    // sample, washing out scheduling noise.
+    // sample. Measured and printed only: with more workers than cores the
+    // OS scheduler decides who steals, so the seeded property test
+    // `tests/victim_selection.rs::hierarchical_steals_same_node_more_than_uniform`
+    // asserts the ordering instead.
     let accumulate = |victim: VictimPolicy| {
         let rt =
             SchedPolicy::DistributedAggregated.build_runtime_with(vp_workers, victim, two_node());
@@ -487,23 +475,8 @@ fn main() {
     };
     let uni = accumulate(VictimPolicy::Uniform);
     let hier = accumulate(VictimPolicy::Hierarchical);
-    assert!(
-        hier.steals_local_node > uni.steals_local_node,
-        "hierarchical must steal same-node strictly more than uniform \
-         (hier {}/{} vs uniform {}/{})",
-        hier.steals_local_node,
-        hier.steals_remote_node,
-        uni.steals_local_node,
-        uni.steals_remote_node
-    );
-    assert!(
-        hier.steal_locality_ratio() > uni.steal_locality_ratio(),
-        "hierarchical locality ratio must beat uniform: {:.3} vs {:.3}",
-        hier.steal_locality_ratio(),
-        uni.steal_locality_ratio()
-    );
     print_table(
-        "Locality property: same-node steal share on 2 modelled nodes (asserted)",
+        "Locality: same-node steal share on 2 modelled nodes",
         &["victim policy", "local", "remote", "local share"],
         &[
             vec![

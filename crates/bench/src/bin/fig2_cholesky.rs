@@ -9,8 +9,8 @@
 //!
 //! Kernel costs are measured for real on this host (single core), then the
 //! schedulers execute the exact PLASMA DAG in virtual time. A real
-//! cross-check block runs the actual three drivers at a small size and
-//! verifies they produce identical factors.
+//! cross-check block runs the actual drivers at a small size and asserts
+//! that each reproduces the sequential factor to the bit.
 //!
 //! Usage: `fig2_cholesky [max_n]` (default 6144).
 
@@ -91,33 +91,28 @@ fn main() {
     let mut reference = orig.clone_matrix();
     cholesky_seq(&mut reference).unwrap();
 
+    // Every driver must reproduce the sequential factor to the bit.
+    let check = |name: &str, m: &TiledMatrix| {
+        let d = m.max_abs_diff_lower(&reference);
+        println!("{name}: max|Δ| vs seq = {d:.2e}");
+        assert_eq!(d, 0.0, "{} differs from the sequential factor", name.trim());
+    };
+
     let rt = Arc::new(xkaapi_core::Runtime::new(4));
     let a = cholesky_xkaapi(&rt, orig.clone_matrix()).unwrap();
-    println!(
-        "xkaapi dataflow  : max|Δ| vs seq = {:.2e}",
-        a.max_abs_diff_lower(&reference)
-    );
+    check("xkaapi dataflow  ", &a);
 
     let q = Quark::new_centralized(4);
     let mut b = orig.clone_matrix();
     cholesky_quark(&q, &mut b).unwrap();
-    println!(
-        "quark centralized: max|Δ| vs seq = {:.2e}",
-        b.max_abs_diff_lower(&reference)
-    );
+    check("quark centralized", &b);
 
     let q2 = Quark::new_on_xkaapi(rt);
     let mut c = orig.clone_matrix();
     cholesky_quark(&q2, &mut c).unwrap();
-    println!(
-        "quark on xkaapi  : max|Δ| vs seq = {:.2e}",
-        c.max_abs_diff_lower(&reference)
-    );
+    check("quark on xkaapi  ", &c);
 
     let mut d = orig.clone_matrix();
     cholesky_static(4, &mut d).unwrap();
-    println!(
-        "plasma static    : max|Δ| vs seq = {:.2e}",
-        d.max_abs_diff_lower(&reference)
-    );
+    check("plasma static    ", &d);
 }

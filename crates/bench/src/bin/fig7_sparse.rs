@@ -10,8 +10,8 @@
 //! the same work-stealing policy in virtual time. The gap is then exactly
 //! the cost of the synchronisation the paper blames.
 //!
-//! A real cross-check verifies both parallel factorisations bit-agree with
-//! the sequential one on this host.
+//! A real cross-check asserts that both parallel factorisations bit-agree
+//! with the sequential one on this host.
 //!
 //! Usage: `fig7_sparse [n]` (default 8800; paper: 59462).
 
@@ -99,4 +99,9 @@ fn main() {
     }
     println!("xkaapi dataflow : max|Δ| vs seq = {dk:.2e}");
     println!("omp taskwait    : max|Δ| vs seq = {do_:.2e}");
+    assert_eq!(
+        dk, 0.0,
+        "xkaapi dataflow differs from the sequential factor"
+    );
+    assert_eq!(do_, 0.0, "omp taskwait differs from the sequential factor");
 }

@@ -1,23 +1,18 @@
 //! One-flag scheduler configuration for ablations and tests.
 //!
-//! [`SchedPolicy`] enumerates the queue-layer × steal-layer combinations
-//! the engine supports, so a benchmark can flip the entire scheduler
-//! architecture — distributed work stealing vs the centralized baselines,
-//! aggregation on or off — from a single enum value instead of three
-//! codebases (the pre-refactor state: `omp`, `quark::central` and `core`
-//! each hand-rolled their own worker loop and queue machinery).
+//! [`SchedPolicy`] enumerates the steal-layer protocols the engine
+//! supports — aggregation on or off — so a benchmark or test sweeps them
+//! from a single enum value. The libGOMP and QUARK baselines are runtimes
+//! of their own (`xkaapi_omp::OmpPool`, `xkaapi_quark::central`).
 
 use std::sync::Arc;
 use xkaapi_core::{
     AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing, Runtime, StealPolicy,
-    TaskQueue, Topology,
+    Topology,
 };
-use xkaapi_omp::OmpCentralQueue;
-use xkaapi_quark::QuarkCentralQueue;
 
-/// Victim-selection dimension of the steal layer, swept orthogonally to
-/// the queue layer by `bench --bin ablation` (ISSUE 3: uniform ×
-/// hierarchical × locality-first on distributed and centralized queues).
+/// Victim-selection dimension of the steal layer, swept by
+/// `bench --bin ablation` (uniform × hierarchical × locality-first).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VictimPolicy {
     /// Uniform random victim, full aggregation (the paper's default).
@@ -66,21 +61,13 @@ pub enum SchedPolicy {
     /// Same distributed structure, but each thief pays its own steal
     /// (no request aggregation).
     DistributedPerThief,
-    /// libGOMP weight class: one mutex-protected global FIFO
-    /// ([`OmpCentralQueue`]), eager ready-task publication.
-    CentralOmp,
-    /// QUARK weight class: the centralized ready list with priority
-    /// ordering ([`QuarkCentralQueue`]), eager ready-task publication.
-    CentralQuark,
 }
 
 impl SchedPolicy {
     /// Every configuration, for exhaustive sweeps.
-    pub const ALL: [SchedPolicy; 4] = [
+    pub const ALL: [SchedPolicy; 2] = [
         SchedPolicy::DistributedAggregated,
         SchedPolicy::DistributedPerThief,
-        SchedPolicy::CentralOmp,
-        SchedPolicy::CentralQuark,
     ];
 
     /// Table label.
@@ -88,8 +75,6 @@ impl SchedPolicy {
         match self {
             SchedPolicy::DistributedAggregated => "distributed + aggregation",
             SchedPolicy::DistributedPerThief => "distributed, per-thief",
-            SchedPolicy::CentralOmp => "central FIFO (omp)",
-            SchedPolicy::CentralQuark => "central ready-list (quark)",
         }
     }
 
@@ -98,11 +83,9 @@ impl SchedPolicy {
         self.builder(workers).build()
     }
 
-    /// Build a runtime under this queue configuration with an explicit
-    /// victim-selection policy and machine topology — the full
-    /// queue-layer × victim-policy sweep surface. The victim policy
-    /// replaces this configuration's default steal layer (the queue layer
-    /// is unchanged, so centralized queues sweep victim policies too).
+    /// Build a runtime with an explicit victim-selection policy and
+    /// machine topology — the victim-policy sweep surface. The victim
+    /// policy replaces this configuration's steal layer.
     pub fn build_runtime_with(
         self,
         workers: usize,
@@ -116,21 +99,11 @@ impl SchedPolicy {
     }
 
     fn builder(self, workers: usize) -> xkaapi_core::Builder {
-        let builder = Runtime::builder().workers(workers);
-        match self {
-            SchedPolicy::DistributedAggregated => {
-                builder.steal_policy(Arc::new(AggregatedStealing) as Arc<dyn StealPolicy>)
-            }
-            SchedPolicy::DistributedPerThief => {
-                builder.steal_policy(Arc::new(PerThiefStealing) as Arc<dyn StealPolicy>)
-            }
-            SchedPolicy::CentralOmp => {
-                builder.task_queue(Arc::new(OmpCentralQueue::new()) as Arc<dyn TaskQueue>)
-            }
-            SchedPolicy::CentralQuark => {
-                builder.task_queue(Arc::new(QuarkCentralQueue::new()) as Arc<dyn TaskQueue>)
-            }
-        }
+        let steal: Arc<dyn StealPolicy> = match self {
+            SchedPolicy::DistributedAggregated => Arc::new(AggregatedStealing),
+            SchedPolicy::DistributedPerThief => Arc::new(PerThiefStealing),
+        };
+        Runtime::builder().workers(workers).steal_policy(steal)
     }
 }
 

@@ -33,7 +33,7 @@ pub(crate) const NORMAL_BAND: u8 = 1;
 ///
 /// Priorities are *bands*, not a total order over tasks: within one band
 /// every queue keeps its historical order (owner LIFO / thief FIFO for the
-/// distributed lanes, FIFO for the centralized pools and inject lanes), and
+/// distributed lanes, FIFO for the ready lists and inject lanes), and
 /// higher bands are always drained before lower ones. The default
 /// [`Priority::Normal`] band reproduces the pre-attribute behaviour
 /// exactly.

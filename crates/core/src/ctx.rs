@@ -20,11 +20,10 @@ use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs};
 use crate::dataflow::SlotBinding;
 use crate::frame::Frame;
 use crate::handle::{PartView, Partitioned, Reduction, Ref, RefMut, Shared};
-use crate::queue::WorkItem;
 use crate::runtime::{RtInner, Runtime};
 use crate::stats::WorkerStats;
 use crate::steal::{run_grab, try_steal_once};
-use crate::task::{Task, TaskBody, ST_DONE, ST_OWNER, ST_STOLEN};
+use crate::task::{Task, TaskBody, ST_DONE, ST_OWNER};
 use crate::worker::{Near, ReadyBatch};
 use crossbeam_utils::Backoff;
 use std::marker::PhantomData;
@@ -198,15 +197,10 @@ impl RawCtx {
         if out.promoted {
             // Only a released task is stealable work; the release wakes.
             if out.released {
-                let mut release = Release::to(&self.rt, self.widx, self.widx);
+                let mut release = Release::to(&self.rt, self.widx);
                 release.push(Arc::clone(&task));
                 release.finish();
             }
-        } else if self.rt.queue.centralized() {
-            // Insertion-time scheduling (QUARK/libGOMP model), even with one
-            // worker: the first spawn promotes the frame, so every ready
-            // task goes straight to the shared queue from then on.
-            crate::steal::promote(&self.rt, self.widx, self.widx, &frame);
         } else if self.rt.num_workers() > 1 {
             self.rt.notify_work(Near::Worker(self.widx), 1);
         }
@@ -424,13 +418,9 @@ pub(crate) fn execute_claimed(rt: &Arc<RtInner>, widx: usize, frame: &Frame, tas
 /// frame's last completion.
 pub(crate) fn complete_and_publish(rt: &Arc<RtInner>, widx: usize, frame: &Frame, task: &Task) {
     task.complete();
-    // A centralized queue promotes a frame at its first spawn.
-    debug_assert!(!rt.queue.centralized() || frame.promoted());
     let mut release = None;
     let done = frame.complete_task(task, |t| {
-        release
-            .get_or_insert_with(|| Release::to(rt, widx, widx))
-            .push(t)
+        release.get_or_insert_with(|| Release::to(rt, widx)).push(t)
     });
     if let Some(release) = release {
         release.finish();
@@ -457,71 +447,45 @@ pub(crate) fn execute_task(rt: &Arc<RtInner>, widx: usize, task: Arc<Task>) {
     execute_claimed(rt, widx, frame, task);
 }
 
-/// Where the tasks a worker releases go (`DESIGN.md` §2, "Ready lists"):
-/// onto a worker's ready list, or — under a centralized queue — claimed
-/// and into the shared queue. One list lock for the whole batch; one
-/// notification for it in [`Release::finish`].
+/// Tasks a worker releases onto one worker's ready list (`DESIGN.md` §2,
+/// "Ready lists"): one list lock for the whole batch, one notification for
+/// it in [`Release::finish`].
 pub(crate) struct Release<'a> {
     rt: &'a Arc<RtInner>,
-    /// The releasing worker (the queue lane a centralized push uses).
-    widx: usize,
     /// The worker whose ready list receives the tasks.
     target: usize,
     list: ReadyBatch<'a>,
     listed: usize,
-    queued: usize,
-    /// Claimed tasks the queue refused: they run in `finish`.
-    refused: Vec<WorkItem>,
 }
 
 impl<'a> Release<'a> {
-    /// Tasks released by worker `widx` onto worker `target`'s list.
-    pub(crate) fn to(rt: &'a Arc<RtInner>, widx: usize, target: usize) -> Release<'a> {
+    /// Tasks released onto worker `target`'s list.
+    pub(crate) fn to(rt: &'a Arc<RtInner>, target: usize) -> Release<'a> {
         Release {
             rt,
-            widx,
             target,
             list: rt.workers[target].ready.batch(),
             listed: 0,
-            queued: 0,
-            refused: Vec::new(),
         }
     }
 
     /// Release a ready, unclaimed task.
     pub(crate) fn push(&mut self, task: Arc<Task>) {
-        if !self.rt.queue.centralized() {
-            self.list.push(task);
-            self.listed += 1;
-        } else if task.try_claim(ST_STOLEN) {
-            match self.rt.queue.push(self.widx, WorkItem::task(task)) {
-                Ok(()) => self.queued += 1,
-                Err(item) => self.refused.push(item),
-            }
-        }
+        self.list.push(task);
+        self.listed += 1;
     }
 
-    /// Unlock the list, wake for what was published, and run what the
-    /// queue refused (claimed already, so it runs now or never).
+    /// Unlock the list and wake for what was listed.
     pub(crate) fn finish(self) {
         let Release {
             rt,
-            widx,
             target,
             list,
             listed,
-            queued,
-            refused,
         } = self;
         drop(list);
         if listed > 0 && rt.num_workers() > 1 {
             rt.notify_work(Near::Worker(target), listed);
-        }
-        if queued > 0 {
-            rt.notify_work(Near::Node(rt.topo.node_of(widx)), queued);
-        }
-        for item in refused {
-            run_grab(rt, widx, item.into_grab());
         }
     }
 }
@@ -538,20 +502,9 @@ pub(crate) fn help_until(rt: &Arc<RtInner>, widx: usize, done: impl Fn() -> bool
             backoff.reset();
             continue;
         }
-        // Centralized queue: the shared pool is where every published task
-        // lives (and the only progress source at 1 worker). Distributed
-        // lanes must NOT be popped here — a suspended join's help loop
-        // consuming its own lane would break the LIFO discipline
-        // `TaskQueue::take` relies on; thieves reach lanes via the steal
-        // protocol below instead.
-        if rt.queue.centralized() {
-            if let Some(item) = rt.queue.pop(widx) {
-                run_grab(rt, widx, item.into_grab());
-                my.reset_fail_streak();
-                backoff.reset();
-                continue;
-            }
-        }
+        // Never pop the own lane here: a suspended join's help loop
+        // consuming it would break the LIFO discipline `take_job` relies
+        // on; thieves reach lanes through the steal protocol below.
         if let Some(grab) = try_steal_once(rt, widx) {
             run_grab(rt, widx, grab);
             backoff.reset();
@@ -790,7 +743,7 @@ impl<'scope> Ctx<'scope> {
             if !attrs.is_default() {
                 WorkerStats::bump(&stats.tasks_with_attrs, 1);
             }
-            let pushed = rt.push_join(widx, jref, attrs.band());
+            let pushed = rt.lanes.push_job(widx, jref, attrs.band() as usize);
             if let Some(was_empty) = pushed {
                 WorkerStats::bump_owned(&stats.tasks_spawned, 1);
                 if rt.num_workers() > 1 {
@@ -812,9 +765,9 @@ impl<'scope> Ctx<'scope> {
         let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
         let rt: &Arc<RtInner> = &self.raw().rt;
         if pushed {
-            if let Some(mine) = rt.take_join(widx, jref.data) {
+            if let Some(mine) = rt.lanes.take_job(widx, jref.data) {
                 WorkerStats::bump_owned(&rt.workers[widx].stats.tasks_executed_own, 1);
-                // SAFETY: `take_join` returned our own job, so no thief ran
+                // SAFETY: `take_job` returned our own job, so no thief ran
                 // it, and `job` lives on this frame until we return.
                 unsafe { mine.execute(rt, widx) };
             } else {

@@ -11,17 +11,15 @@
 //!   nothing until a thief scans it, a push needs slot routing or a task
 //!   fails; then it binds its unbound prefix, and every later push at
 //!   push time (`DESIGN.md` §2, "Lazy binding");
-//! * the first steal scan (under a centralized queue, the first spawn)
-//!   binds the frame and *promotes* it: every task gets a countdown of its
-//!   live predecessors and links into their successor cells
-//!   ([`crate::task`]), and from then on readiness moves with the tasks,
-//!   not through the frame. A completion seals its cell and counts its
-//!   successors down; a task whose count reaches zero, or that is pushed
-//!   or promoted with no live predecessor, is *released* onto the ready
-//!   list of the worker that released it (`crate::worker`), or into the
-//!   shared queue under a centralized one. Thieves take work from those
-//!   lists and never lock the frame — the paper's "accelerating data
-//!   structure for steal operations".
+//! * the first steal scan binds the frame and *promotes* it: every task
+//!   gets a countdown of its live predecessors and links into their
+//!   successor cells ([`crate::task`]), and from then on readiness moves
+//!   with the tasks, not through the frame. A completion seals its cell
+//!   and counts its successors down; a task whose count reaches zero, or
+//!   that is pushed or promoted with no live predecessor, is *released*
+//!   onto the ready list of the worker that released it (`crate::worker`).
+//!   Thieves take work from those lists and never lock the frame — the
+//!   paper's "accelerating data structure for steal operations".
 //!
 //! After promotion only the owner's push (binding), the release of renamed
 //! version slots and `mark_failed` take the frame lock.
@@ -331,11 +329,11 @@ impl Frame {
             .any(|&p| inner.failed.get(p as usize).copied().unwrap_or(false))
     }
 
-    /// The first steal scan of a frame (or, under a centralized queue,
-    /// its first spawn): bind the unbound prefix and promote, handing every
-    /// task ready now to `release` (unclaimed, for a ready list). Returns
-    /// the tasks with declared accesses it bound when this call promoted,
-    /// `None` when the frame has no pending work or was promoted before.
+    /// The first steal scan of a frame: bind the unbound prefix and
+    /// promote, handing every task ready now to `release` (unclaimed, for
+    /// a ready list). Returns the tasks with declared accesses it bound
+    /// when this call promoted, `None` when the frame has no pending work
+    /// or was promoted before.
     pub(crate) fn bind_and_promote(&self, release: impl FnMut(Arc<Task>)) -> Option<u32> {
         if self.pending.load(Ordering::Acquire) == 0 || self.promoted() {
             return None;

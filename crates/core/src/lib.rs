@@ -123,7 +123,6 @@ pub use policy::{
     uniform_victim, AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing,
     RenamePolicy, StealPolicy, VictimChoice,
 };
-pub use queue::{DistributedLanes, TaskQueue, WorkItem};
 pub use record::{RecCtx, RecTaskBuilder, RecordStats, RecordedDag, ReplayTrace, TraceEvent};
 pub use runtime::{Builder, JobBuilder, Runtime, Tunables};
 pub use stats::StatsSnapshot;

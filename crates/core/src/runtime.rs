@@ -9,9 +9,8 @@
 //! * the **injection layer** ([`crate::inject`]) is how root jobs enter
 //!   from outside the pool: sharded per-NUMA-node lanes with admission
 //!   control, [`JoinHandle`]s for non-blocking callers;
-//! * the **queue layer** ([`crate::queue::TaskQueue`]) decides where ready
-//!   work lives — per-worker T.H.E. deques by default, or a centralized
-//!   pool (the omp/quark baselines) injected through [`Builder::task_queue`];
+//! * the **queue layer** ([`crate::queue`]) holds ready fork-join work:
+//!   one priority-banded T.H.E. deque per worker;
 //! * the **steal layer** ([`crate::policy::StealPolicy`]) decides the
 //!   thief-side protocol — flat-combining aggregation by default,
 //!   per-thief steals via [`Builder::steal_policy`];
@@ -25,15 +24,13 @@
 use crate::access::Access;
 use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs, NORMAL_BAND};
 use crate::ctx::{Ctx, RawCtx};
-use crate::fastlane::FastJob;
 use crate::handle::{Partitioned, Shared};
 use crate::inject::{
     make_job, InjectLaneStats, InjectLanes, InjectPolicy, JoinHandle, JoinState, SubmitError,
 };
 use crate::policy::{AggregatedStealing, RenamePolicy, StealPolicy};
-use crate::queue::{DistributedLanes, TaskQueue, WorkItem};
+use crate::queue::DistributedLanes;
 use crate::stats::{self, StatsSnapshot};
-use crate::steal::Grab;
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
 use crate::worker::{current_worker_of, run_on_seat, worker_main, Near, ParkLot, Worker};
@@ -68,8 +65,8 @@ pub struct Tunables {
 ///   `on/off`, `yes/no`).
 ///
 /// An explicit [`Builder::workers`] or [`Builder::tracing`] call wins over
-/// the environment: code that sized auxiliary structures (a custom
-/// [`TaskQueue`], `Reduction::with_slots`) to a requested worker count
+/// the environment: code that sized auxiliary structures (such as
+/// `Reduction::with_slots`) to a requested worker count
 /// must never be resized from the outside underneath it. Malformed values
 /// are ignored with a one-line warning on stderr.
 pub struct Builder {
@@ -77,7 +74,6 @@ pub struct Builder {
     tun: Tunables,
     tracing: Option<bool>,
     stack_size: usize,
-    queue: Option<Arc<dyn TaskQueue>>,
     steal: Option<Arc<dyn StealPolicy>>,
     topo: Option<Topology>,
     #[cfg(feature = "fault-injection")]
@@ -91,7 +87,6 @@ impl Default for Builder {
             tun: Tunables::default(),
             tracing: None,
             stack_size: 16 << 20,
-            queue: None,
             steal: None,
             topo: None,
             #[cfg(feature = "fault-injection")]
@@ -161,15 +156,6 @@ impl Builder {
         self
     }
 
-    /// Install a ready-work store (queue layer). Defaults to
-    /// [`DistributedLanes`] (one T.H.E. deque per worker). Centralized
-    /// implementations make every paradigm run through one shared pool —
-    /// see `xkaapi_omp::OmpCentralQueue` and `xkaapi_quark::QuarkCentralQueue`.
-    pub fn task_queue(mut self, q: Arc<dyn TaskQueue>) -> Self {
-        self.queue = Some(q);
-        self
-    }
-
     /// Injection admission policy: pending root-job cap and behaviour at
     /// the cap ([`crate::OnFull::Block`] throttles submitters,
     /// [`crate::OnFull::Reject`] sheds load).
@@ -228,13 +214,6 @@ impl Builder {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let (queue, builtin_lanes): (Arc<dyn TaskQueue>, _) = match self.queue {
-            Some(q) => (q, None),
-            None => {
-                let lanes = Arc::new(DistributedLanes::new(nworkers));
-                (Arc::clone(&lanes) as Arc<dyn TaskQueue>, Some(lanes))
-            }
-        };
         let steal_pol: Arc<dyn StealPolicy> =
             self.steal.unwrap_or_else(|| Arc::new(AggregatedStealing));
         let topo = match self.topo {
@@ -261,8 +240,7 @@ impl Builder {
             park_lot: ParkLot::new(nworkers),
             shutdown: AtomicBool::new(false),
             tun,
-            queue,
-            builtin_lanes,
+            lanes: DistributedLanes::new(nworkers),
             steal_pol,
             topo,
             threads: Mutex::new(Vec::new()),
@@ -302,12 +280,8 @@ pub(crate) struct RtInner {
     pub(crate) park_lot: ParkLot,
     pub(crate) shutdown: AtomicBool,
     pub(crate) tun: Tunables,
-    /// Queue layer: where ready work lives.
-    pub(crate) queue: Arc<dyn TaskQueue>,
-    /// `queue` itself when it is the built-in [`DistributedLanes`] (no
-    /// queue was given to the builder), so `Ctx::join` can push and take
-    /// its job through inlined calls instead of the trait object.
-    builtin_lanes: Option<Arc<DistributedLanes>>,
+    /// Queue layer: each worker's lane of ready fork-join jobs.
+    pub(crate) lanes: DistributedLanes,
     /// Steal layer: the thief-side protocol.
     pub(crate) steal_pol: Arc<dyn StealPolicy>,
     /// Machine topology consulted by topology-aware steal policies.
@@ -344,41 +318,6 @@ impl RtInner {
     #[inline]
     pub(crate) fn num_workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Push `Ctx::join`'s stack job on worker `widx`'s queue: `None` when
-    /// the queue refused it, else whether the push made the queue
-    /// non-empty (always `true` for a custom queue, which cannot tell).
-    /// With the built-in lanes this inlines into the join, where the
-    /// default band folds to the T.H.E. push; the virtual call and the
-    /// `WorkItem` round trip it avoids were a large share of a join's cost
-    /// (`DESIGN.md` §6, "What a join may touch").
-    #[inline]
-    pub(crate) fn push_join(&self, widx: usize, job: FastJob, band: u8) -> Option<bool> {
-        match &self.builtin_lanes {
-            Some(lanes) => lanes.push_job(widx, job, band as usize),
-            None => self
-                .queue
-                .push(widx, WorkItem::fast_banded(job, band))
-                .ok()
-                .map(|()| true),
-        }
-    }
-
-    /// Take `Ctx::join`'s stack job `token` back if no thief took it (see
-    /// [`RtInner::push_join`]).
-    #[inline]
-    pub(crate) fn take_join(&self, widx: usize, token: *mut ()) -> Option<FastJob> {
-        match &self.builtin_lanes {
-            Some(lanes) => lanes.take_job(widx, token).map(|(job, _)| job),
-            None => self
-                .queue
-                .take(widx, token)
-                .map(|item| match item.into_grab() {
-                    Grab::Fast(job) => job,
-                    _ => unreachable!("take returned a non-fork-join item"),
-                }),
-        }
     }
 
     /// Producer side of the park handshake (`crate::worker`): `units`
@@ -733,11 +672,6 @@ impl Runtime {
         self.inner.tun
     }
 
-    /// Name of the queue-layer policy in effect.
-    pub fn queue_name(&self) -> &'static str {
-        self.inner.queue.name()
-    }
-
     /// Name of the steal-layer policy in effect.
     pub fn steal_policy_name(&self) -> &'static str {
         self.inner.steal_pol.name()
@@ -790,7 +724,6 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("workers", &self.num_workers())
-            .field("queue", &self.queue_name())
             .field("steal", &self.steal_policy_name())
             .finish()
     }

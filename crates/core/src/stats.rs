@@ -65,9 +65,8 @@ counters! {
     aggregated_requests,
     /// Adaptive-task splitter invocations that produced work.
     splits,
-    /// Frames promoted to per-task readiness (ready-list acceleration):
-    /// each at its first steal scan, or its first spawn under a
-    /// centralized queue.
+    /// Frames promoted to per-task readiness (ready-list acceleration),
+    /// each at its first steal scan.
     promotions,
     /// Frames allocated because the worker's frame pool was empty. Flat
     /// once the pools are warm, as long as finished frames are recycled.

@@ -140,11 +140,10 @@ fn serve(
     let k = reqs.len();
     let mut grabs: Vec<Grab> = Vec::with_capacity(k);
 
-    // 0. Queue layer: the victim's share of the ready-work store (fork-join
-    // lane under DistributedLanes, the shared pool under a central queue).
+    // 0. Queue layer: the victim's lane of fork-join jobs.
     while grabs.len() < k {
-        match rt.queue.steal(reqs[grabs.len()].thief, victim_idx) {
-            Some(item) => grabs.push(item.into_grab()),
+        match rt.lanes.steal(victim_idx) {
+            Some(job) => grabs.push(Grab::Fast(job)),
             None => break,
         }
     }
@@ -441,12 +440,11 @@ pub(crate) fn steal_exact(rt: &Arc<RtInner>, me: usize, victim: usize) -> Option
 
 /// Promote `frame` (`DESIGN.md` §2, "Ready lists"): bind its unbound
 /// prefix and release every task ready now onto worker `target`'s ready
-/// list, or, under a centralized queue, into the shared queue. Called at a
-/// frame's first steal scan, and under a centralized queue at its first
-/// spawn; from then on the frame publishes through its releases. The
-/// promotion and the tasks it bound count on worker `me`.
+/// list. Called at a frame's first steal scan; from then on the frame
+/// publishes through its releases. The promotion and the tasks it bound
+/// count on worker `me`.
 pub(crate) fn promote(rt: &Arc<RtInner>, me: usize, target: usize, frame: &Frame) {
-    let mut release = Release::to(rt, me, target);
+    let mut release = Release::to(rt, target);
     let bound = frame.bind_and_promote(|t| release.push(t));
     release.finish();
     if let Some(bound) = bound {

@@ -55,7 +55,7 @@ pub(crate) struct Task {
     /// Declared accesses; empty for independent (fork-join) tasks.
     pub(crate) accesses: Box<[Access]>,
     /// Scheduling attributes (priority band, data affinity) — immutable
-    /// after construction, consumed by the queue/steal/inject layers.
+    /// after construction, consumed by the ready-list/steal/inject layers.
     pub(crate) attrs: TaskAttrs,
     /// Version-slot routing parallel to `accesses`, written at most once,
     /// by a `Frame::push` that binds the task (under the frame lock, before

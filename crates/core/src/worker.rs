@@ -55,8 +55,6 @@
 //!   frame that released tasks onto a ready list, up to one wake per
 //!   listed task;
 //! * `foreach_run` — a loop launch, which wakes up to W−1 workers;
-//! * `Release::finish` under a centralized queue — one wake per task
-//!   released into the shared queue;
 //! * `Runtime::submit` and the inject path of `Runtime::scope` — a root
 //!   job;
 //! * the seat's hand-back ([`ParkLot::hand_back`]) — it parks the lent
@@ -721,7 +719,7 @@ impl ParkLot {
         // worker parked or is seen below.
         slot.with_lock(|| slot.state.store(PARKED, Ordering::Release));
         self.join_idle(w);
-        if rt.inject.has_pending_hint() || rt.queue.may_pop(w) || rt.workers[w].ready.purge() {
+        if rt.inject.has_pending_hint() || rt.lanes.may_pop(w) || rt.workers[w].ready.purge() {
             // Unless a producer woke it already, or another caller took it.
             self.wake_one(NO_CPU, |idle| idle.iter().rposition(|&x| x == w));
         } else if rt.shutdown.load(Ordering::SeqCst) {
@@ -870,15 +868,14 @@ impl Work {
 }
 
 /// Work the searching round and the parker's re-check take first: the
-/// worker's own ready list (one relaxed load when it is empty), then the
-/// queue layer (own lane, or the shared pool under a central queue). The
-/// list goes first because a thief working through released tasks finds
-/// its next one there.
+/// worker's own ready list (one relaxed load when it is empty), then its
+/// own lane. The list goes first because a thief working through released
+/// tasks finds its next one there.
 fn acquire_local(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
     if let Some(task) = rt.workers[idx].ready.pop() {
         return Some(Work::Grab(Grab::Task(task)));
     }
-    rt.queue.pop(idx).map(|item| Work::Grab(item.into_grab()))
+    rt.lanes.pop(idx).map(|job| Work::Grab(Grab::Fast(job)))
 }
 
 /// One searching round for worker `idx`: the local sources
@@ -980,7 +977,107 @@ pub(crate) fn worker_main(rt: Arc<RtInner>, idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrs::{Affinity, Priority, TaskAttrs};
+    use crate::task::ST_OWNER;
     use crate::Runtime;
+
+    fn task(priority: Priority, affinity: Affinity) -> Arc<Task> {
+        let attrs = TaskAttrs {
+            priority,
+            affinity,
+            cancel: None,
+        };
+        Arc::new(Task::new(Box::new(|_| {}), Box::new([]), attrs))
+    }
+
+    /// List `tasks` in order on a fresh ready list.
+    fn listed(tasks: &[Arc<Task>]) -> ReadyList {
+        let list = ReadyList::new();
+        let mut batch = list.batch();
+        for t in tasks {
+            batch.push(Arc::clone(t));
+        }
+        drop(batch);
+        list
+    }
+
+    /// Indices into `all` of the tasks in `got`.
+    fn indices(all: &[Arc<Task>], got: &[Arc<Task>]) -> Vec<usize> {
+        got.iter()
+            .map(|t| all.iter().position(|a| Arc::ptr_eq(a, t)).unwrap())
+            .collect()
+    }
+
+    /// `pop` claims High before Normal before Low, oldest first within a
+    /// band, and skips an entry another claimant took first.
+    #[test]
+    fn ready_list_pops_by_band_then_age_and_skips_claimed() {
+        use Priority::{High, Low, Normal};
+        let all: Vec<Arc<Task>> = [Low, Normal, High, Low, Normal, High, Normal]
+            .into_iter()
+            .map(|p| task(p, Affinity::None))
+            .collect();
+        let list = listed(&all);
+        assert!(all[4].try_claim(ST_OWNER), "the owner's FIFO walk ran it");
+        let popped: Vec<Arc<Task>> = std::iter::from_fn(|| list.pop()).collect();
+        assert_eq!(indices(&all, &popped), [2, 5, 1, 6, 0, 3]);
+        assert!(popped.iter().all(|t| t.state() == ST_STOLEN), "pop claims");
+        assert!(list.is_empty_hint());
+    }
+
+    /// `steal_half` moves half of the live entries, unclaimed: the highest
+    /// band first and the oldest first, or, given a home node, the tasks
+    /// whose affinity resolves to it first within each band.
+    #[test]
+    fn ready_list_steal_half_takes_the_oldest_half_home_node_first() {
+        use Priority::{High, Normal};
+        let on_1 = Affinity::Node(1);
+        let all = || {
+            vec![
+                task(Normal, Affinity::None),
+                task(High, Affinity::None),
+                task(Normal, on_1),
+                task(High, on_1),
+                task(Normal, Affinity::None),
+                task(Normal, on_1),
+            ]
+        };
+        let steal = |home: Option<usize>| {
+            let all = all();
+            let list = listed(&all);
+            let mut out = Vec::new();
+            list.steal_half(home, 2, &mut out);
+            assert!(out.iter().all(|t| t.state() == ST_INIT), "left unclaimed");
+            let rest: Vec<Arc<Task>> = std::iter::from_fn(|| list.pop()).collect();
+            (indices(&all, &out), indices(&all, &rest))
+        };
+        assert_eq!(steal(None), (vec![1, 3, 0], vec![2, 4, 5]));
+        assert_eq!(steal(Some(1)), (vec![3, 1, 2], vec![0, 4, 5]));
+        // One live entry still moves; stale ones are dropped, not moved.
+        let all = all();
+        let list = listed(&all[..2]);
+        assert!(all[1].try_claim(ST_OWNER));
+        let mut out = Vec::new();
+        list.steal_half(None, 2, &mut out);
+        assert_eq!(indices(&all, &out), [0]);
+        assert!(list.is_empty_hint());
+    }
+
+    /// `purge` drops stale entries and says whether live ones remain.
+    #[test]
+    fn ready_list_purge_drops_stale_entries() {
+        let all: Vec<Arc<Task>> = (0..3)
+            .map(|_| task(Priority::Normal, Affinity::None))
+            .collect();
+        let list = listed(&all);
+        assert!(all[0].try_claim(ST_OWNER) && all[2].try_claim(ST_OWNER));
+        assert!(list.purge(), "one live entry remains");
+        assert_eq!(list.len.load(Ordering::Relaxed), 1);
+        assert!(all[1].try_claim(ST_OWNER));
+        assert!(!list.purge(), "every entry was stale");
+        assert!(list.is_empty_hint());
+        assert!(!list.purge(), "an empty list has nothing live");
+    }
 
     /// Seat rule: only a thread holding a lent seat passes its CPU with
     /// a wake.

@@ -23,7 +23,7 @@
 pub mod barrier;
 pub mod queue;
 
-pub use queue::{CentralQueue, OmpCentralQueue};
+pub use queue::CentralQueue;
 
 use barrier::CentralBarrier;
 use parking_lot::{Condvar, Mutex};
@@ -74,8 +74,7 @@ struct Inner {
     region: Mutex<Option<RegionSlot>>,
     region_cv: Condvar,
     gen: AtomicUsize,
-    /// Centralized task queue (the QUARK/libGOMP-style contention point),
-    /// the same structure [`queue::OmpCentralQueue`] exposes to the engine.
+    /// Centralized task queue (the QUARK/libGOMP-style contention point).
     tasks: CentralQueue<TaskNode>,
     tasks_inflight: AtomicUsize,
     barrier: CentralBarrier,

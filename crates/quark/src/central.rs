@@ -18,13 +18,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xkaapi_core::{TaskQueue, WorkItem};
 
-/// QUARK's centralized ready list, extracted so the identical structure
-/// backs both [`CentralPool`]'s own scheduler and (via
-/// [`QuarkCentralQueue`]) the queue layer of the `xkaapi-core` engine:
-/// one global mutex-protected deque, priority pushes to the front, a
-/// condvar for parked workers and a lock-operation counter (the contention
+/// QUARK's centralized ready list behind [`CentralPool`]'s scheduler: one
+/// global mutex-protected deque, priority pushes to the front, a condvar
+/// for parked workers and a lock-operation counter (the contention
 /// indicator reported next to Fig. 2).
 pub struct CentralReadyList<T> {
     ready: Mutex<VecDeque<T>>,
@@ -67,14 +64,6 @@ impl<T> CentralReadyList<T> {
         self.ready.lock().pop_front()
     }
 
-    /// Remove the last item matching `pred` (reverse scan under the lock).
-    pub fn take_last_matching(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        let mut q = self.ready.lock();
-        let pos = q.iter().rposition(pred)?;
-        q.remove(pos)
-    }
-
     /// Block up to `timeout` while the list is empty and `alive` holds.
     pub fn wait_for_work(&self, timeout: Duration, alive: impl Fn() -> bool) {
         let mut q = self.ready.lock();
@@ -97,72 +86,6 @@ impl<T> CentralReadyList<T> {
     /// Lock acquisitions so far (contention indicator).
     pub fn ops(&self) -> usize {
         self.ops.load(Ordering::Relaxed)
-    }
-}
-
-/// [`TaskQueue`] adapter: run the X-Kaapi engine's ready work through
-/// QUARK's [`CentralReadyList`] — every paradigm then schedules exactly the
-/// way the centralized QUARK backend does. One ready list per priority
-/// band: QUARK's boolean priority flag generalises to the engine's
-/// [`WorkItem::band`], popped highest band first (FIFO within a band, so
-/// attribute-free programs keep the historical order).
-pub struct QuarkCentralQueue {
-    bands: [CentralReadyList<WorkItem>; xkaapi_core::PRIORITY_BANDS],
-}
-
-impl Default for QuarkCentralQueue {
-    fn default() -> Self {
-        QuarkCentralQueue::new()
-    }
-}
-
-impl QuarkCentralQueue {
-    /// Empty queue; hand it to `xkaapi_core::Builder::task_queue`.
-    pub fn new() -> QuarkCentralQueue {
-        QuarkCentralQueue {
-            bands: std::array::from_fn(|_| CentralReadyList::new()),
-        }
-    }
-
-    /// Ready-list lock acquisitions so far, across all bands.
-    pub fn ops(&self) -> usize {
-        self.bands.iter().map(CentralReadyList::ops).sum()
-    }
-}
-
-impl TaskQueue for QuarkCentralQueue {
-    fn name(&self) -> &'static str {
-        "central-quark"
-    }
-
-    fn centralized(&self) -> bool {
-        true
-    }
-
-    fn push(&self, _worker: usize, item: WorkItem) -> Result<(), WorkItem> {
-        self.bands[item.band()].push(item, false);
-        Ok(())
-    }
-
-    fn pop(&self, _worker: usize) -> Option<WorkItem> {
-        self.bands.iter().find_map(CentralReadyList::pop)
-    }
-
-    fn steal(&self, _thief: usize, _victim: usize) -> Option<WorkItem> {
-        self.bands.iter().find_map(CentralReadyList::pop)
-    }
-
-    fn may_pop(&self, _worker: usize) -> bool {
-        !self.bands.iter().all(CentralReadyList::is_empty)
-    }
-
-    fn take(&self, _worker: usize, token: *mut ()) -> Option<WorkItem> {
-        if token.is_null() {
-            return None;
-        }
-        self.bands
-            .iter()
-            .find_map(|l| l.take_last_matching(|item| std::ptr::eq(item.token(), token)))
     }
 }
 

@@ -21,7 +21,7 @@
 
 pub mod central;
 
-pub use central::{CentralReadyList, QuarkCentralQueue};
+pub use central::CentralReadyList;
 
 use central::CentralPool;
 use std::sync::Arc;

@@ -29,8 +29,8 @@ pub use xkaapi_core::FaultPlan;
 pub use xkaapi_core::JoinHandle;
 pub use xkaapi_core::{
     Access, AccessMode, Affinity, AggregatedStealing, Builder, CancelToken, Ctx, DataflowEngine,
-    DistanceMatrix, DistributedLanes, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst,
-    Partitioned, PerThiefStealing, Priority, RecCtx, RecordStats, RecordedDag, Reduction, Region,
-    RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy, SubmitError, TaskAttrs,
-    TaskBuilder, TaskQueue, Topology, Tunables, VictimChoice, WorkItem,
+    DistanceMatrix, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst, Partitioned,
+    PerThiefStealing, Priority, RecCtx, RecordStats, RecordedDag, Reduction, Region, RenamePolicy,
+    ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy, SubmitError, TaskAttrs, TaskBuilder,
+    Topology, Tunables, VictimChoice,
 };

@@ -1,7 +1,7 @@
 //! Seeded chaos suite (DESIGN.md §8): runs the three canonical workloads
 //! — fork-join fib, a cholesky-like dataflow wavefront, and a submit
-//! flood — under deterministic fault plans across all four scheduler
-//! policy combinations, asserting the fault-tolerance invariants:
+//! flood — under deterministic fault plans across both steal
+//! protocols, asserting the fault-tolerance invariants:
 //!
 //! * **no hang** — every scope returns and every handle resolves (the
 //!   whole suite is bounded by per-wait timeouts);
@@ -27,9 +27,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use xkaapi::core::{
     AggregatedStealing, CancelToken, Ctx, FaultPlan, PerThiefStealing, Runtime, Shared,
-    StatsSnapshot, StealPolicy, TaskQueue,
+    StatsSnapshot, StealPolicy,
 };
-use xkaapi::omp::OmpCentralQueue;
 
 const FIXED_SEEDS: [u64; 3] = [42, 0xdead_beef, 20260808];
 
@@ -46,30 +45,21 @@ fn seeds() -> Vec<u64> {
     s
 }
 
-/// Build one of the four queue×steal policy combinations.
+/// Build a runtime under one of the two steal protocols.
 fn build_rt(combo: usize, workers: usize, plan: FaultPlan) -> Runtime {
-    let steal: Arc<dyn StealPolicy> = if combo.is_multiple_of(2) {
+    let steal: Arc<dyn StealPolicy> = if combo == 0 {
         Arc::new(AggregatedStealing)
     } else {
         Arc::new(PerThiefStealing)
     };
-    let mut b = Runtime::builder()
+    Runtime::builder()
         .workers(workers)
         .steal_policy(steal)
-        .fault_plan(plan);
-    if combo >= 2 {
-        let q: Arc<dyn TaskQueue> = Arc::new(OmpCentralQueue::new());
-        b = b.task_queue(q);
-    }
-    b.build()
+        .fault_plan(plan)
+        .build()
 }
 
-const COMBO_NAMES: [&str; 4] = [
-    "dist+agg",
-    "dist+perthief",
-    "central+agg",
-    "central+perthief",
-];
+const COMBO_NAMES: [&str; 2] = ["dist+agg", "dist+perthief"];
 
 fn fib(c: &mut Ctx<'_>, n: u64) -> u64 {
     if n < 2 {
@@ -182,7 +172,7 @@ fn chaos_round(rt: &Runtime, seed: u64, name: &str) -> StatsSnapshot {
     rt.stats()
 }
 
-/// The chaos matrix: every seed × every policy combination.
+/// The chaos matrix: every seed × every steal protocol.
 #[test]
 fn chaos_matrix_no_hang_no_lost_join() {
     for seed in seeds() {

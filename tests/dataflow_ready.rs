@@ -4,12 +4,11 @@
 //! runs before a predecessor the data-flow engine recorded for it, that a
 //! completion sealing its cell while the owner links behind it loses no
 //! count, that a promoted frame is still recycled, and what counts as a
-//! stolen task. The last five check lazy binding (`crate::frame` in
+//! stolen task. The last four check lazy binding (`crate::frame` in
 //! `xkaapi-core`): a frame binds its tasks only once a thief scans it, a
-//! push needs slot routing or a task fails, and then each task once; under
-//! a centralized queue its first spawn promotes it. A lost release or
-//! wake is a hang, so every case runs on a thread of its own and fails on
-//! a 60 s deadline.
+//! push needs slot routing or a task fails, and then each task once. A
+//! lost release or wake is a hang, so every case runs on a thread of its
+//! own and fails on a 60 s deadline.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,11 +17,9 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use xkaapi::core::{
     Access, AccessMode, AggregatedStealing, DataflowEngine, Partitioned, PerThiefStealing, Region,
-    RenamePolicy, Runtime, Shared, StealPolicy, TaskQueue,
+    RenamePolicy, Runtime, Shared, StealPolicy,
 };
 use xkaapi::linalg::{cholesky_seq, cholesky_xkaapi, TiledMatrix};
-use xkaapi::omp::OmpCentralQueue;
-use xkaapi::quark::QuarkCentralQueue;
 
 /// Run `body` on its own thread; fail if it does not finish in 60 s.
 fn within_deadline(what: &str, body: impl FnOnce() + Send + 'static) {
@@ -44,18 +41,19 @@ fn within_deadline(what: &str, body: impl FnOnce() + Send + 'static) {
     }
 }
 
-/// The four queue × steal combinations.
-const POLICIES: [&str; 4] = ["aggregated", "per-thief", "central omp", "central quark"];
+/// The two steal protocols.
+const POLICIES: [&str; 2] = ["aggregated", "per-thief"];
 
 fn runtime(policy: &str, workers: usize, renaming: bool) -> Runtime {
-    let b = Runtime::builder().workers(workers).renaming(renaming);
-    match policy {
-        "aggregated" => b.steal_policy(Arc::new(AggregatedStealing) as Arc<dyn StealPolicy>),
-        "per-thief" => b.steal_policy(Arc::new(PerThiefStealing) as Arc<dyn StealPolicy>),
-        "central omp" => b.task_queue(Arc::new(OmpCentralQueue::new()) as Arc<dyn TaskQueue>),
-        _ => b.task_queue(Arc::new(QuarkCentralQueue::new()) as Arc<dyn TaskQueue>),
-    }
-    .build()
+    let steal: Arc<dyn StealPolicy> = match policy {
+        "aggregated" => Arc::new(AggregatedStealing),
+        _ => Arc::new(PerThiefStealing),
+    };
+    Runtime::builder()
+        .workers(workers)
+        .renaming(renaming)
+        .steal_policy(steal)
+        .build()
 }
 
 fn spin(iters: u32) {
@@ -313,8 +311,8 @@ fn run_program(rt: &Runtime, program: &[Vec<Acc>]) -> (Vec<Vec<u64>>, Vec<Vec<Ac
 
 /// (a) Every conflicting pair of a random program runs in the order of
 /// `DataflowEngine::preds`, and the final values equal those of a
-/// sequential run, at W = 2 and 4 under all four queue × steal
-/// combinations, renaming on and off.
+/// sequential run, at W = 2 and 4 under both steal protocols, renaming on
+/// and off.
 #[test]
 fn random_programs_run_in_dependency_order() {
     // Runs per program and configuration: a release that comes too early
@@ -448,12 +446,12 @@ fn promoted_frames_return_to_the_pool() {
 // --- stolen means run off the owner -----------------------------------
 
 /// `tasks_executed_stolen` counts the tasks a worker other than their
-/// frame's owner ran; the owner's own runs — FIFO, from its ready list,
-/// or popped from a central queue — count as `tasks_executed_own`.
+/// frame's owner ran; the owner's own runs — FIFO or from its ready list —
+/// count as `tasks_executed_own`.
 #[test]
 fn stolen_counts_only_tasks_run_off_their_owner() {
     within_deadline("stolen accounting", || {
-        for (policy, workers) in [("aggregated", 2), ("central omp", 1), ("central omp", 2)] {
+        for (policy, workers) in [("aggregated", 1), ("aggregated", 2), ("per-thief", 2)] {
             let rt = runtime(policy, workers, true);
             let cells: Vec<Shared<u64>> = (0..4).map(|_| Shared::new(0)).collect();
             let ran_by: Vec<AtomicU64> = (0..256).map(|_| AtomicU64::new(0)).collect();
@@ -503,33 +501,6 @@ fn one_worker_cholesky_binds_nothing() {
         let s = rt.stats();
         assert!(s.tasks_spawned > 0);
         assert_eq!(s.dataflow_pushes, 0, "a frame no thief scanned was bound");
-    });
-}
-
-/// A centralized queue schedules at insertion time, so even a 1-worker
-/// pool promotes a frame, at its first spawn: under both central queues
-/// each scope of a random program promotes exactly once and ends with the
-/// cells of the distributed 1-worker run, which promotes nothing.
-#[test]
-fn one_worker_central_queues_promote_each_scope_once() {
-    within_deadline("1-worker central queues", || {
-        let programs = random_programs();
-        let distributed = runtime("aggregated", 1, true);
-        let expect: Vec<_> = programs
-            .iter()
-            .map(|p| run_program(&distributed, p).0)
-            .collect();
-        assert_eq!(distributed.stats().promotions, 0);
-        for policy in ["central omp", "central quark"] {
-            let rt = runtime(policy, 1, true);
-            for (case, program) in programs.iter().enumerate() {
-                rt.reset_stats();
-                let (values, ..) = run_program(&rt, program);
-                assert_eq!(values, expect[case], "{policy}, case {case}: final values");
-                let promotions = rt.stats().promotions;
-                assert_eq!(promotions, 1, "{policy}, case {case}: promotions");
-            }
-        }
     });
 }
 

@@ -54,8 +54,8 @@ fn env_vars_override_defaults_but_not_explicit_settings() {
     );
     drop(rt);
 
-    // …but never explicit calls: sized-to-request structures (custom
-    // DistributedLanes, Reduction::with_slots) rely on this.
+    // …but never explicit calls: sized-to-request structures (such as
+    // Reduction::with_slots) rely on this.
     let rt = Runtime::builder().workers(2).tracing(false).build();
     assert_eq!(
         rt.num_workers(),

@@ -1,7 +1,7 @@
 //! Fault-tolerant task lifecycle (DESIGN.md §8): panic isolation and
 //! cooperative cancellation.
 //!
-//! A task-body panic under every queue×steal policy neither kills a
+//! A task-body panic under every steal policy neither kills a
 //! worker nor hangs any join; a panicked frame poisons exactly its
 //! dataflow cone (successors complete as failed, countdowns drain);
 //! `JoinHandle::cancel` skips every body past the cancel point on a
@@ -14,9 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xkaapi::core::{
     AggregatedStealing, CancelToken, PerThiefStealing, Runtime, Shared, StealPolicy, SubmitError,
-    TaskQueue,
 };
-use xkaapi::omp::OmpCentralQueue;
 
 /// Spin-wait (with yields) until `cond` holds, panicking after `secs`.
 fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
@@ -27,40 +25,24 @@ fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// The four scheduler policy combinations (queue layer × steal layer).
-#[allow(clippy::type_complexity)]
+/// The two steal protocols.
 fn all_policies(workers: usize) -> Vec<(&'static str, Runtime)> {
-    let combos: Vec<(
-        &'static str,
-        Option<Arc<dyn TaskQueue>>,
-        Arc<dyn StealPolicy>,
-    )> = vec![
-        ("dist+agg", None, Arc::new(AggregatedStealing)),
-        ("dist+perthief", None, Arc::new(PerThiefStealing)),
-        (
-            "central+agg",
-            Some(Arc::new(OmpCentralQueue::new())),
-            Arc::new(AggregatedStealing),
-        ),
-        (
-            "central+perthief",
-            Some(Arc::new(OmpCentralQueue::new())),
-            Arc::new(PerThiefStealing),
-        ),
+    let combos: [(&'static str, Arc<dyn StealPolicy>); 2] = [
+        ("dist+agg", Arc::new(AggregatedStealing)),
+        ("dist+perthief", Arc::new(PerThiefStealing)),
     ];
     combos
         .into_iter()
-        .map(|(name, q, s)| {
-            let mut b = Runtime::builder().workers(workers).steal_policy(s);
-            if let Some(q) = q {
-                b = b.task_queue(q);
-            }
-            (name, b.build())
+        .map(|(name, s)| {
+            (
+                name,
+                Runtime::builder().workers(workers).steal_policy(s).build(),
+            )
         })
         .collect()
 }
 
-/// A task-body panic under every queue×steal policy: the panic re-raises
+/// A task-body panic under every steal policy: the panic re-raises
 /// at the scope, no worker dies, no join hangs, and the pool does real
 /// work afterwards.
 #[test]

@@ -213,36 +213,3 @@ fn topology_aware_stealing_preserves_results_under_stress() {
         );
     }
 }
-
-/// The same stress shape through the engine's centralized queues: results
-/// must match the distributed runs too (the cross-policy acceptance gate).
-#[test]
-fn centralized_queues_agree_under_stress() {
-    let rt = Runtime::builder().workers(WORKERS).build();
-    let (reference, wide_ref) = run_workload(&rt);
-    assert!(reference.iter().all(|&c| c == expected_chain()));
-
-    for (label, queue) in [
-        (
-            "omp",
-            std::sync::Arc::new(xkaapi::omp::OmpCentralQueue::new())
-                as std::sync::Arc<dyn xkaapi::core::TaskQueue>,
-        ),
-        (
-            "quark",
-            std::sync::Arc::new(xkaapi::quark::QuarkCentralQueue::new())
-                as std::sync::Arc<dyn xkaapi::core::TaskQueue>,
-        ),
-    ] {
-        let rt_c = Runtime::builder()
-            .workers(WORKERS)
-            .task_queue(queue)
-            .build();
-        let (chains, wide) = run_workload(&rt_c);
-        assert_eq!(chains, reference, "central-{label} diverged on chains");
-        assert_eq!(
-            wide, wide_ref,
-            "central-{label} diverged on independent tasks"
-        );
-    }
-}

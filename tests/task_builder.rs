@@ -1,7 +1,7 @@
 //! The attribute-carrying task API (`DESIGN.md` §5): builder-vs-legacy
-//! equivalence, priority-band drain order across queue layers and the
-//! inject lanes, per-priority admission shedding, and `Affinity`-driven
-//! placement onto the data-owning inject lane.
+//! equivalence, priority-band drain order of the inject lanes,
+//! per-priority admission shedding, and `Affinity`-driven placement onto
+//! the data-owning inject lane.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,10 +9,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use xkaapi::core::{
     Affinity, AggregatedStealing, InjectPolicy, OnFull, PerThiefStealing, Priority, Runtime,
-    Shared, StealPolicy, TaskQueue, Topology,
+    Shared, StealPolicy, Topology,
 };
-use xkaapi::omp::OmpCentralQueue;
-use xkaapi::quark::QuarkCentralQueue;
 
 fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
     let t0 = Instant::now();
@@ -58,43 +56,6 @@ fn builder_join_runs_both_branches() {
     let rt = Runtime::new(2);
     let (a, b) = rt.scope(|ctx| ctx.task().priority(Priority::High).join(|_| 6u64, |_| 7u64));
     assert_eq!(a * b, 42);
-}
-
-/// On a single worker with a centralized (insertion-time) queue, ready
-/// tasks are published eagerly at spawn and drained at sync — so the
-/// execution order is exactly the banded pop order: every high-band task
-/// before every normal one before every low one, FIFO within a band.
-#[test]
-fn high_band_drains_before_low_on_a_single_worker() {
-    let queues: Vec<(&str, Arc<dyn TaskQueue>)> = vec![
-        ("central-omp", Arc::new(OmpCentralQueue::new())),
-        ("central-quark", Arc::new(QuarkCentralQueue::new())),
-    ];
-    for (name, queue) in queues {
-        let rt = Runtime::builder().workers(1).task_queue(queue).build();
-        let order: Mutex<Vec<(Priority, u64)>> = Mutex::new(Vec::new());
-        rt.scope(|ctx| {
-            let order = &order;
-            // Spawn interleaved: low, normal, high, low, normal, high, …
-            for i in 0..8u64 {
-                for prio in [Priority::Low, Priority::Normal, Priority::High] {
-                    ctx.task().priority(prio).spawn(move |_| {
-                        order.lock().unwrap().push((prio, i));
-                    });
-                }
-            }
-        });
-        let order = order.into_inner().unwrap();
-        assert_eq!(order.len(), 24, "{name}");
-        let expect: Vec<(Priority, u64)> = Priority::ALL
-            .iter()
-            .flat_map(|&p| (0..8u64).map(move |i| (p, i)))
-            .collect();
-        assert_eq!(
-            order, expect,
-            "{name}: bands must drain high→normal→low, FIFO within a band"
-        );
-    }
 }
 
 /// Root jobs queued while the only worker is busy drain band-major from
@@ -274,8 +235,8 @@ fn first_touch_records_the_home_node() {
 /// PR 6 equivalence suite for the monomorphized spawn lowering: the
 /// defaulted builder path (`#[inline]`, no attribute plumbing) and the
 /// attributed slow path (`#[cold]`, banded structures activated) must
-/// produce identical checksums and task counts on the same program,
-/// across the queue policies × aggregation on/off. The per-run
+/// produce identical checksums and task counts on the same program, with
+/// aggregation on and off. The per-run
 /// `tasks_with_attrs` counter proves which lowering actually ran: exactly
 /// zero on the defaulted path, every spawn on the attributed one.
 #[test]
@@ -348,54 +309,39 @@ fn default_and_attributed_lowering_agree_everywhere() {
         }
     }
 
-    let mk_queues = || -> Vec<(&'static str, Option<Arc<dyn TaskQueue>>)> {
-        vec![
-            ("distributed", None),
-            ("central-omp", Some(Arc::new(OmpCentralQueue::new()))),
-            ("central-quark", Some(Arc::new(QuarkCentralQueue::new()))),
-        ]
-    };
-
     let mut reference = None;
-    for (qname, queue) in mk_queues() {
-        for aggregation in [true, false] {
-            let queue = queue.clone();
-            let build = |q: Option<Arc<dyn TaskQueue>>| {
-                let steal: Arc<dyn StealPolicy> = if aggregation {
-                    Arc::new(AggregatedStealing)
-                } else {
-                    Arc::new(PerThiefStealing)
-                };
-                let mut b = Runtime::builder().workers(3).steal_policy(steal);
-                if let Some(q) = q {
-                    b = b.task_queue(q);
-                }
-                b.build()
+    for aggregation in [true, false] {
+        let build = || {
+            let steal: Arc<dyn StealPolicy> = if aggregation {
+                Arc::new(AggregatedStealing)
+            } else {
+                Arc::new(PerThiefStealing)
             };
-            let tag = format!("{qname}/agg={aggregation}");
+            Runtime::builder().workers(3).steal_policy(steal).build()
+        };
+        let tag = format!("agg={aggregation}");
 
-            let rt = build(queue.clone());
-            let fast = workload(&rt, false);
-            assert_eq!(
-                rt.stats().tasks_with_attrs,
-                0,
-                "[{tag}] defaulted spawns must never take the attributed path"
-            );
-            drop(rt);
+        let rt = build();
+        let fast = workload(&rt, false);
+        assert_eq!(
+            rt.stats().tasks_with_attrs,
+            0,
+            "[{tag}] defaulted spawns must never take the attributed path"
+        );
+        drop(rt);
 
-            let rt = build(queue);
-            let slow = workload(&rt, true);
-            assert!(
-                rt.stats().tasks_with_attrs >= CHAIN + WIDE,
-                "[{tag}] every attributed spawn must be counted, got {}",
-                rt.stats().tasks_with_attrs
-            );
+        let rt = build();
+        let slow = workload(&rt, true);
+        assert!(
+            rt.stats().tasks_with_attrs >= CHAIN + WIDE,
+            "[{tag}] every attributed spawn must be counted, got {}",
+            rt.stats().tasks_with_attrs
+        );
 
-            assert_eq!(fast, slow, "[{tag}] lowerings disagree");
-            match reference {
-                None => reference = Some(fast),
-                Some(r) => assert_eq!(r, fast, "[{tag}] checksum differs across policies"),
-            }
+        assert_eq!(fast, slow, "[{tag}] lowerings disagree");
+        match reference {
+            None => reference = Some(fast),
+            Some(r) => assert_eq!(r, fast, "[{tag}] checksum differs across policies"),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Integration gates of the telemetry layer (PR 9, DESIGN.md §9):
 //!
-//! * **span balance** — on every queue×steal policy combination, a
+//! * **span balance** — on both steal protocols, a
 //!   quiesced traced run has exactly as many task/job begin events as
 //!   end events (and zero ring drops at this scale);
 //! * **overflow accounting** — flooding a 1-worker ring past its

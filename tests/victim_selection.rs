@@ -7,7 +7,10 @@
 //!    makes the policies' selection behaviour exactly checkable —
 //!    [`HierarchicalVictim`] stays on the thief's node below the
 //!    escalation threshold and goes machine-wide (flagged `escalated`)
-//!    above it; [`LocalityFirst`] concentrates picks on the nearest ring.
+//!    above it; [`LocalityFirst`] concentrates picks on the nearest ring;
+//!    driven with the idle loop's fail-streak rule and a seeded hit coin,
+//!    hierarchical selection lands a larger same-node steal share than
+//!    uniform.
 //! 2. **End-to-end**: a runtime built with a never-escalating
 //!    hierarchical policy on a modelled 2-node topology lands every steal
 //!    on the thief's own node, observed through the exact
@@ -121,6 +124,65 @@ fn locality_first_concentrates_on_nearest_ring() {
         let c = pol.choose_victim(0, &mut rng, &flat, 0);
         assert_ne!(c.victim, 0);
         assert!(!c.escalated);
+    }
+}
+
+/// Steal hits that landed on the thief's node and off it, until `hits`
+/// steals hit: 8 thieves on `two_level(8, 4)` take turns choosing a victim
+/// with `pol`, and each attempt hits on a seeded coin (1 in 4). As in the
+/// idle loop, a miss adds 1 to the thief's fail streak and a hit resets
+/// it to 0.
+fn seeded_steal_sample(pol: &dyn StealPolicy, seed: u64, hits: u64) -> (u64, u64) {
+    let topo = Topology::two_level(8, 4);
+    let mut rng = seeded_rng(seed);
+    let mut coin = seeded_rng(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut streak = [0u32; 8];
+    let (mut local, mut remote) = (0u64, 0u64);
+    for me in (0..8).cycle() {
+        if local + remote == hits {
+            break;
+        }
+        let c = pol.choose_victim(me, &mut rng, &topo, streak[me]);
+        assert_ne!(c.victim, me);
+        if !coin().is_multiple_of(4) {
+            streak[me] += 1;
+        } else if topo.same_node(me, c.victim) {
+            streak[me] = 0;
+            local += 1;
+        } else {
+            streak[me] = 0;
+            remote += 1;
+        }
+    }
+    (local, remote)
+}
+
+/// The locality property the `ablation` binary measures at run time:
+/// hierarchical victim selection lands strictly more same-node steals,
+/// and a strictly higher same-node share, than uniform selection. Seeded,
+/// so the outcome does not depend on how the OS schedules the workers;
+/// 400 hits per policy, as `ablation` accumulates.
+#[test]
+fn hierarchical_steals_same_node_more_than_uniform() {
+    let share = |(local, remote): (u64, u64)| local as f64 / (local + remote) as f64;
+    for seed in [1, 0x5EED, 0xDEAD_BEEF] {
+        let uni = seeded_steal_sample(&AggregatedStealing, seed, 400);
+        let hier = seeded_steal_sample(&HierarchicalVictim::default(), seed, 400);
+        assert!(
+            hier.0 > uni.0,
+            "seed {seed}: hierarchical must steal same-node strictly more than uniform \
+             (hier {}/{} vs uniform {}/{})",
+            hier.0,
+            hier.1,
+            uni.0,
+            uni.1
+        );
+        assert!(
+            share(hier) > share(uni),
+            "seed {seed}: hierarchical same-node share must beat uniform: {:.3} vs {:.3}",
+            share(hier),
+            share(uni)
+        );
     }
 }
 
