@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the runtime primitives the paper's §III-A discusses
 //! (task creation ≈ ten cycles in the original C implementation; we report
-//! our own numbers honestly), plus ablation comparisons: scheduler policy
-//! matrix, aggregation on/off, loop grain sweep, and the kernel/bookkeeping
-//! costs behind the figure harnesses.
+//! our own numbers honestly), plus ablation comparisons: aggregation
+//! on/off, loop grain sweep, and the kernel/bookkeeping costs behind the
+//! figure harnesses.
 //!
 //! Self-contained harness (`harness = false`; the container has no registry
 //! access for criterion): median-of-N wall times via
@@ -10,9 +10,8 @@
 //! `cargo bench -p xkaapi-bench`, or `--quick` for a fast smoke pass.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use xkaapi_bench::{measure_ns, print_table, SchedPolicy};
-use xkaapi_core::{AggregatedStealing, PerThiefStealing, Runtime, Shared, StealPolicy};
+use xkaapi_bench::{measure_ns, print_table};
+use xkaapi_core::{Runtime, Shared, Steal};
 use xkaapi_forkjoin::the_deque::{JobRef, TheDeque};
 
 struct Bench {
@@ -137,24 +136,6 @@ fn bench_deque(b: &mut Bench) {
     });
 }
 
-fn bench_policy_matrix(b: &mut Bench) {
-    for pol in SchedPolicy::ALL {
-        let rt = pol.build_runtime(4);
-        b.run("policy-matrix", pol.label(), 512, || {
-            let sum = AtomicUsize::new(0);
-            rt.scope(|ctx| {
-                let sum = &sum;
-                for _ in 0..512 {
-                    ctx.spawn([], move |_| {
-                        sum.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), 512);
-        });
-    }
-}
-
 fn bench_dataflow(b: &mut Bench) {
     let rt = Runtime::builder().workers(2).build();
     b.run("dataflow", "chain256", 256, || {
@@ -169,12 +150,11 @@ fn bench_dataflow(b: &mut Bench) {
         });
         assert_eq!(*h.get(), 256);
     });
-    let policies: [(&str, Arc<dyn StealPolicy>); 2] = [
-        ("aggregation-on", Arc::new(AggregatedStealing)),
-        ("aggregation-off", Arc::new(PerThiefStealing)),
-    ];
-    for (label, steal) in policies {
-        let rt = Runtime::builder().workers(4).steal_policy(steal).build();
+    for (label, steal) in [
+        ("aggregation-on", Steal::AGGREGATED),
+        ("aggregation-off", Steal::PER_THIEF),
+    ] {
+        let rt = Runtime::builder().workers(4).steal(steal).build();
         b.run("dataflow", &format!("wide512 {label}"), 512, || {
             let sum = AtomicUsize::new(0);
             rt.scope(|ctx| {
@@ -253,7 +233,6 @@ fn main() {
     bench_spawn(&mut b);
     bench_spawn_layers(&mut b);
     bench_deque(&mut b);
-    bench_policy_matrix(&mut b);
     bench_dataflow(&mut b);
     bench_foreach(&mut b);
     bench_kernels(&mut b);

@@ -1,18 +1,18 @@
 //! Ablation study of the scheduler optimisations the paper singles out
 //! (§II-C): steal-request **aggregation** and write-only **renaming**
 //! (WAR/WAW elimination) — plus the adaptive-loop grain and the
-//! **victim-selection** sweep (uniform × hierarchical × locality-first,
-//! with the same-node steal share measured on a modelled 2-node machine;
-//! the seeded property test in `tests/victim_selection.rs` asserts it),
-//! and the **injection subsystem** sweep: scope-via-submit checksums
-//! across every steal policy plus the own-lane-drain dominance property
-//! of the sharded inject lanes.
+//! **victim-selection** sweep (uniform × hierarchical, with the same-node
+//! steal share measured on a modelled 2-node machine; the seeded property
+//! test in `tests/victim_selection.rs` asserts it), and the **injection
+//! subsystem** sweep: scope-via-submit checksums under both steal
+//! protocols plus the own-lane-drain dominance property of the sharded
+//! inject lanes.
 //!
 //! Three parts:
 //! 1. real-machine ablations on this host (multi-worker, 1 core —
 //!    correctness-preserving, contention-visible);
-//! 2. a deterministic data-flow probe (ready-set width of the war-chain
-//!    workload straight from the versioned dependency engine);
+//! 2. a deterministic data-flow probe (initial ready-set width of the
+//!    war-chain workload straight from the versioned dependency engine);
 //! 3. simulator ablations on the 48-core model, where the idle-thief
 //!    population that aggregation helps with actually exists.
 //!
@@ -20,15 +20,15 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use xkaapi_bench::{
-    busy_work, measure_ns, print_table, steal_heavy_workload, SchedPolicy, VictimPolicy,
-};
+use xkaapi_bench::{busy_work, measure_ns, print_table, steal_heavy_workload};
 use xkaapi_core::dataflow::DataflowEngine;
-use xkaapi_core::{
-    AggregatedStealing, PerThiefStealing, RenamePolicy, Runtime, Shared, StealPolicy, Topology,
-};
+use xkaapi_core::{RenamePolicy, Runtime, Shared, Steal, Topology};
 use xkaapi_linalg::{cholesky_seq, cholesky_xkaapi, RecordedCholesky, TiledMatrix};
 use xkaapi_sim::{simulate_dag, DagPolicy, Platform, SimTask, TaskDag};
+
+/// The two steal protocols the paper's ablation compares: request
+/// aggregation on and off.
+const PROTOCOLS: [Steal; 2] = [Steal::AGGREGATED, Steal::PER_THIEF];
 
 /// One mixed data-flow workload every scheduler policy must agree on:
 /// 16 exclusive chains of length 25 plus a read fan-in. Returns the final
@@ -169,15 +169,15 @@ fn submit_workload(rt: &Arc<Runtime>) -> u64 {
 fn main() {
     println!("# Ablations: scheduler policy matrix, aggregation & renaming");
 
-    // --- the engine's policy matrix: one enum flips the steal layer ------
+    // --- the engine's policy matrix: one value sets the steal layer -----
     // Each configuration runs the workload twice: once through the legacy
     // `Ctx::spawn` front door and once through the attribute-carrying
     // builder at default attributes. The two must agree with each other
     // and across every steal policy.
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
-    for pol in SchedPolicy::ALL {
-        let rt = pol.build_runtime(4);
+    for steal in PROTOCOLS {
+        let rt = Runtime::builder().workers(4).steal(steal).build();
         let mut sum = 0;
         let t = measure_ns(5, || sum = policy_workload(&rt));
         let built = policy_workload_builder(&rt);
@@ -185,13 +185,12 @@ fn main() {
             sum,
             built,
             "builder-vs-legacy checksum mismatch under {}",
-            pol.label()
+            steal.name()
         );
         checksums.push(sum);
         let s = rt.stats();
         rows.push(vec![
-            pol.label().into(),
-            rt.steal_policy_name().into(),
+            steal.name().into(),
             format!("{:.2}", t as f64 / 1e6),
             s.tasks_executed_stolen.to_string(),
             s.combine_served.to_string(),
@@ -205,14 +204,7 @@ fn main() {
     print_table(
         "Engine policy matrix: 16 chains x 25 exclusive writers, 4 workers \
          (identical checksums, legacy spawn == builder)",
-        &[
-            "policy",
-            "steal",
-            "time (ms)",
-            "stolen",
-            "combine served",
-            "checksum",
-        ],
+        &["steal", "time (ms)", "stolen", "combine served", "checksum"],
         &rows,
     );
 
@@ -224,8 +216,8 @@ fn main() {
     // what attribute-carrying actually costs per configuration, and the
     // `tasks_with_attrs` counter proves which path ran.
     let mut rows = Vec::new();
-    for pol in SchedPolicy::ALL {
-        let rt = pol.build_runtime(4);
+    for steal in PROTOCOLS {
+        let rt = Runtime::builder().workers(4).steal(steal).build();
         let mut fast = 0;
         let t_fast = measure_ns(5, || fast = policy_workload_builder(&rt));
         let fast_attr_tasks = rt.stats().tasks_with_attrs;
@@ -233,7 +225,7 @@ fn main() {
             fast_attr_tasks,
             0,
             "defaulted builder spawns took the attributed path under {}",
-            pol.label()
+            steal.name()
         );
         let mut slow = 0;
         let t_slow = measure_ns(5, || slow = policy_workload_attributed(&rt));
@@ -241,16 +233,16 @@ fn main() {
             fast,
             slow,
             "attributes changed the workload result under {}",
-            pol.label()
+            steal.name()
         );
         let slow_attr_tasks = rt.stats().tasks_with_attrs;
         assert!(
             slow_attr_tasks >= 16 * 25,
             "attributed spawns must be counted under {} (got {slow_attr_tasks})",
-            pol.label()
+            steal.name()
         );
         rows.push(vec![
-            pol.label().into(),
+            steal.name().into(),
             format!("{:.2}", t_fast as f64 / 1e6),
             format!("{:.2}", t_slow as f64 / 1e6),
             format!("{:+.1}%", (t_slow as f64 / t_fast as f64 - 1.0) * 100.0),
@@ -277,14 +269,14 @@ fn main() {
     // and must agree across every steal policy too.
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
-    for pol in SchedPolicy::ALL {
-        let rt = Arc::new(pol.build_runtime(4));
+    for steal in PROTOCOLS {
+        let rt = Arc::new(Runtime::builder().workers(4).steal(steal).build());
         let mut sum = 0;
         let t = measure_ns(3, || sum = submit_workload(&rt));
         checksums.push(sum);
         let s = rt.stats();
         rows.push(vec![
-            pol.label().into(),
+            steal.name().into(),
             format!("{:.2}", t as f64 / 1e6),
             s.jobs_submitted.to_string(),
             (s.inject_own_lane + s.inject_remote_lane).to_string(),
@@ -405,12 +397,21 @@ fn main() {
     // 8 workers, 4 per node; the steal-locality counters show where the
     // grabs came from.
     let vp_workers = 8usize;
-    let two_node = || Topology::two_level(vp_workers, 4);
+    let two_node = |steal: Steal| {
+        Runtime::builder()
+            .workers(vp_workers)
+            .steal(steal)
+            .topology(Topology::two_level(vp_workers, 4))
+            .build()
+    };
+    let victims = [
+        ("uniform", Steal::AGGREGATED),
+        ("hierarchical", Steal::hierarchical()),
+    ];
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
-    for victim in VictimPolicy::ALL {
-        let rt =
-            SchedPolicy::DistributedAggregated.build_runtime_with(vp_workers, victim, two_node());
+    for (label, steal) in victims {
+        let rt = two_node(steal);
         let mut sum = 0;
         let t = measure_ns(3, || sum = steal_heavy_workload(&rt));
         checksums.push(sum);
@@ -429,7 +430,7 @@ fn main() {
         }
         let s = rt.stats();
         rows.push(vec![
-            victim.label().into(),
+            label.into(),
             format!("{:.2}", t as f64 / 1e6),
             s.steals_local_node.to_string(),
             s.steals_remote_node.to_string(),
@@ -442,7 +443,7 @@ fn main() {
         "victim policies disagree on the workload result: {checksums:?}"
     );
     print_table(
-        "Victim-policy sweep: 3 victim policies, 8 workers on 2 modelled nodes \
+        "Victim-policy sweep: 2 victim policies, 8 workers on 2 modelled nodes \
          (identical checksums)",
         &[
             "victim policy",
@@ -461,9 +462,8 @@ fn main() {
     // OS scheduler decides who steals, so the seeded property test
     // `tests/victim_selection.rs::hierarchical_steals_same_node_more_than_uniform`
     // asserts the ordering instead.
-    let accumulate = |victim: VictimPolicy| {
-        let rt =
-            SchedPolicy::DistributedAggregated.build_runtime_with(vp_workers, victim, two_node());
+    let accumulate = |steal: Steal| {
+        let rt = two_node(steal);
         for _ in 0..2000 {
             steal_heavy_workload(&rt);
             let s = rt.stats();
@@ -473,8 +473,8 @@ fn main() {
         }
         rt.stats()
     };
-    let uni = accumulate(VictimPolicy::Uniform);
-    let hier = accumulate(VictimPolicy::Hierarchical);
+    let uni = accumulate(Steal::AGGREGATED);
+    let hier = accumulate(Steal::hierarchical());
     print_table(
         "Locality: same-node steal share on 2 modelled nodes",
         &["victim policy", "local", "remote", "local share"],
@@ -496,12 +496,11 @@ fn main() {
 
     // --- real: aggregation on/off under thief pressure ------------------
     let mut rows = Vec::new();
-    let policies: [(&str, Arc<dyn StealPolicy>); 2] = [
-        ("aggregation ON", Arc::new(AggregatedStealing)),
-        ("aggregation OFF", Arc::new(PerThiefStealing)),
-    ];
-    for (label, steal) in policies {
-        let rt = Runtime::builder().workers(4).steal_policy(steal).build();
+    for (label, steal) in [
+        ("aggregation ON", Steal::AGGREGATED),
+        ("aggregation OFF", Steal::PER_THIEF),
+    ] {
+        let rt = Runtime::builder().workers(4).steal(steal).build();
         let t = measure_ns(5, || {
             let sum = AtomicUsize::new(0);
             rt.scope(|ctx| {
@@ -658,7 +657,8 @@ fn main() {
                 eng.bind(&[h.read()], &pol);
             }
         }
-        eng.ready_width()
+        // Nothing completed yet: a task is ready iff it has no predecessor.
+        (0..eng.len()).filter(|&i| eng.preds(i).is_empty()).count()
     };
     let (w_on, w_off) = (width(true), width(false));
     assert!(

@@ -9,10 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod policy;
-
-pub use policy::{SchedPolicy, VictimPolicy};
-
 use std::time::Instant;
 use xkaapi_linalg::{flops, CholOp, TiledMatrix};
 use xkaapi_sim::{DagPolicy, SimTask, TaskDag};
@@ -270,7 +266,55 @@ pub const PAPER_CORES: [usize; 9] = [1, 2, 4, 8, 16, 24, 32, 40, 48];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use xkaapi_core::{Runtime, Shared, Steal};
     use xkaapi_sim::{simulate_dag, Platform};
+
+    /// The acceptance gate of the engine refactor: the same mixed-paradigm
+    /// program produces identical results under both steal protocols.
+    #[test]
+    fn all_policies_produce_identical_results() {
+        let mut outcomes = Vec::new();
+        for steal in [Steal::AGGREGATED, Steal::PER_THIEF] {
+            let rt = Runtime::builder().workers(4).steal(steal).build();
+            // Data-flow chain with a read fan-out.
+            let h = Shared::new(1u64);
+            let sum = Shared::new(0u64);
+            rt.scope(|ctx| {
+                for _ in 0..40 {
+                    let hw = h.clone();
+                    ctx.spawn([h.exclusive()], move |t| *t.write(&hw) += 1);
+                }
+                let (hr, sw) = (h.clone(), sum.clone());
+                ctx.spawn([h.read(), sum.write()], move |t| {
+                    *t.write(&sw) = 2 * *t.read(&hr);
+                });
+            });
+            // Fork-join fib.
+            let f = rt.scope(|ctx| {
+                fn fib(c: &mut xkaapi_core::Ctx<'_>, n: u64) -> u64 {
+                    if n < 2 {
+                        n
+                    } else {
+                        let (a, b) = c.join(|c| fib(c, n - 1), |c| fib(c, n - 2));
+                        a + b
+                    }
+                }
+                fib(ctx, 12)
+            });
+            // Adaptive loop.
+            let hits = AtomicU64::new(0);
+            rt.foreach(0..5000, |_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            outcomes.push((*h.get(), *sum.get(), f, hits.load(Ordering::Relaxed)));
+        }
+        assert_eq!(outcomes[0], (41, 82, 144, 5000));
+        assert_eq!(
+            outcomes[1], outcomes[0],
+            "per-thief diverged from aggregated"
+        );
+    }
 
     #[test]
     fn calibration_produces_ordered_costs() {

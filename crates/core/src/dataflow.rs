@@ -235,7 +235,9 @@ struct TaskEntry {
 /// eng.bind(&[h.write()], &policy); // renamed: WAR edge eliminated
 /// assert_eq!(eng.preds(1), &[0]);
 /// assert_eq!(eng.preds(2), &[] as &[u32]);
-/// assert_eq!(eng.ready_width(), 2);
+/// // Before anything completes, a task is ready iff it has no predecessor.
+/// let ready = (0..eng.len()).filter(|&i| eng.preds(i).is_empty()).count();
+/// assert_eq!(ready, 2);
 /// ```
 #[derive(Default)]
 pub struct DataflowEngine {
@@ -491,26 +493,6 @@ impl DataflowEngine {
         self.tasks.get(idx).is_some_and(|t| t.done)
     }
 
-    /// Is task `idx` ready by the engine's own completion records (not done
-    /// and every predecessor done)? Probe use only: the frame layer checks
-    /// readiness against authoritative task states instead.
-    pub fn is_ready(&self, idx: usize) -> bool {
-        !self.tasks[idx].done && self.preds(idx).iter().all(|&p| self.tasks[p as usize].done)
-    }
-
-    /// Indices of all currently-ready tasks (probe use).
-    pub fn ready_indices(&self) -> Vec<usize> {
-        (0..self.tasks.len())
-            .filter(|&i| self.is_ready(i))
-            .collect()
-    }
-
-    /// Width of the current ready set: how many bound, incomplete tasks
-    /// could run concurrently right now.
-    pub fn ready_width(&self) -> usize {
-        (0..self.tasks.len()).filter(|&i| self.is_ready(i)).count()
-    }
-
     /// Drop all bindings and chains (frame reset / reuse). Keeps arena
     /// capacity: a recycled frame's next scope binds allocation-free once
     /// the arenas warmed up.
@@ -646,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn ready_width_grows_with_renaming() {
+    fn initial_ready_set_grows_with_renaming() {
         let mk = |pol: &RenamePolicy| {
             let mut e = DataflowEngine::new();
             for _ in 0..6 {
@@ -654,7 +636,7 @@ mod tests {
                 e.bind(&[r(1)], pol);
                 e.bind(&[r(1)], pol);
             }
-            e.ready_width()
+            (0..e.len()).filter(|&i| e.preds(i).is_empty()).count()
         };
         let on = mk(&ON);
         let off = mk(&OFF);

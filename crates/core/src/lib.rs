@@ -31,12 +31,11 @@
 //!   [`Shared::renameable`]);
 //! * **request aggregation**: `N` concurrent steal requests to one victim
 //!   are served by a single elected combiner thief;
-//! * **topology-aware stealing**: victim selection is a policy over the
+//! * **topology-aware stealing**: a [`Steal`] value picks victims over the
 //!   machine [`Topology`] (worker→node map + distance matrix, shared with
-//!   the simulator's platform model) — uniform, hierarchical
-//!   (same-node-first with fail-streak escalation) or locality-first
-//!   (distance-ranked), with bounded near-first combiner batches
-//!   (`DESIGN.md` §3);
+//!   the simulator's platform model) — uniform, or hierarchical
+//!   (same-node-first with fail-streak escalation) — and bounds the
+//!   combiner batch, near thieves first (`DESIGN.md` §3);
 //! * **adaptive tasks**: running tasks publish splitters invoked under the
 //!   victim's steal lock (at most one concurrent splitter per victim);
 //! * **non-blocking injection**: [`Runtime::submit`] enqueues a root job
@@ -119,10 +118,7 @@ pub use dataflow::DataflowEngine;
 pub use fault::FaultPlan;
 pub use handle::{PartView, Partitioned, Reduction, Ref, RefMut, Shared};
 pub use inject::{InjectLaneStats, InjectPolicy, JoinHandle, OnFull, SubmitError};
-pub use policy::{
-    uniform_victim, AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing,
-    RenamePolicy, StealPolicy, VictimChoice,
-};
+pub use policy::{RenamePolicy, Steal, Victim};
 pub use record::{RecCtx, RecTaskBuilder, RecordStats, RecordedDag, ReplayTrace, TraceEvent};
 pub use runtime::{Builder, JobBuilder, Runtime, Tunables};
 pub use stats::StatsSnapshot;

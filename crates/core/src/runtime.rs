@@ -11,9 +11,10 @@
 //!   control, [`JoinHandle`]s for non-blocking callers;
 //! * the **queue layer** ([`crate::queue`]) holds ready fork-join work:
 //!   one priority-banded T.H.E. deque per worker;
-//! * the **steal layer** ([`crate::policy::StealPolicy`]) decides the
-//!   thief-side protocol — flat-combining aggregation by default,
-//!   per-thief steals via [`Builder::steal_policy`];
+//! * the **steal layer** ([`crate::steal`]) runs the thief-side
+//!   protocol; a [`Steal`] value sets its victim choice and combiner
+//!   batch bound — flat-combining aggregation by default, per-thief
+//!   steals via [`Builder::steal`];
 //! * the **dependency layer** ([`crate::frame`]) is shared by every policy.
 //!
 //! External callers reach the pool in two ways: [`Runtime::submit`]
@@ -28,7 +29,7 @@ use crate::handle::{Partitioned, Shared};
 use crate::inject::{
     make_job, InjectLaneStats, InjectLanes, InjectPolicy, JoinHandle, JoinState, SubmitError,
 };
-use crate::policy::{AggregatedStealing, RenamePolicy, StealPolicy};
+use crate::policy::{RenamePolicy, Steal};
 use crate::queue::DistributedLanes;
 use crate::stats::{self, StatsSnapshot};
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
@@ -40,8 +41,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Scheduler tuning knobs. Defaults reproduce the paper's design; ablation
-/// benchmarks flip individual features off. The steal protocol is not a
-/// tunable: [`Runtime::steal_policy_name`] names the one installed.
+/// benchmarks flip individual features off. The steal protocol is set by
+/// [`Builder::steal`] and read back by [`Runtime::steal`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tunables {
     /// Write-only renaming (WAR/WAW elimination) policy.
@@ -74,7 +75,7 @@ pub struct Builder {
     tun: Tunables,
     tracing: Option<bool>,
     stack_size: usize,
-    steal: Option<Arc<dyn StealPolicy>>,
+    steal: Steal,
     topo: Option<Topology>,
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<crate::fault::FaultPlan>,
@@ -87,7 +88,7 @@ impl Default for Builder {
             tun: Tunables::default(),
             tracing: None,
             stack_size: 16 << 20,
-            steal: None,
+            steal: Steal::AGGREGATED,
             topo: None,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
@@ -139,18 +140,18 @@ impl Builder {
         self
     }
 
-    /// Install a thief-side steal protocol (steal layer). Defaults to
-    /// [`AggregatedStealing`] (flat combining); [`crate::PerThiefStealing`]
-    /// is the no-aggregation ablation.
-    pub fn steal_policy(mut self, p: Arc<dyn StealPolicy>) -> Self {
-        self.steal = Some(p);
+    /// Set the steal protocol's victim choice and combiner batch bound.
+    /// Defaults to [`Steal::AGGREGATED`] (flat combining);
+    /// [`Steal::PER_THIEF`] is the no-aggregation ablation.
+    pub fn steal(mut self, s: Steal) -> Self {
+        self.steal = s;
         self
     }
 
     /// Install an explicit machine [`Topology`] (worker→node mapping +
-    /// distance matrix) for topology-aware steal policies. Its worker
-    /// count must match the runtime's. Defaults to [`Topology::detect`]
-    /// (Linux sysfs, flat fallback).
+    /// distance matrix) for hierarchical victim choice and placement. Its
+    /// worker count must match the runtime's. Defaults to
+    /// [`Topology::detect`] (Linux sysfs, flat fallback).
     pub fn topology(mut self, t: Topology) -> Self {
         self.topo = Some(t);
         self
@@ -214,8 +215,6 @@ impl Builder {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let steal_pol: Arc<dyn StealPolicy> =
-            self.steal.unwrap_or_else(|| Arc::new(AggregatedStealing));
         let topo = match self.topo {
             Some(t) => {
                 assert_eq!(
@@ -241,7 +240,7 @@ impl Builder {
             shutdown: AtomicBool::new(false),
             tun,
             lanes: DistributedLanes::new(nworkers),
-            steal_pol,
+            steal: self.steal,
             topo,
             threads: Mutex::new(Vec::new()),
             #[cfg(feature = "fault-injection")]
@@ -282,9 +281,9 @@ pub(crate) struct RtInner {
     pub(crate) tun: Tunables,
     /// Queue layer: each worker's lane of ready fork-join jobs.
     pub(crate) lanes: DistributedLanes,
-    /// Steal layer: the thief-side protocol.
-    pub(crate) steal_pol: Arc<dyn StealPolicy>,
-    /// Machine topology consulted by topology-aware steal policies.
+    /// Steal layer: victim choice and combiner batch bound.
+    pub(crate) steal: Steal,
+    /// Machine topology: victim choice, placement and inject lanes.
     pub(crate) topo: Topology,
     pub(crate) threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Deterministic fault-injection plan state (chaos testing only).
@@ -672,9 +671,9 @@ impl Runtime {
         self.inner.tun
     }
 
-    /// Name of the steal-layer policy in effect.
-    pub fn steal_policy_name(&self) -> &'static str {
-        self.inner.steal_pol.name()
+    /// The steal protocol settings this runtime was built with.
+    pub fn steal(&self) -> Steal {
+        self.inner.steal
     }
 
     /// The machine topology this runtime schedules against (detected or
@@ -724,7 +723,7 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("workers", &self.num_workers())
-            .field("steal", &self.steal_policy_name())
+            .field("steal", &self.steal().name())
             .finish()
     }
 }

@@ -15,17 +15,19 @@
 //! steal lock, at most one thief splits any adaptive task at a time — the
 //! synchronisation contract the adaptive model relies on.
 //!
-//! *Which* victim a thief probes, how many drained requests a combiner
-//! serves per pass and in what order are all delegated to the
-//! [`StealPolicy`](crate::StealPolicy) (topology-aware victim selection,
-//! bounded near-first batches — DESIGN.md §3); requests beyond a bounded
-//! batch are re-queued onto the victim's stack while it still has work.
+//! *Which* victim a thief probes and how many drained requests a combiner
+//! serves per pass are the two fields of the runtime's
+//! [`Steal`](crate::Steal) value (`DESIGN.md` §3); requests beyond a
+//! bounded batch are re-queued onto the victim's stack while it still has
+//! work.
 
 use crate::ctx::{execute_task, Release};
 use crate::frame::Frame;
+use crate::policy::{Steal, Victim};
 use crate::runtime::RtInner;
 use crate::stats::WorkerStats;
 use crate::task::{Task, ST_STOLEN};
+use crate::topology::Topology;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -281,12 +283,35 @@ fn distribute(reqs: Vec<&Request>, grabs: Vec<Grab>) {
     }
 }
 
-/// One steal attempt by worker `me`: ask the steal policy for a victim
-/// (topology- and fail-streak-aware), post a request, participate in
-/// combining until answered. Returns work, or `None`.
+/// The combiner's batch plan over the non-empty drained `reqs` of
+/// `victim`: order them and return how many the pass serves (`reqs[..k]`;
+/// the rest overflow). Under a hierarchical victim on a NUMA topology near
+/// thieves come first (a stable sort: ties keep arrival order). The
+/// combiner's own request is always in the batch — otherwise a bounded
+/// batch could re-queue it forever while it does everyone else's work.
+pub(crate) fn plan_batch(
+    steal: &Steal,
+    topo: &Topology,
+    victim: usize,
+    me: usize,
+    reqs: &mut [&Request],
+) -> usize {
+    if matches!(steal.victim, Victim::Hierarchical { .. }) && !topo.is_flat() {
+        reqs.sort_by_key(|r| topo.distance(victim, r.thief));
+    }
+    let k = steal.batch(reqs.len());
+    if let Some(pos) = reqs[k..].iter().position(|r| r.thief == me) {
+        reqs.swap(k - 1, k + pos);
+    }
+    k
+}
+
+/// One steal attempt by worker `me`: choose a victim
+/// ([`Steal::choose_victim`]), post a request, participate in combining
+/// until answered. Returns work, or `None`.
 ///
 /// The thief's *fail streak* (consecutive answered-empty attempts, kept on
-/// the [`Worker`](crate::worker::Worker)) feeds the policy's victim
+/// the [`Worker`](crate::worker::Worker)) feeds hierarchical victim
 /// escalation; it is reset here on a successful grab and by the idle loop
 /// on any acquired work.
 pub(crate) fn try_steal_once(rt: &Arc<RtInner>, me: usize) -> Option<Grab> {
@@ -298,20 +323,10 @@ pub(crate) fn try_steal_once(rt: &Arc<RtInner>, me: usize) -> Option<Grab> {
         my.note_steal_failure();
         return None;
     }
-    let choice = {
-        let mut rng = || my.next_rand();
-        rt.steal_pol
-            .choose_victim(me, &mut rng, &rt.topo, my.fail_streak())
-    };
-    let v = if choice.victim == me || choice.victim >= p {
-        // Defensive against misbehaving external policies: fall back to a
-        // uniform legal victim rather than stealing from ourselves.
-        debug_assert!(false, "policy chose an invalid victim {}", choice.victim);
-        crate::policy::uniform_victim(me, p, &mut || my.next_rand())
-    } else {
-        choice.victim
-    };
-    if choice.escalated {
+    let (v, escalated) =
+        rt.steal
+            .choose_victim(me, &mut || my.next_rand(), &rt.topo, my.fail_streak());
+    if escalated {
         WorkerStats::bump(&my.stats.victim_escalations, 1);
     }
     let victim = &rt.workers[v];
@@ -365,21 +380,11 @@ pub(crate) fn try_steal_once(rt: &Arc<RtInner>, me: usize) -> Option<Grab> {
             _ => {}
         }
         if let Some(_guard) = victim.steal_lock.try_lock() {
-            // Elected combiner: serve a policy-sized batch of the pending
+            // Elected combiner: serve a bounded batch of the pending
             // requests in one pass (all of them under full aggregation).
             let mut reqs = drain_requests(victim);
             if !reqs.is_empty() {
-                // Distance-aware service order: near thieves get the grabs
-                // first. The default policy keys everything 0, and the sort
-                // is stable, so arrival order is preserved there.
-                reqs.sort_by_key(|r| rt.steal_pol.thief_priority(v, r.thief, &rt.topo));
-                let k = rt.steal_pol.serve_batch(reqs.len()).max(1).min(reqs.len());
-                // Liveness: the combiner's own request must be in the batch
-                // it serves — otherwise a bounded batch could re-queue us
-                // forever while we keep doing everyone else's work.
-                if let Some(pos) = reqs[k..].iter().position(|r| r.thief == me) {
-                    reqs.swap(k - 1, k + pos);
-                }
+                let k = plan_batch(&rt.steal, &rt.topo, v, me, &mut reqs);
                 let (serve_now, overflow) = reqs.split_at(k);
                 let mut grabs = serve(rt, me, v, serve_now, &my.stats);
                 place_affine(rt, serve_now, &mut grabs, &my.stats);
@@ -467,5 +472,57 @@ pub(crate) fn run_grab(rt: &Arc<RtInner>, me: usize, grab: Grab) {
         }
         Grab::Task(task) => execute_task(rt, me, task),
         Grab::Run(f) => f(rt, me),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::worker::Worker;
+
+    /// The combiner's batch plan, with no runtime and no threads: `k`
+    /// thieves post onto a standalone victim's stack, one of them drains
+    /// it as combiner, and the plan serves `min(k, max_batch)` requests,
+    /// the combiner's own among them (near thieves first under a
+    /// hierarchical victim), and overflows exactly the rest. Every thief
+    /// takes the combiner's turn once, on a flat and on a multi-node
+    /// topology.
+    #[test]
+    fn batch_plan_serves_the_bound_and_always_the_combiner() {
+        for steal in [Steal::AGGREGATED, Steal::PER_THIEF, Steal::hierarchical()] {
+            for k in [1usize, 2, 4, 9] {
+                let victim = Worker::new(k);
+                let reqs: Vec<Request> = (0..k).map(Request::new).collect();
+                for topo in [Topology::flat(k + 1), Topology::two_level(k + 1, 2)] {
+                    for me in 0..k {
+                        for r in &reqs {
+                            post_request(&victim, r);
+                        }
+                        let mut drained = drain_requests(&victim);
+                        assert_eq!(drained.len(), k);
+                        let n = plan_batch(&steal, &topo, k, me, &mut drained);
+                        let ctx = format!("{} k={k} me={me} nodes={}", steal.name(), topo.nodes());
+                        assert_eq!(n, k.min(steal.max_batch), "{ctx}");
+                        let (served, overflow) = drained.split_at(n);
+                        assert!(served.iter().any(|r| r.thief == me), "{ctx}");
+                        // Near thieves first: past the combiner's own
+                        // request, nothing served is farther than an
+                        // overflow request.
+                        if matches!(steal.victim, Victim::Hierarchical { .. }) {
+                            let d = |r: &&Request| topo.distance(k, r.thief);
+                            let far = served.iter().filter(|r| r.thief != me).map(d).max();
+                            let near = overflow.iter().map(d).min();
+                            if let (Some(far), Some(near)) = (far, near) {
+                                assert!(far <= near, "{ctx}");
+                            }
+                        }
+                        let mut all: Vec<usize> =
+                            served.iter().chain(overflow).map(|r| r.thief).collect();
+                        all.sort_unstable();
+                        assert_eq!(all, (0..k).collect::<Vec<_>>(), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -595,9 +595,9 @@ fn partitioned_keyed_tiles() {
 fn aggregation_can_be_disabled() {
     let rt = Runtime::builder()
         .workers(4)
-        .steal_policy(Arc::new(PerThiefStealing))
+        .steal(Steal::PER_THIEF)
         .build();
-    assert_eq!(rt.steal_policy_name(), "per-thief");
+    assert_eq!(rt.steal(), Steal::PER_THIEF);
     let s = rt.foreach_reduce(
         0..50_000,
         Some(16),
@@ -739,11 +739,11 @@ fn deeply_nested_scopes() {
 fn builder_exposes_tunables() {
     let rt = Runtime::builder()
         .workers(2)
-        .steal_policy(Arc::new(PerThiefStealing))
+        .steal(Steal::PER_THIEF)
         .stack_size(4 << 20)
         .max_pending(2)
         .build();
-    assert_eq!(rt.steal_policy_name(), "per-thief");
+    assert_eq!(rt.steal(), Steal::PER_THIEF);
     let t = rt.tunables();
     assert_eq!(t.inject.max_pending, 2);
     assert_eq!(rt.num_workers(), 2);
@@ -764,8 +764,8 @@ fn builder_exposes_tunables() {
 
     let plain = Runtime::builder().workers(1).build();
     assert_eq!(
-        plain.steal_policy_name(),
-        "aggregated",
+        plain.steal(),
+        Steal::AGGREGATED,
         "flat combining is the default protocol"
     );
     let t = plain.tunables();

@@ -18,8 +18,7 @@
 //!   `cpulist` + `distance` files), workers mapped round-robin over the
 //!   online cores in node order;
 //! * [`Topology::flat`] — the fallback everywhere else: one node, all
-//!   distances local, which makes every topology-aware policy degrade to
-//!   uniform victim selection.
+//!   distances local, on which hierarchical victim choice is uniform.
 
 /// Node-to-node distance matrix in SLIT convention: `LOCAL` (10) on the
 /// diagonal, larger values for farther nodes. Shared between the real
@@ -76,9 +75,8 @@ impl DistanceMatrix {
 }
 
 /// Worker → NUMA-node mapping plus the node [`DistanceMatrix`],
-/// consulted by topology-aware [`StealPolicy`](crate::StealPolicy)
-/// implementations on every victim choice (hot path: all lookups are
-/// array indexing).
+/// consulted by hierarchical victim choice ([`Steal`](crate::Steal)) on
+/// every steal attempt (hot path: all lookups are array indexing).
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// worker index → NUMA node.
@@ -90,7 +88,7 @@ pub struct Topology {
 
 impl Topology {
     /// Single-node topology: every worker local to every other. The
-    /// fallback shape; topology-aware policies degrade to uniform here.
+    /// fallback shape; hierarchical victim choice is uniform here.
     pub fn flat(workers: usize) -> Topology {
         assert!(workers >= 1);
         Topology::from_parts(
@@ -188,24 +186,11 @@ impl Topology {
         &self.dist
     }
 
-    /// True when every worker shares one node (topology-aware policies
-    /// have nothing to exploit).
+    /// True when every worker shares one node (locality has nothing to
+    /// exploit).
     #[inline]
     pub fn is_flat(&self) -> bool {
         self.dist.nodes() == 1
-    }
-
-    /// The distinct distances from `worker` to other workers, ascending —
-    /// the "rings" a locality-first policy walks outward through.
-    pub fn distance_rings(&self, worker: usize) -> Vec<u32> {
-        let me = self.worker_node[worker];
-        let mut rings: Vec<u32> = (0..self.nodes())
-            .filter(|&n| !self.node_workers[n].is_empty())
-            .map(|n| self.dist.get(me, n))
-            .collect();
-        rings.sort_unstable();
-        rings.dedup();
-        rings
     }
 }
 
@@ -295,7 +280,6 @@ mod tests {
         assert!(t.is_flat());
         assert!(t.same_node(0, 3));
         assert_eq!(t.distance(0, 3), DistanceMatrix::LOCAL);
-        assert_eq!(t.distance_rings(0), vec![DistanceMatrix::LOCAL]);
     }
 
     #[test]
@@ -311,10 +295,6 @@ mod tests {
         assert_eq!(t.distance(0, 1), DistanceMatrix::LOCAL);
         assert_eq!(t.distance(0, 5), DistanceMatrix::REMOTE);
         assert_eq!(t.workers_on_node(1), &[4, 5, 6, 7]);
-        assert_eq!(
-            t.distance_rings(0),
-            vec![DistanceMatrix::LOCAL, DistanceMatrix::REMOTE]
-        );
     }
 
     #[test]
@@ -331,8 +311,6 @@ mod tests {
         let t = Topology::with_distances(vec![0, 0, 1, 2], d);
         assert_eq!(t.distance(0, 2), 16);
         assert_eq!(t.distance(0, 3), 22);
-        assert_eq!(t.distance_rings(0), vec![10, 16, 22]);
-        assert_eq!(t.distance_rings(2), vec![10, 16]);
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //! the idle set, `sleepers += 1`), runs a `SeqCst` fence, then makes a
 //! real acquisition attempt on every source — its queue lane and ready
 //! list, the inject lanes, and the fast lane, frames, ready list and
-//! adaptive loops of every victim the steal policy allows — and blocks
+//! adaptive loops of every victim the runtime's `Steal` allows — and blocks
 //! only if all of them came back empty. A producer publishes its
 //! work, issues a `SeqCst` fence, then reads the sleeper count. The two
 //! fences are totally ordered, so either the parker's re-check sees the
 //! work or the producer sees the parker and wakes a parked worker that
-//! its steal policy lets reach the work ([`Near`]): on the work's node
+//! its `Steal` lets reach the work ([`Near`]): on the work's node
 //! first, most recently parked first. The producer sites
 //! ([`RtInner::notify_work`] and its callers):
 //!
@@ -156,7 +156,7 @@ pub(crate) struct Worker {
     /// is the ring's only producer.
     pub(crate) tele: WorkerTelemetry,
     /// Consecutive failed steal attempts (reset on any acquired work).
-    /// Read by the steal policy for victim escalation. Only the owning
+    /// Read by hierarchical victim choice for escalation. Only the owning
     /// worker thread writes it, so plain load/store suffices.
     fail_streak: AtomicU32,
     /// Recycled quiescent frames.
@@ -523,7 +523,7 @@ impl ParkLot {
             Near::Worker(v) => (rt.topo.node_of(v), Some(v)),
             Near::Node(n) => (n, None),
         };
-        let reach = |w: usize| from.is_none_or(|v| rt.steal_pol.may_steal_from(w, v, &rt.topo));
+        let reach = |w: usize| from.is_none_or(|v| rt.steal.may_steal_from(w, v, &rt.topo));
         let waker_cpu = self.seat_holder_cpu(rt);
         for _ in 0..n {
             let woke = self.wake_one(waker_cpu, |idle| {
@@ -892,8 +892,8 @@ fn acquire(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
 }
 
 /// The parker's re-check: like [`acquire`], but the steal part probes
-/// *every* victim the policy allows under its steal lock
-/// ([`steal_exact`]) rather than the policy's one pick, so `None` means
+/// *every* victim `Steal::may_steal_from` allows under its steal lock
+/// ([`steal_exact`]) rather than one chosen victim, so `None` means
 /// no source held work this worker may take at the time of the probe.
 fn acquire_exact(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
     if let Some(work) = acquire_local(rt, idx) {
@@ -905,7 +905,7 @@ fn acquire_exact(rt: &Arc<RtInner>, idx: usize) -> Option<Work> {
     let p = rt.num_workers();
     (1..p)
         .map(|k| (idx + k) % p)
-        .filter(|&v| rt.steal_pol.may_steal_from(idx, v, &rt.topo))
+        .filter(|&v| rt.steal.may_steal_from(idx, v, &rt.topo))
         .find_map(|v| steal_exact(rt, idx, v).map(Work::Grab))
 }
 

@@ -6,7 +6,7 @@
 //! in `examples/` and the integration tests in `tests/` can reach the whole
 //! system through one dependency. See `README.md` for the tour and the
 //! layer-stack diagram (facade → paradigm front-ends → engine → queue/steal
-//! policies).
+//! layers).
 //!
 //! The commonly-used engine types are additionally re-exported at the top
 //! level, so `xkaapi::Runtime` works alongside the per-subsystem paths
@@ -28,9 +28,8 @@ pub use xkaapi_skyline as skyline;
 pub use xkaapi_core::FaultPlan;
 pub use xkaapi_core::JoinHandle;
 pub use xkaapi_core::{
-    Access, AccessMode, Affinity, AggregatedStealing, Builder, CancelToken, Ctx, DataflowEngine,
-    DistanceMatrix, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst, Partitioned,
-    PerThiefStealing, Priority, RecCtx, RecordStats, RecordedDag, Reduction, Region, RenamePolicy,
-    ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy, SubmitError, TaskAttrs, TaskBuilder,
-    Topology, Tunables, VictimChoice,
+    Access, AccessMode, Affinity, Builder, CancelToken, Ctx, DataflowEngine, DistanceMatrix,
+    HandleId, JobBuilder, Partitioned, Priority, RecCtx, RecordStats, RecordedDag, Reduction,
+    Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, Steal, SubmitError,
+    TaskAttrs, TaskBuilder, Topology, Tunables, Victim,
 };

@@ -25,10 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xkaapi::core::{
-    AggregatedStealing, CancelToken, Ctx, FaultPlan, PerThiefStealing, Runtime, Shared,
-    StatsSnapshot, StealPolicy,
-};
+use xkaapi::core::{CancelToken, Ctx, FaultPlan, Runtime, Shared, StatsSnapshot, Steal};
 
 const FIXED_SEEDS: [u64; 3] = [42, 0xdead_beef, 20260808];
 
@@ -47,14 +44,14 @@ fn seeds() -> Vec<u64> {
 
 /// Build a runtime under one of the two steal protocols.
 fn build_rt(combo: usize, workers: usize, plan: FaultPlan) -> Runtime {
-    let steal: Arc<dyn StealPolicy> = if combo == 0 {
-        Arc::new(AggregatedStealing)
+    let steal = if combo == 0 {
+        Steal::AGGREGATED
     } else {
-        Arc::new(PerThiefStealing)
+        Steal::PER_THIEF
     };
     Runtime::builder()
         .workers(workers)
-        .steal_policy(steal)
+        .steal(steal)
         .fault_plan(plan)
         .build()
 }

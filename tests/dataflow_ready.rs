@@ -16,8 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use xkaapi::core::{
-    Access, AccessMode, AggregatedStealing, DataflowEngine, Partitioned, PerThiefStealing, Region,
-    RenamePolicy, Runtime, Shared, StealPolicy,
+    Access, AccessMode, DataflowEngine, Partitioned, Region, RenamePolicy, Runtime, Shared, Steal,
 };
 use xkaapi::linalg::{cholesky_seq, cholesky_xkaapi, TiledMatrix};
 
@@ -45,14 +44,14 @@ fn within_deadline(what: &str, body: impl FnOnce() + Send + 'static) {
 const POLICIES: [&str; 2] = ["aggregated", "per-thief"];
 
 fn runtime(policy: &str, workers: usize, renaming: bool) -> Runtime {
-    let steal: Arc<dyn StealPolicy> = match policy {
-        "aggregated" => Arc::new(AggregatedStealing),
-        _ => Arc::new(PerThiefStealing),
+    let steal = match policy {
+        "aggregated" => Steal::AGGREGATED,
+        _ => Steal::PER_THIEF,
     };
     Runtime::builder()
         .workers(workers)
         .renaming(renaming)
-        .steal_policy(steal)
+        .steal(steal)
         .build()
 }
 

@@ -12,9 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xkaapi::core::{
-    AggregatedStealing, CancelToken, PerThiefStealing, Runtime, Shared, StealPolicy, SubmitError,
-};
+use xkaapi::core::{CancelToken, Runtime, Shared, Steal, SubmitError};
 
 /// Spin-wait (with yields) until `cond` holds, panicking after `secs`.
 fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
@@ -27,18 +25,13 @@ fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
 
 /// The two steal protocols.
 fn all_policies(workers: usize) -> Vec<(&'static str, Runtime)> {
-    let combos: [(&'static str, Arc<dyn StealPolicy>); 2] = [
-        ("dist+agg", Arc::new(AggregatedStealing)),
-        ("dist+perthief", Arc::new(PerThiefStealing)),
+    let combos = [
+        ("dist+agg", Steal::AGGREGATED),
+        ("dist+perthief", Steal::PER_THIEF),
     ];
     combos
         .into_iter()
-        .map(|(name, s)| {
-            (
-                name,
-                Runtime::builder().workers(workers).steal_policy(s).build(),
-            )
-        })
+        .map(|(name, s)| (name, Runtime::builder().workers(workers).steal(s).build()))
         .collect()
 }
 

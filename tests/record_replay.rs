@@ -16,8 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use xkaapi::{Priority, RecordedDag, Runtime, Shared};
-use xkaapi_bench::SchedPolicy;
+use xkaapi::{Priority, RecordedDag, Runtime, Shared, Steal};
 use xkaapi_linalg::{cholesky_seq, RecordedCholesky, TiledMatrix};
 
 /// A mixed DAG over several handles: exclusive chains, cross reads, and a
@@ -112,8 +111,8 @@ const LINKS: usize = 5;
 
 #[test]
 fn record_matches_online_on_every_scheduler_policy() {
-    for policy in SchedPolicy::ALL {
-        let rt = policy.build_runtime(4);
+    for policy in [Steal::AGGREGATED, Steal::PER_THIEF] {
+        let rt = Runtime::builder().workers(4).steal(policy).build();
         let online = spawn_online(&rt, CHAINS, LINKS);
         let (dag, _cells, sum) = record_dag(&rt, CHAINS, LINKS);
         dag.replay(&rt);
@@ -121,7 +120,7 @@ fn record_matches_online_on_every_scheduler_policy() {
             *sum.get(),
             online,
             "recorded replay diverged from online scheduling under {}",
-            policy.label()
+            policy.name()
         );
     }
 }
@@ -191,15 +190,15 @@ fn recorded_cholesky_matches_online_on_every_scheduler_policy() {
     let orig = TiledMatrix::spd_random(96, 16, 7);
     let mut reference = orig.clone_matrix();
     cholesky_seq(&mut reference).unwrap();
-    for policy in SchedPolicy::ALL {
-        let rt = policy.build_runtime(4);
+    for policy in [Steal::AGGREGATED, Steal::PER_THIEF] {
+        let rt = Runtime::builder().workers(4).steal(policy).build();
         let mut rec = RecordedCholesky::record(&rt, orig.clone_matrix());
         rec.replay(&rt).unwrap();
         assert_eq!(
             rec.result().max_abs_diff_lower(&reference),
             0.0,
             "recorded Cholesky diverged under {}",
-            policy.label()
+            policy.name()
         );
         // Reload-and-replay: still bit-identical, and no replay binds a
         // single task into the data-flow engine.
@@ -211,10 +210,10 @@ fn recorded_cholesky_matches_online_on_every_scheduler_policy() {
                 rec.result().max_abs_diff_lower(&reference),
                 0.0,
                 "reloaded replay diverged under {}",
-                policy.label()
+                policy.name()
             );
         }
-        assert_eq!(rt.stats().dataflow_pushes, 0, "under {}", policy.label());
+        assert_eq!(rt.stats().dataflow_pushes, 0, "under {}", policy.name());
     }
 }
 
@@ -308,8 +307,8 @@ fn one_worker_replay_runs_on_the_caller_and_counts_each_group_once() {
 #[test]
 fn children_of_a_recorded_body_finish_before_its_successors_start() {
     within_deadline("children before successors", || {
-        for policy in SchedPolicy::ALL {
-            let rt = policy.build_runtime(4);
+        for policy in [Steal::AGGREGATED, Steal::PER_THIEF] {
+            let rt = Runtime::builder().workers(4).steal(policy).build();
             let h = Shared::new(0u64);
             let spawned = Shared::new(0u64);
             let joined = Arc::new(AtomicU64::new(0));
@@ -376,7 +375,7 @@ fn children_of_a_recorded_body_finish_before_its_successors_start() {
                     got,
                     (7, 3, 1000),
                     "a successor started early under {}",
-                    policy.label()
+                    policy.name()
                 );
             }
         }

@@ -8,20 +8,18 @@
 //! 1. results are identical with aggregation on and off (the policy changes
 //!    only *who* serves requests, never the visible semantics), and
 //! 2. the combiner actually served requests under both policies
-//!    (`StatsSnapshot::combine_served` > 0), with batch aggregation
-//!    (`aggregated_requests`, batches of ≥ 2) observed under the
-//!    aggregating policy.
+//!    (`StatsSnapshot::combine_served` > 0), exactly one per combine
+//!    under the per-thief policy.
 //!
 //! Scheduling is timing-dependent, so the stats conditions are checked over
 //! repeated rounds (stats accumulate across rounds) with a generous bound;
-//! the *result* equality is asserted on every round unconditionally.
+//! the *result* equality is asserted on every round unconditionally. How
+//! many requests one combine serves — `min(pending, max_batch)`, the
+//! combiner's own always among them — is checked without threads by the
+//! batch-plan test in `crates/core/src/steal.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use xkaapi::core::{
-    AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing, Runtime, Shared,
-    StealPolicy, Topology,
-};
+use xkaapi::core::{Runtime, Shared, Steal, Topology, Victim};
 
 const WORKERS: usize = 8;
 const CHAINS: usize = 32;
@@ -76,14 +74,14 @@ fn expected_chain() -> u64 {
 fn aggregation_on_off_identical_results_with_combiner_activity() {
     let rt_on = Runtime::builder()
         .workers(WORKERS)
-        .steal_policy(Arc::new(AggregatedStealing))
+        .steal(Steal::AGGREGATED)
         .build();
     let rt_off = Runtime::builder()
         .workers(WORKERS)
-        .steal_policy(Arc::new(PerThiefStealing))
+        .steal(Steal::PER_THIEF)
         .build();
-    assert_eq!(rt_on.steal_policy_name(), "aggregated");
-    assert_eq!(rt_off.steal_policy_name(), "per-thief");
+    assert_eq!(rt_on.steal().name(), "aggregated");
+    assert_eq!(rt_off.steal().name(), "per-thief");
     rt_on.reset_stats();
     rt_off.reset_stats();
 
@@ -109,11 +107,7 @@ fn aggregation_on_off_identical_results_with_combiner_activity() {
         // Stop as soon as both policies showed the combiner behaviour under
         // test (stats accumulate across rounds).
         let (s_on, s_off) = (rt_on.stats(), rt_off.stats());
-        if s_on.combine_served > 0
-            && s_on.aggregated_requests > 0
-            && s_on.tasks_executed_stolen > 0
-            && s_off.combine_served > 0
-        {
+        if s_on.combine_served > 0 && s_on.tasks_executed_stolen > 0 && s_off.combine_served > 0 {
             break;
         }
     }
@@ -135,12 +129,7 @@ fn aggregation_on_off_identical_results_with_combiner_activity() {
             "aggregation {name}: no steal pressure: {s:?}"
         );
     }
-    // 3. Aggregation served whole batches (requests of >= 2 thieves), and
-    //    work genuinely migrated.
-    assert!(
-        s_on.aggregated_requests > 0,
-        "aggregation on: no batch of >= 2 requests in {MAX_ROUNDS} rounds: {s_on:?}"
-    );
+    // 3. Work genuinely migrated.
     assert!(
         s_on.tasks_executed_stolen > 0,
         "no task ever migrated: {s_on:?}"
@@ -153,10 +142,9 @@ fn aggregation_on_off_identical_results_with_combiner_activity() {
 }
 
 /// Topology-aware stealing preserves results on the aggregation stress
-/// workload: the victim-selection policies (hierarchical escalation,
-/// locality-first ring walk, bounded near-first combiner batches and the
-/// overflow-request re-queue they exercise) change only *where* steals
-/// land, never the visible semantics.
+/// workload: hierarchical victim choice (escalation, bounded near-first
+/// combiner batches and the overflow-request re-queue they exercise)
+/// changes only *where* steals land, never the visible semantics.
 #[test]
 fn topology_aware_stealing_preserves_results_under_stress() {
     let expect = expected_chain();
@@ -168,34 +156,27 @@ fn topology_aware_stealing_preserves_results_under_stress() {
     // Tiny bounded batches (max_batch: 2 on 8 workers) force the overflow
     // re-queue path constantly; an aggressive escalation threshold forces
     // both the local-only and machine-wide victim regimes.
-    let policies: [(&str, Arc<dyn StealPolicy>); 4] = [
-        ("uniform", Arc::new(AggregatedStealing)),
+    let policies = [
+        ("uniform", Steal::AGGREGATED),
         (
             "hierarchical",
-            Arc::new(HierarchicalVictim {
-                escalate_after: 2,
+            Steal {
+                victim: Victim::Hierarchical { escalate_after: 2 },
                 max_batch: 2,
-            }),
-        ),
-        (
-            "locality-first",
-            Arc::new(LocalityFirst {
-                escalate_after: 2,
-                max_batch: 2,
-            }),
+            },
         ),
         (
             "hierarchical-wide",
-            Arc::new(HierarchicalVictim {
-                escalate_after: 64,
+            Steal {
+                victim: Victim::Hierarchical { escalate_after: 64 },
                 max_batch: usize::MAX,
-            }),
+            },
         ),
     ];
     for (label, pol) in policies {
         let rt = Runtime::builder()
             .workers(WORKERS)
-            .steal_policy(pol)
+            .steal(pol)
             .topology(Topology::two_level(WORKERS, 4))
             .build();
         for round in 0..3 {

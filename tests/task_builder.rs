@@ -7,10 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use xkaapi::core::{
-    Affinity, AggregatedStealing, InjectPolicy, OnFull, PerThiefStealing, Priority, Runtime,
-    Shared, StealPolicy, Topology,
-};
+use xkaapi::core::{Affinity, InjectPolicy, OnFull, Priority, Runtime, Shared, Steal, Topology};
 
 fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
     let t0 = Instant::now();
@@ -312,12 +309,12 @@ fn default_and_attributed_lowering_agree_everywhere() {
     let mut reference = None;
     for aggregation in [true, false] {
         let build = || {
-            let steal: Arc<dyn StealPolicy> = if aggregation {
-                Arc::new(AggregatedStealing)
+            let steal = if aggregation {
+                Steal::AGGREGATED
             } else {
-                Arc::new(PerThiefStealing)
+                Steal::PER_THIEF
             };
-            Runtime::builder().workers(3).steal_policy(steal).build()
+            Runtime::builder().workers(3).steal(steal).build()
         };
         let tag = format!("agg={aggregation}");
 

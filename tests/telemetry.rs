@@ -18,8 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use xkaapi::core::{Ctx, EventKind, HistogramSnapshot, Runtime, TelemetryEvent};
-use xkaapi_bench::SchedPolicy;
+use xkaapi::core::{Ctx, EventKind, HistogramSnapshot, Runtime, Steal, TelemetryEvent};
 
 /// Counts every allocation in the process (all threads — workers too).
 struct CountingAlloc;
@@ -110,23 +109,24 @@ fn drain_balanced(rt: &Runtime, label: &str) -> (Vec<Vec<TelemetryEvent>>, u64) 
 #[test]
 fn every_begin_span_has_a_matching_end_on_all_policies() {
     let _g = serial();
-    for policy in SchedPolicy::ALL {
-        let rt = policy.build_runtime(4);
+    for policy in [Steal::AGGREGATED, Steal::PER_THIEF] {
+        let rt = Runtime::builder().workers(4).steal(policy).build();
+        let name = policy.name();
         rt.set_tracing(true);
         let checksum = workload(&rt);
         assert_ne!(checksum, 0);
         // `drain_balanced` asserts the headline property: per worker
         // lane (a task/job executes on exactly one worker), every begin
         // event has a matching end once the pool quiesces.
-        let (lanes, dropped) = drain_balanced(&rt, &format!("{policy:?}"));
+        let (lanes, dropped) = drain_balanced(&rt, name);
         assert_eq!(
             rt.take_trace().worker_count(),
             4,
-            "[{policy:?}] one trace lane per worker, and no other"
+            "[{name}] one trace lane per worker, and no other"
         );
         assert_eq!(
             dropped, 0,
-            "[{policy:?}] this workload must fit the rings; drops would \
+            "[{name}] this workload must fit the rings; drops would \
              make span balance vacuous"
         );
         let total = |k: EventKind| -> usize { lanes.iter().map(|evs| count(evs, k)).sum() };
@@ -134,11 +134,11 @@ fn every_begin_span_has_a_matching_end_on_all_policies() {
         assert_eq!(
             total(EventKind::JobBegin),
             101,
-            "[{policy:?}] one job span per root job"
+            "[{name}] one job span per root job"
         );
         assert!(
             total(EventKind::TaskBegin) > 0,
-            "[{policy:?}] no task spans recorded"
+            "[{name}] no task spans recorded"
         );
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! Two levels:
 //!
-//! 1. **Deterministic**: [`StealPolicy::choose_victim`] is a pure function
-//!    of `(me, rng, topology, fail_streak)`, so a seeded xorshift closure
-//!    makes the policies' selection behaviour exactly checkable —
-//!    [`HierarchicalVictim`] stays on the thief's node below the
+//! 1. **Deterministic**: [`Steal::choose_victim`] is a pure function of
+//!    `(me, rng, topology, fail_streak)`, so a seeded xorshift closure
+//!    makes victim selection exactly checkable —
+//!    [`Victim::Hierarchical`] stays on the thief's node below the
 //!    escalation threshold and goes machine-wide (flagged `escalated`)
-//!    above it; [`LocalityFirst`] concentrates picks on the nearest ring;
-//!    driven with the idle loop's fail-streak rule and a seeded hit coin,
-//!    hierarchical selection lands a larger same-node steal share than
-//!    uniform.
+//!    above it; driven with the idle loop's fail-streak rule and a seeded
+//!    hit coin, hierarchical selection lands a larger same-node steal
+//!    share than uniform.
 //! 2. **End-to-end**: a runtime built with a never-escalating
 //!    hierarchical policy on a modelled 2-node topology lands every steal
 //!    on the thief's own node, observed through the exact
@@ -18,10 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use xkaapi::core::{
-    Affinity, AggregatedStealing, EventKind, HierarchicalVictim, LocalityFirst, Runtime, Shared,
-    StealPolicy, Topology, TraceSession,
-};
+use xkaapi::core::{Affinity, EventKind, Runtime, Shared, Steal, Topology, TraceSession, Victim};
 
 /// Seeded xorshift64* closure: the same seed replays the same choices.
 fn seeded_rng(mut x: u64) -> impl FnMut() -> u64 {
@@ -36,8 +32,8 @@ fn seeded_rng(mut x: u64) -> impl FnMut() -> u64 {
 #[test]
 fn hierarchical_prefers_same_node_then_escalates() {
     let topo = Topology::two_level(8, 4); // nodes {0..3} and {4..7}
-    let pol = HierarchicalVictim {
-        escalate_after: 4,
+    let pol = Steal {
+        victim: Victim::Hierarchical { escalate_after: 4 },
         max_batch: 8,
     };
     let me = 1usize;
@@ -47,14 +43,13 @@ fn hierarchical_prefers_same_node_then_escalates() {
     let mut rng = seeded_rng(0xDEAD_BEEF);
     for fail_streak in 0..4 {
         for _ in 0..200 {
-            let c = pol.choose_victim(me, &mut rng, &topo, fail_streak);
-            assert_ne!(c.victim, me);
+            let (v, escalated) = pol.choose_victim(me, &mut rng, &topo, fail_streak);
+            assert_ne!(v, me);
             assert!(
-                topo.same_node(me, c.victim),
-                "streak {fail_streak}: picked remote victim {} before escalation",
-                c.victim
+                topo.same_node(me, v),
+                "streak {fail_streak}: picked remote victim {v} before escalation"
             );
-            assert!(!c.escalated);
+            assert!(!escalated);
         }
     }
 
@@ -63,10 +58,10 @@ fn hierarchical_prefers_same_node_then_escalates() {
     let mut rng = seeded_rng(0xDEAD_BEEF);
     let mut saw_remote = false;
     for _ in 0..200 {
-        let c = pol.choose_victim(me, &mut rng, &topo, 4);
-        assert_ne!(c.victim, me);
-        assert!(c.escalated, "post-threshold picks must be escalations");
-        saw_remote |= !topo.same_node(me, c.victim);
+        let (v, escalated) = pol.choose_victim(me, &mut rng, &topo, 4);
+        assert_ne!(v, me);
+        assert!(escalated, "post-threshold picks must be escalations");
+        saw_remote |= !topo.same_node(me, v);
     }
     assert!(saw_remote, "escalated picks must reach the remote node");
 
@@ -74,7 +69,7 @@ fn hierarchical_prefers_same_node_then_escalates() {
     let replay = |seed| {
         let mut rng = seeded_rng(seed);
         (0..50)
-            .map(|_| pol.choose_victim(me, &mut rng, &topo, 2).victim)
+            .map(|_| pol.choose_victim(me, &mut rng, &topo, 2).0)
             .collect::<Vec<_>>()
     };
     assert_eq!(replay(7), replay(7));
@@ -85,45 +80,12 @@ fn hierarchical_alone_on_node_goes_machine_wide_unflagged() {
     // Worker 6 is alone on node 2: no local victim exists, so machine-wide
     // picks are not counted as escalations (nothing was skipped).
     let topo = Topology::two_level(7, 3);
-    let pol = HierarchicalVictim::default();
+    let pol = Steal::hierarchical();
     let mut rng = seeded_rng(99);
     for _ in 0..100 {
-        let c = pol.choose_victim(6, &mut rng, &topo, 0);
-        assert_ne!(c.victim, 6);
-        assert!(!c.escalated);
-    }
-}
-
-#[test]
-fn locality_first_concentrates_on_nearest_ring() {
-    let topo = Topology::two_level(8, 4);
-    let pol = LocalityFirst::default();
-    let mut rng = seeded_rng(0x5EED);
-    let (mut local, mut remote) = (0u32, 0u32);
-    for _ in 0..1000 {
-        let c = pol.choose_victim(0, &mut rng, &topo, 0);
-        assert_ne!(c.victim, 0);
-        if topo.same_node(0, c.victim) {
-            assert!(!c.escalated);
-            local += 1;
-        } else {
-            assert!(c.escalated, "remote pick must be flagged");
-            remote += 1;
-        }
-    }
-    // ~3/4 of picks stay in the nearest ring (geometric ring walk); a
-    // uniform picker would land ~3/7 locally. Split the difference.
-    assert!(
-        local > remote * 2,
-        "locality-first must concentrate near: {local} local vs {remote} remote"
-    );
-
-    // On a flat topology it degrades to uniform and never escalates.
-    let flat = Topology::flat(4);
-    for _ in 0..100 {
-        let c = pol.choose_victim(0, &mut rng, &flat, 0);
-        assert_ne!(c.victim, 0);
-        assert!(!c.escalated);
+        let (v, escalated) = pol.choose_victim(6, &mut rng, &topo, 0);
+        assert_ne!(v, 6);
+        assert!(!escalated);
     }
 }
 
@@ -132,7 +94,7 @@ fn locality_first_concentrates_on_nearest_ring() {
 /// with `pol`, and each attempt hits on a seeded coin (1 in 4). As in the
 /// idle loop, a miss adds 1 to the thief's fail streak and a hit resets
 /// it to 0.
-fn seeded_steal_sample(pol: &dyn StealPolicy, seed: u64, hits: u64) -> (u64, u64) {
+fn seeded_steal_sample(pol: Steal, seed: u64, hits: u64) -> (u64, u64) {
     let topo = Topology::two_level(8, 4);
     let mut rng = seeded_rng(seed);
     let mut coin = seeded_rng(seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -142,11 +104,11 @@ fn seeded_steal_sample(pol: &dyn StealPolicy, seed: u64, hits: u64) -> (u64, u64
         if local + remote == hits {
             break;
         }
-        let c = pol.choose_victim(me, &mut rng, &topo, streak[me]);
-        assert_ne!(c.victim, me);
+        let (v, _) = pol.choose_victim(me, &mut rng, &topo, streak[me]);
+        assert_ne!(v, me);
         if !coin().is_multiple_of(4) {
             streak[me] += 1;
-        } else if topo.same_node(me, c.victim) {
+        } else if topo.same_node(me, v) {
             streak[me] = 0;
             local += 1;
         } else {
@@ -166,8 +128,8 @@ fn seeded_steal_sample(pol: &dyn StealPolicy, seed: u64, hits: u64) -> (u64, u64
 fn hierarchical_steals_same_node_more_than_uniform() {
     let share = |(local, remote): (u64, u64)| local as f64 / (local + remote) as f64;
     for seed in [1, 0x5EED, 0xDEAD_BEEF] {
-        let uni = seeded_steal_sample(&AggregatedStealing, seed, 400);
-        let hier = seeded_steal_sample(&HierarchicalVictim::default(), seed, 400);
+        let uni = seeded_steal_sample(Steal::AGGREGATED, seed, 400);
+        let hier = seeded_steal_sample(Steal::hierarchical(), seed, 400);
         assert!(
             hier.0 > uni.0,
             "seed {seed}: hierarchical must steal same-node strictly more than uniform \
@@ -192,10 +154,10 @@ fn uniform_covers_all_victims_without_escalating() {
     let mut rng = seeded_rng(3);
     let mut seen = [false; 8];
     for _ in 0..500 {
-        let c = AggregatedStealing.choose_victim(2, &mut rng, &topo, 10);
-        assert_ne!(c.victim, 2);
-        assert!(!c.escalated);
-        seen[c.victim] = true;
+        let (v, escalated) = Steal::AGGREGATED.choose_victim(2, &mut rng, &topo, 10);
+        assert_ne!(v, 2);
+        assert!(!escalated);
+        seen[v] = true;
     }
     let covered = seen.iter().filter(|&&s| s).count();
     assert_eq!(covered, 7, "uniform must reach every other worker");
@@ -249,10 +211,12 @@ fn hierarchical_without_escalation_never_steals_off_node() {
     let workers = 8;
     let rt = Runtime::builder()
         .workers(workers)
-        .steal_policy(std::sync::Arc::new(HierarchicalVictim {
-            escalate_after: u32::MAX,
-            ..HierarchicalVictim::default()
-        }))
+        .steal(Steal {
+            victim: Victim::Hierarchical {
+                escalate_after: u32::MAX,
+            },
+            ..Steal::hierarchical()
+        })
         .topology(Topology::two_level(workers, 4))
         .build();
     let expect = chain_workload(&Runtime::new(1));
@@ -299,10 +263,12 @@ fn wakes_for_node_1_work_land_on_node_1() {
     let topo = Topology::two_level(workers, 4); // nodes {0..3} and {4..7}
     let rt = Runtime::builder()
         .workers(workers)
-        .steal_policy(std::sync::Arc::new(HierarchicalVictim {
-            escalate_after: u32::MAX,
-            ..HierarchicalVictim::default()
-        }))
+        .steal(Steal {
+            victim: Victim::Hierarchical {
+                escalate_after: u32::MAX,
+            },
+            ..Steal::hierarchical()
+        })
         .topology(topo.clone())
         .tracing(true)
         .build();
